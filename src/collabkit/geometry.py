@@ -9,7 +9,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -228,57 +228,46 @@ def ward_cluster(dm: DistanceMatrix) -> Dendrogram:
     (alpha_i = (n_i + n_k) / (n_i + n_j + n_k), beta = -n_k / (n_i + n_j + n_k)),
     and the recorded height is the square root of the minimal squared
     criterion, so two singletons merge at exactly their input distance.
+
+    The criterion lives in one symmetric n x n matrix whose slot i holds
+    the cluster whose smallest leaf index (its rep) is i. A merge keeps the
+    lower slot, which is the merged cluster's rep, and retires the higher
+    one by filling its row and column with inf, as the diagonal is.
     Ties within MERGE_TIE_EPS of the minimum are broken toward the pair
     whose (smallest leaf, partner's smallest leaf) index pair sorts first,
-    which makes the result independent of accumulation order.
+    which makes the result independent of accumulation order. With slots
+    indexed by rep that pair is the first tied entry in row-major order:
+    it lies in the upper triangle, because a lower-triangle entry's mirror
+    comes earlier, so it is found as the first row whose minimum is tied,
+    then the first tied column in that row. The node in the lower slot is
+    the left child.
     """
     n = dm.size
     if n < 2:
         raise ValueError("clustering needs at least 2 entities")
-    total = 2 * n - 1
-    d2 = np.zeros((total, total))
-    d2[:n, :n] = dm.values**2
-    sizes = np.zeros(total, dtype=int)
-    sizes[:n] = 1
-    reps = list(range(total))  # smallest leaf index inside each node
-    active = list(range(n))
+    d2 = dm.values**2
+    np.fill_diagonal(d2, np.inf)
+    sizes = np.ones(n, dtype=int)
+    node = list(range(n))  # node id of the cluster in each slot
     merges: list[Merge] = []
     for step in range(n - 1):
-        best = math.inf
-        for ia, a in enumerate(active):
-            for b in active[ia + 1 :]:
-                if d2[a, b] < best:
-                    best = d2[a, b]
-        pick: tuple[int, int] | None = None
-        pick_key: tuple[int, int] | None = None
-        for ia, a in enumerate(active):
-            for b in active[ia + 1 :]:
-                if d2[a, b] <= best + MERGE_TIE_EPS:
-                    lo, hi = sorted((a, b), key=lambda node: reps[node])
-                    key = (reps[lo], reps[hi])
-                    if pick_key is None or key < pick_key:
-                        pick_key = key
-                        pick = (lo, hi)
-        assert pick is not None
-        a, b = pick
-        new = n + step
-        height = math.sqrt(max(d2[a, b], 0.0))
+        row_min = d2.min(axis=1)
+        limit = row_min.min() + MERGE_TIE_EPS
+        a = int(np.argmax(row_min <= limit))
+        b = int(np.argmax(d2[a] <= limit))
+        d_ab = d2[a, b]
         nab = sizes[a] + sizes[b]
-        for c in active:
-            if c == a or c == b:
-                continue
-            val = (
-                (sizes[a] + sizes[c]) * d2[a, c]
-                + (sizes[b] + sizes[c]) * d2[b, c]
-                - sizes[c] * d2[a, b]
-            ) / (nab + sizes[c])
-            d2[new, c] = d2[c, new] = val
-        sizes[new] = nab
-        reps[new] = reps[a]
-        active.remove(a)
-        active.remove(b)
-        active.append(new)
-        merges.append(Merge(left=a, right=b, height=height, size=int(nab)))
+        c = np.flatnonzero(np.isfinite(d2[a]))
+        c = c[c != b]
+        sc = sizes[c]
+        d2[a, c] = d2[c, a] = (
+            (sizes[a] + sc) * d2[a, c] + (sizes[b] + sc) * d2[b, c] - sc * d_ab
+        ) / (nab + sc)
+        d2[b, :] = d2[:, b] = np.inf
+        height = math.sqrt(max(d_ab, 0.0))
+        merges.append(Merge(left=node[a], right=node[b], height=height, size=int(nab)))
+        sizes[a] = nab
+        node[a] = n + step
     return Dendrogram(dm.entities, tuple(merges))
 
 
@@ -419,10 +408,3 @@ def rescaled_distance(distance: float) -> float:
         raise ValueError("rescaling needs a distance in [0, 1)")
     return -math.log1p(-distance)
 
-
-def pooled_rescaled_heights(results: Iterable[IcdResult]) -> list[float]:
-    """Concatenate rescaled heights from several trees (for density plots)."""
-    pooled: list[float] = []
-    for r in results:
-        pooled.extend(r.rescaled)
-    return pooled

@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import CountTable, Period
 from .errors import EmptyEntityYear, TooFewValues
-from .geometry import IcdResult, affinity
+from .geometry import IcdResult, affinity, rescaled_distance
 
 REASON_BELOW_MIN_VOLUME = "below_min_volume"
 REASON_DEGENERATE = "degenerate_distance"
@@ -141,8 +141,7 @@ def bilateral_distance_series(
                 SeriesPoint(year, None, joint, masked=True, reason=REASON_DEGENERATE)
             )
             continue
-        distance = 1.0 - aff
-        points.append(SeriesPoint(year, -math.log1p(-distance), joint))
+        points.append(SeriesPoint(year, rescaled_distance(1.0 - aff), joint))
     series = YearSeries(
         discipline_id, entity_a, tuple(points), entity_b=entity_b
     )

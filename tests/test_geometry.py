@@ -28,7 +28,14 @@ from collabkit.geometry import (
     to_newick,
     ward_cluster,
 )
-from util import POOL6, brute_jaccard_distance, random_dendrogram, table_from_sets
+from util import (
+    POOL6,
+    brute_jaccard_distance,
+    random_corpus,
+    random_dendrogram,
+    table_from_sets,
+    ward_reference,
+)
 
 # Six works over three entities; every co-count is hand-enumerable.
 TOY_SETS = [
@@ -150,6 +157,10 @@ def _random_points_matrix(rng, n, k):
     return pts, DistanceMatrix(tuple(f"P{i}" for i in range(n)), d)
 
 
+def _named_matrix(values):
+    return DistanceMatrix(tuple(f"E{i}" for i in range(len(values))), values)
+
+
 class TestEmbedding:
     def test_two_points(self):
         dm = DistanceMatrix(("A", "B"), np.array([[0.0, 0.8], [0.8, 0.0]]))
@@ -267,6 +278,55 @@ class TestWard:
         rng = random.Random(19)
         _, dm = _random_points_matrix(rng, 12, 2)
         assert ward_cluster(dm).merges == ward_cluster(dm).merges
+
+    def test_matches_reference_random(self):
+        rng = np.random.default_rng(31)
+        for case in range(120):
+            n = int(rng.integers(2, 61))
+            upper = np.triu(rng.random((n, n)), 1)
+            dm = _named_matrix(upper + upper.T)
+            assert ward_cluster(dm).merges == ward_reference(dm).merges, f"case {case}"
+
+    def test_matches_reference_tie_heavy(self):
+        # pairs that never co-publish all sit at distance 1, so real
+        # matrices are dominated by exact ties
+        rng = np.random.default_rng(37)
+        for case in range(120):
+            n = int(rng.integers(2, 61))
+            levels = rng.choice(
+                [0.25, 0.5, 0.75, 1.0], p=[0.1, 0.1, 0.1, 0.7], size=(n, n)
+            )
+            upper = np.triu(levels, 1)
+            dm = _named_matrix(upper + upper.T)
+            assert ward_cluster(dm).merges == ward_reference(dm).merges, f"case {case}"
+
+    def test_matches_reference_jaccard(self):
+        rng = random.Random(41)
+        pool = tuple(f"C{i:02d}" for i in range(40))
+        for case in range(60):
+            sets = random_corpus(
+                rng,
+                n_works=rng.randint(5, 200),
+                pool=pool[: rng.randint(2, len(pool))],
+                max_team=rng.randint(1, 6),
+            )
+            present = sorted({c for s in sets for c in s})
+            if len(present) < 2:
+                continue
+            dm = distance_matrix(table_from_sets(sets), present)
+            assert ward_cluster(dm).merges == ward_reference(dm).merges, f"case {case}"
+
+    @pytest.mark.parametrize("n", [50, 300])
+    def test_heights_match_scipy(self, n):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        distance = pytest.importorskip("scipy.spatial.distance")
+        # continuous coordinates: no two merge criteria tie, so scipy's
+        # own tie order cannot differ from ours
+        _, dm = _random_points_matrix(random.Random(n), n, 3)
+        expected = hierarchy.linkage(distance.squareform(dm.values), "ward")[:, 2]
+        np.testing.assert_allclose(
+            ward_cluster(dm).heights, expected, rtol=0, atol=1e-10
+        )
 
 
 class TestDendrogram:

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table
-from collabkit.geometry import Dendrogram, Merge
+from collabkit.geometry import MERGE_TIE_EPS, Dendrogram, DistanceMatrix, Merge
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
 
@@ -90,6 +92,67 @@ def ward_oracle(points):
         leaves[node] = leaves.pop(a) + leaves.pop(b)
         merges.append((a, b, height, len(leaves[node])))
     return merges
+
+
+def ward_reference(dm: DistanceMatrix) -> Dendrogram:
+    """Pair-scan Ward agglomeration over node ids, the loop form of
+    ``ward_cluster``.
+
+    Every step scans all active pairs twice: once for the minimal squared
+    criterion, once for the tied pair (within MERGE_TIE_EPS) with the
+    smallest (smallest leaf, partner's smallest leaf) key. Merged clusters
+    get fresh rows in a (2n-1)-square matrix, filled by the same
+    Lance-Williams expression, so heights must match ``ward_cluster``
+    exactly. Cubic in n; for tests only.
+    """
+    n = dm.size
+    if n < 2:
+        raise ValueError("clustering needs at least 2 entities")
+    total = 2 * n - 1
+    d2 = np.zeros((total, total))
+    d2[:n, :n] = dm.values**2
+    sizes = np.zeros(total, dtype=int)
+    sizes[:n] = 1
+    reps = list(range(total))  # smallest leaf index inside each node
+    active = list(range(n))
+    merges: list[Merge] = []
+    for step in range(n - 1):
+        best = math.inf
+        for ia, a in enumerate(active):
+            for b in active[ia + 1 :]:
+                if d2[a, b] < best:
+                    best = d2[a, b]
+        pick: tuple[int, int] | None = None
+        pick_key: tuple[int, int] | None = None
+        for ia, a in enumerate(active):
+            for b in active[ia + 1 :]:
+                if d2[a, b] <= best + MERGE_TIE_EPS:
+                    lo, hi = sorted((a, b), key=lambda node: reps[node])
+                    key = (reps[lo], reps[hi])
+                    if pick_key is None or key < pick_key:
+                        pick_key = key
+                        pick = (lo, hi)
+        assert pick is not None
+        a, b = pick
+        new = n + step
+        height = math.sqrt(max(d2[a, b], 0.0))
+        nab = sizes[a] + sizes[b]
+        for c in active:
+            if c == a or c == b:
+                continue
+            val = (
+                (sizes[a] + sizes[c]) * d2[a, c]
+                + (sizes[b] + sizes[c]) * d2[b, c]
+                - sizes[c] * d2[a, b]
+            ) / (nab + sizes[c])
+            d2[new, c] = d2[c, new] = val
+        sizes[new] = nab
+        reps[new] = reps[a]
+        active.remove(a)
+        active.remove(b)
+        active.append(new)
+        merges.append(Merge(left=a, right=b, height=height, size=int(nab)))
+    return Dendrogram(dm.entities, tuple(merges))
 
 
 def random_dendrogram(rng, n, plateau_prob=0.2, start=0.1):
