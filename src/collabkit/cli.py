@@ -14,7 +14,6 @@ import hashlib
 import json
 import platform
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -140,7 +139,6 @@ class AnalysisConfig:
     journal_only: bool = False
     expansion: str = "transitive"
     rate_limit: float = DEFAULT_RATE_LIMIT
-    workers: int = 1
     bilateral_pairs: tuple[tuple[str, str], ...] = ()
     cache_dir: str = "cache"
     out_dir: str = "out"
@@ -160,7 +158,6 @@ class AnalysisConfig:
             "journal_only": self.journal_only,
             "expansion": self.expansion,
             "rate_limit": self.rate_limit,
-            "workers": self.workers,
             "bilateral_pairs": [list(p) for p in self.bilateral_pairs],
             "cache_dir": self.cache_dir,
             "out_dir": self.out_dir,
@@ -189,7 +186,6 @@ _CONFIG_KEYS = {
     "journal_only",
     "expansion",
     "rate_limit",
-    "workers",
     "bilateral_pairs",
     "cache_dir",
     "out_dir",
@@ -217,7 +213,6 @@ def config_from_dict(doc: dict) -> AnalysisConfig:
             journal_only=bool(doc.get("journal_only", False)),
             expansion=doc.get("expansion", "transitive"),
             rate_limit=float(doc.get("rate_limit", DEFAULT_RATE_LIMIT)),
-            workers=int(doc.get("workers", 1)),
             bilateral_pairs=pairs,
             cache_dir=str(doc.get("cache_dir", "cache")),
             out_dir=str(doc.get("out_dir", "out")),
@@ -274,8 +269,6 @@ def validate(config: AnalysisConfig, catalog=None) -> list[Diagnostic]:
         diags.append(Diagnostic("expansion", f"must be one of {EXPANSION_MODES}"))
     if not config.rate_limit > 0:
         diags.append(Diagnostic("rate_limit", "must be positive"))
-    if config.workers < 1:
-        diags.append(Diagnostic("workers", "need at least one worker"))
     for i, pair in enumerate(config.bilateral_pairs):
         if len(pair) != 2 or not pair[0] or not pair[1]:
             diags.append(
@@ -295,6 +288,20 @@ def config_hash(config: AnalysisConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _year_buckets(records, year_lo: int, year_hi: int) -> dict[int, list]:
+    """Records grouped by year, one list per year in [year_lo, year_hi].
+
+    Records from other years are dropped, as every period filter would
+    drop them.
+    """
+    buckets: dict[int, list] = {year: [] for year in range(year_lo, year_hi + 1)}
+    for rec in records:
+        bucket = buckets.get(rec.year)
+        if bucket is not None:
+            bucket.append(rec)
+    return buckets
+
+
 def _analyze_cell(
     config: AnalysisConfig,
     discipline: str,
@@ -303,11 +310,10 @@ def _analyze_cell(
     yearly: dict[int, CountTable],
     stage: str,
 ) -> tuple[dict[str, str], IcdSeries, dict]:
-    """Compute one (discipline, period) cell.
+    """Compute one (discipline, period) cell from the period's records.
 
     Returns artifact texts keyed by path relative to the out dir, the
-    cell's IcdSeries, and a manifest stanza. Pure function of its inputs,
-    so cells can run on worker threads.
+    cell's IcdSeries, and a manifest stanza. Pure function of its inputs.
     """
     table = build_count_table(records, discipline, period, config.key)
     top = top_entities(table, config.top_n)
@@ -419,7 +425,7 @@ def run(
     for discipline in config.disciplines:
         catalog = crawl_concepts(client, discipline)
         concepts = expand_concept(discipline, catalog, config.expansion)
-        records = list(
+        buckets = _year_buckets(
             harvest(
                 client,
                 discipline,
@@ -427,29 +433,26 @@ def run(
                 year_lo,
                 year_hi,
                 journal_only=config.journal_only,
-            )
+            ),
+            year_lo,
+            year_hi,
         )
         if stage == "harvest":
             continue
 
         yearly = {
             year: build_count_table(
-                records, discipline, Period(str(year), year, year), config.key
+                bucket, discipline, Period(str(year), year, year), config.key
             )
-            for year in range(year_lo, year_hi + 1)
+            for year, bucket in buckets.items()
         }
 
-        def cell(period: Period):
-            return _analyze_cell(config, discipline, period, records, yearly, stage)
-
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(cell, config.periods))
-        else:
-            results = [cell(p) for p in config.periods]
-
         icd_cells = []
-        for period, (cell_outputs, icd_cell, info) in zip(config.periods, results):
+        for period in config.periods:
+            records = [rec for year in period.years() for rec in buckets[year]]
+            cell_outputs, icd_cell, info = _analyze_cell(
+                config, discipline, period, records, yearly, stage
+            )
             outputs.update(cell_outputs)
             icd_cells.append(icd_cell)
             cells_info[f"{discipline}/{period.label}"] = info
@@ -527,7 +530,6 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--cache-dir", dest="cache_dir")
         cmd.add_argument("--out-dir", dest="out_dir")
-        cmd.add_argument("--workers", type=int)
         cmd.add_argument(
             "--offline",
             action="store_true",
@@ -548,7 +550,7 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         updates["disciplines"] = tuple(args.disciplines.split(","))
     if args.periods:
         updates["periods"] = resolve_periods(args.periods)
-    for name in ("key", "top_n", "h_star", "min_volume", "cache_dir", "out_dir", "workers"):
+    for name in ("key", "top_n", "h_star", "min_volume", "cache_dir", "out_dir"):
         value = getattr(args, name)
         if value is not None:
             updates[name] = value

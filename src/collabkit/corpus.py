@@ -7,7 +7,6 @@ counted as unknown. Tables can equally be keyed by institution.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -226,57 +225,3 @@ def unknown_rate(table: CountTable) -> float:
             f"{table.discipline_id} {table.period.label}: no works in slice"
         )
     return table.unknown_count / table.total_count
-
-
-def table_to_json(table: CountTable) -> str:
-    doc = {
-        "schema": 1,
-        "discipline": table.discipline_id,
-        "period": {
-            "label": table.period.label,
-            "year_from": table.period.year_from,
-            "year_to": table.period.year_to,
-        },
-        "key": table.key,
-        "unary": dict(sorted(table.unary.items())),
-        "pairwise": [
-            [a, b, c] for (a, b), c in sorted(table.pairwise.items())
-        ],
-        "multi": dict(sorted(table.multi.items())),
-        "unknown_count": table.unknown_count,
-        "total_count": table.total_count,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def table_from_json(text: str) -> CountTable:
-    doc = json.loads(text)
-    period = Period(
-        label=doc["period"]["label"],
-        year_from=doc["period"]["year_from"],
-        year_to=doc["period"]["year_to"],
-    )
-    return CountTable(
-        discipline_id=doc["discipline"],
-        period=period,
-        key=doc["key"],
-        unary={str(k): int(v) for k, v in doc["unary"].items()},
-        pairwise={(a, b): int(c) for a, b, c in doc["pairwise"]},
-        multi={str(k): int(v) for k, v in doc["multi"].items()},
-        unknown_count=int(doc["unknown_count"]),
-        total_count=int(doc["total_count"]),
-    )
-
-
-def unary_to_csv(table: CountTable) -> str:
-    lines = ["entity,count"]
-    for name, count in sorted(table.unary.items()):
-        lines.append(f"{name},{count}")
-    return "\n".join(lines) + "\n"
-
-
-def pairwise_to_csv(table: CountTable) -> str:
-    lines = ["entity_a,entity_b,count"]
-    for (a, b), count in sorted(table.pairwise.items()):
-        lines.append(f"{a},{b},{count}")
-    return "\n".join(lines) + "\n"

@@ -18,8 +18,10 @@ from .errors import EmptyUnion, InvalidH0, MissingEntity
 if TYPE_CHECKING:  # pragma: no cover
     from .corpus import CountTable
 
-# Candidate merges whose squared criterion is within this absolute slack of
-# the minimum are treated as tied and broken deterministically.
+# Candidate merges whose squared criterion m' satisfies
+# m' <= m + MERGE_TIE_EPS * min(m, 1) for the minimum m are treated as tied
+# and broken deterministically. The slack is relative below 1, so a pair at
+# a tiny positive criterion never ties with (and merges before) an exact 0.
 MERGE_TIE_EPS = 1e-12
 
 # Eigenvalues below -EMBED_CLAMP_REL * lambda_max mark a non-embeddable
@@ -252,7 +254,8 @@ def ward_cluster(dm: DistanceMatrix) -> Dendrogram:
     merges: list[Merge] = []
     for step in range(n - 1):
         row_min = d2.min(axis=1)
-        limit = row_min.min() + MERGE_TIE_EPS
+        m = row_min.min()
+        limit = m + MERGE_TIE_EPS * min(m, 1.0)
         a = int(np.argmax(row_min <= limit))
         b = int(np.argmax(d2[a] <= limit))
         d_ab = d2[a, b]

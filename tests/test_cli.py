@@ -8,6 +8,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collabkit.cli import (
     EXIT_ANALYSIS,
@@ -17,6 +19,7 @@ from collabkit.cli import (
     AnalysisConfig,
     _build_parser,
     _config_from_args,
+    _year_buckets,
     config_from_dict,
     config_hash,
     load_config,
@@ -25,10 +28,13 @@ from collabkit.cli import (
     run,
     validate,
 )
-from collabkit.corpus import Period
+from collabkit.corpus import VALID_KEYS, Period, WorkRecord, build_count_table
 from collabkit.errors import ConfigError, MissingFixtures
 from collabkit.ingest import ConceptCatalog
 from collabkit.synthetic import concept_payload
+from util import POOL6
+
+FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
 
 PAPER4_LABELS = ["1971-1990", "1991-2000", "2001-2010", "2011-2020"]
 
@@ -84,7 +90,6 @@ class TestConfig:
         assert config.min_volume == 100
         assert config.key == "country"
         assert config.h0_mode == "auto"
-        assert config.workers == 1
         assert [p.label for p in config.periods] == PAPER4_LABELS
 
     def test_unknown_keys_rejected(self):
@@ -152,7 +157,6 @@ class TestValidate:
             ("min_volume", {"min_volume": -1}),
             ("expansion", {"expansion": "all"}),
             ("rate_limit", {"rate_limit": 0.0}),
-            ("workers", {"workers": 0}),
         ],
     )
     def test_field_diagnostics(self, field, overrides):
@@ -308,16 +312,15 @@ class TestRun:
         names = {rel.rsplit("/", 1)[-1] for rel in manifest["outputs"]}
         assert names == {"dendrogram.svg"}
 
-    def test_workers_do_not_change_outputs(self, fixtures_run, fixture_config, tmp_path):
-        _, manifest_serial, _ = fixtures_run
-        config = replace(
-            fixture_config,
-            disciplines=("C100",),
-            out_dir=str(tmp_path / "par"),
-            workers=4,
-        )
-        _, manifest_parallel = run(config, mode="fixtures", stage="all")
-        assert manifest_parallel["outputs"] == manifest_serial["outputs"]
+    def test_fixture_outputs_digest(self, fixture_config, tmp_path):
+        # the byte contract for refactors: the bundled config, both
+        # disciplines, every stage
+        config = replace(fixture_config, out_dir=str(tmp_path))
+        _, manifest = run(config, mode="fixtures", stage="all")
+        outputs = manifest["outputs"]
+        assert len(outputs) == 84
+        digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == FIXTURE_OUTPUTS_SHA256
 
     def test_invalid_config_writes_nothing(self, fixture_config, tmp_path):
         out = tmp_path / "fresh"
@@ -342,6 +345,42 @@ class TestRun:
             run(fixture_config, mode="fixtures", stage="plot")
         with pytest.raises(ConfigError):
             run(fixture_config, mode="dry-run", stage="all")
+
+
+_ENTITIES = st.frozensets(st.sampled_from(POOL6), max_size=4)
+_RECORDS = st.lists(
+    st.builds(
+        WorkRecord,
+        work_id=st.just("W"),
+        year=st.integers(1986, 2003),
+        discipline_id=st.sampled_from(("D1", "D2")),
+        nationalities=_ENTITIES,
+        institutions=_ENTITIES,
+        is_journal_article=st.just(True),
+    ),
+    max_size=60,
+)
+
+
+@given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
+def test_year_buckets_match_full_scan(records, key):
+    # records arrive in any year order, some outside the run's 1990-1999
+    buckets = _year_buckets(iter(records), 1990, 1999)
+    assert list(buckets) == list(range(1990, 2000))
+    in_range = [rec for rec in records if 1990 <= rec.year <= 1999]
+    assert [rec for bucket in buckets.values() for rec in bucket] == sorted(
+        in_range, key=lambda rec: rec.year
+    )
+    for year, bucket in buckets.items():
+        period = Period(str(year), year, year)
+        assert build_count_table(bucket, "D1", period, key) == build_count_table(
+            records, "D1", period, key
+        )
+    for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
+        in_period = [rec for year in period.years() for rec in buckets[year]]
+        assert build_count_table(in_period, "D1", period, key) == build_count_table(
+            records, "D1", period, key
+        )
 
 
 class TestArgs:

@@ -18,11 +18,7 @@ from collabkit.corpus import (
     merge_tables,
     nationality_of,
     overlapping_periods,
-    pairwise_to_csv,
-    table_from_json,
-    table_to_json,
     top_entities,
-    unary_to_csv,
     unknown_rate,
     work_from_metadata,
 )
@@ -278,28 +274,3 @@ class TestRankings:
         with pytest.raises(EmptySlice):
             unknown_rate(table_from_sets([]))
 
-
-class TestSerialization:
-    def _table(self):
-        return table_from_sets([{"US", "CN"}, {"US"}, {"FR", "US", "CN"}, set()])
-
-    def test_json_round_trip(self):
-        table = self._table()
-        assert table_from_json(table_to_json(table)) == table
-
-    def test_json_deterministic(self):
-        table = self._table()
-        assert table_to_json(table) == table_to_json(self._table())
-
-    def test_unary_csv(self):
-        assert unary_to_csv(table_from_sets([{"US", "CN"}, {"US"}])) == (
-            "entity,count\nCN,1\nUS,2\n"
-        )
-
-    def test_pairwise_csv_sorted_pairs(self):
-        text = pairwise_to_csv(self._table())
-        lines = text.strip().splitlines()[1:]
-        assert lines == ["CN,FR,1", "CN,US,2", "FR,US,1"]
-        for line in lines:
-            a, b, _ = line.split(",")
-            assert a < b

@@ -241,6 +241,19 @@ class TestWard:
         for m in dend.merges:
             assert m.height == pytest.approx(0.5, abs=1e-12)
 
+    def test_near_zero_pair_does_not_tie_with_zero(self):
+        # squared criteria 8.1e-13 and 0 differ by less than MERGE_TIE_EPS;
+        # an absolute slack merged (A, B) first and broke monotonicity
+        d = np.full((4, 4), 0.5)
+        np.fill_diagonal(d, 0.0)
+        d[0, 1] = d[1, 0] = 9e-7
+        d[2, 3] = d[3, 2] = 0.0
+        dm = DistanceMatrix(("A", "B", "C", "D"), d)
+        dend = ward_cluster(dm)
+        assert [(m.left, m.right) for m in dend.merges] == [(2, 3), (0, 1), (5, 4)]
+        assert dend.heights[:2] == pytest.approx((0.0, 9e-7), rel=1e-12, abs=0)
+        assert dend.merges == ward_reference(dm).merges
+
     def test_heights_monotone_random(self):
         rng = random.Random(23)
         for _ in range(30):

@@ -99,8 +99,8 @@ def ward_reference(dm: DistanceMatrix) -> Dendrogram:
     ``ward_cluster``.
 
     Every step scans all active pairs twice: once for the minimal squared
-    criterion, once for the tied pair (within MERGE_TIE_EPS) with the
-    smallest (smallest leaf, partner's smallest leaf) key. Merged clusters
+    criterion, once for the tied pair (within the MERGE_TIE_EPS slack) with
+    the smallest (smallest leaf, partner's smallest leaf) key. Merged clusters
     get fresh rows in a (2n-1)-square matrix, filled by the same
     Lance-Williams expression, so heights must match ``ward_cluster``
     exactly. Cubic in n; for tests only.
@@ -122,11 +122,12 @@ def ward_reference(dm: DistanceMatrix) -> Dendrogram:
             for b in active[ia + 1 :]:
                 if d2[a, b] < best:
                     best = d2[a, b]
+        limit = best + MERGE_TIE_EPS * min(best, 1.0)
         pick: tuple[int, int] | None = None
         pick_key: tuple[int, int] | None = None
         for ia, a in enumerate(active):
             for b in active[ia + 1 :]:
-                if d2[a, b] <= best + MERGE_TIE_EPS:
+                if d2[a, b] <= limit:
                     lo, hi = sorted((a, b), key=lambda node: reps[node])
                     key = (reps[lo], reps[hi])
                     if pick_key is None or key < pick_key:
