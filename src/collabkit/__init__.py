@@ -49,7 +49,7 @@ from .metrics import (
     intl_collab_rate,
     kde,
 )
-from .report import ChordData, chord_data, export_series, render_circular_dendrogram
+from .report import ChordData, chord_data, render_circular_dendrogram
 
 __all__ = [
     "__version__",
@@ -88,6 +88,5 @@ __all__ = [
     "kde",
     "ChordData",
     "chord_data",
-    "export_series",
     "render_circular_dendrogram",
 ]

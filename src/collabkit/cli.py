@@ -70,8 +70,8 @@ from .metrics import (
 from .report import (
     chord_data,
     chord_to_csv,
-    export_series,
     icd_detail_to_csv,
+    icd_series_to_csv,
     kde_to_csv,
     render_circular_dendrogram,
     series_to_csv,
@@ -192,25 +192,47 @@ _CONFIG_KEYS = {
 }
 
 
+def _typed_value(doc: dict, name: str, kind: type, default):
+    """doc[name], or the default, if it is a JSON value of type ``kind``.
+
+    No coercion: ``bool("false")`` is True and ``int(30.9)`` is 30, so a
+    mistyped value would otherwise change the run without a word.
+    """
+    value = doc.get(name, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(
+            f"bad config value: {name} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def config_from_dict(doc: dict) -> AnalysisConfig:
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "disciplines" not in doc:
         raise ConfigError("config needs a disciplines list")
+    disciplines = doc["disciplines"]
+    if not isinstance(disciplines, list) or not all(
+        isinstance(d, str) for d in disciplines
+    ):
+        raise ConfigError(
+            "bad config value: disciplines must be a list of concept id strings, "
+            f"got {disciplines!r}"
+        )
     try:
         pairs = tuple(
             (str(a), str(b)) for a, b in (doc.get("bilateral_pairs") or ())
         )
         return AnalysisConfig(
-            disciplines=tuple(str(d) for d in doc["disciplines"]),
+            disciplines=tuple(disciplines),
             periods=resolve_periods(doc.get("periods", "paper-4")),
             key=doc.get("key", COUNTRY_KEY),
-            top_n=int(doc.get("top_n", 30)),
+            top_n=_typed_value(doc, "top_n", int, 30),
             h_star=float(doc.get("h_star", 1.005)),
             h0_mode=doc.get("h0_mode", "auto"),
-            min_volume=int(doc.get("min_volume", 100)),
-            journal_only=bool(doc.get("journal_only", False)),
+            min_volume=_typed_value(doc, "min_volume", int, 100),
+            journal_only=_typed_value(doc, "journal_only", bool, False),
             expansion=doc.get("expansion", "transitive"),
             rate_limit=float(doc.get("rate_limit", DEFAULT_RATE_LIMIT)),
             bilateral_pairs=pairs,
@@ -458,7 +480,7 @@ def run(
             cells_info[f"{discipline}/{period.label}"] = info
 
         if stage in ("analyze", "all"):
-            outputs[f"{discipline}/icd_series.csv"] = export_series(icd_cells, "csv")
+            outputs[f"{discipline}/icd_series.csv"] = icd_series_to_csv(icd_cells)
             lines = ["discipline,year,unknown_count,total_count,rate"]
             for year in range(year_lo, year_hi + 1):
                 table = yearly[year]

@@ -37,11 +37,6 @@ DEFAULT_RATE_LIMIT = 8.0
 DEFAULT_PER_PAGE = 200
 CURSOR_START = "*"
 
-GROUP_BY_FIELDS = {
-    "country": "authorships.countries",
-    "institution": "authorships.institutions.ror",
-}
-
 ROOT_LEVEL = 1
 MIN_EXPANSION_LEVEL = 2
 
@@ -166,7 +161,6 @@ class WorksQuery:
     year_to: int
     per_page: int = DEFAULT_PER_PAGE
     cursor: str = CURSOR_START
-    group_by: str | None = None
 
     def __post_init__(self) -> None:
         ids = tuple(sorted({normalize_concept_id(c) for c in self.concept_ids}))
@@ -177,8 +171,6 @@ class WorksQuery:
             raise ValueError("empty year range")
         if not 1 <= self.per_page <= 200:
             raise ValueError("per_page must be in 1..200")
-        if self.group_by is not None and self.group_by not in GROUP_BY_FIELDS:
-            raise ValueError(f"unknown group_by key {self.group_by!r}")
 
     def with_cursor(self, cursor: str) -> "WorksQuery":
         return WorksQuery(
@@ -187,7 +179,6 @@ class WorksQuery:
             year_to=self.year_to,
             per_page=self.per_page,
             cursor=cursor,
-            group_by=self.group_by,
         )
 
 
@@ -199,14 +190,11 @@ def query_params(query: WorksQuery) -> dict[str, str]:
             f"to_publication_date:{query.year_to}-12-31",
         ]
     )
-    params = {
+    return {
         "filter": filt,
         "per-page": str(query.per_page),
         "cursor": query.cursor,
     }
-    if query.group_by is not None:
-        params["group_by"] = GROUP_BY_FIELDS[query.group_by]
-    return params
 
 
 def fingerprint(endpoint: str, params: Mapping[str, str]) -> str:
@@ -325,19 +313,11 @@ class RequestsTransport:
 
 
 @dataclass(frozen=True)
-class GroupCount:
-    key: str
-    count: int
-
-
-@dataclass(frozen=True)
 class ParsedPage:
-    """One decoded works page: raw work items, group rows, next cursor."""
+    """One decoded works page: raw work items and the next cursor."""
 
     works: tuple[Mapping, ...]
-    groups: tuple[GroupCount, ...]
     next_cursor: str | None
-    total: int | None = None
 
 
 def parse_works_page(body: bytes) -> ParsedPage:
@@ -349,16 +329,9 @@ def parse_works_page(body: bytes) -> ParsedPage:
         raise ParseError("works page lacks a results list")
     meta = doc.get("meta") or {}
     cursor = meta.get("next_cursor") or None
-    groups = tuple(
-        GroupCount(key=str(item.get("key")), count=int(item.get("count") or 0))
-        for item in doc.get("group_by") or ()
-    )
-    total = meta.get("count") if isinstance(meta.get("count"), int) else None
     return ParsedPage(
         works=tuple(doc["results"]),
-        groups=groups,
         next_cursor=cursor,
-        total=total,
     )
 
 

@@ -91,7 +91,7 @@ def collab_rate_series(
             )
         else:
             points.append(
-                SeriesPoint(year, table.multi.get(entity, 0) / n, n)
+                SeriesPoint(year, intl_collab_rate(table, entity), n)
             )
     return YearSeries(discipline_id, entity, tuple(points))
 

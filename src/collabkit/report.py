@@ -1,5 +1,5 @@
 """Plot-ready artifacts: chord flow data, circular dendrogram SVGs, and
-bit-stable CSV/JSON series exports.
+bit-stable CSV series exports.
 
 Styling is deliberately minimal; these files feed external plotting, so
 data fidelity and byte-for-byte determinism are the contract.
@@ -7,11 +7,10 @@ data fidelity and byte-for-byte determinism are the contract.
 
 from __future__ import annotations
 
-import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import CountTable, Period, top_entities
 from .geometry import ClusterCut, Dendrogram
@@ -263,19 +262,6 @@ def render_circular_dendrogram(
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
 
 
-def _series_rows(series: YearSeries) -> Iterable[tuple[str, str, str, int, float | None, int, bool]]:
-    for p in series.points:
-        yield (
-            series.discipline_id,
-            series.entity,
-            series.entity_b or "",
-            p.year,
-            None if p.masked else p.value,
-            p.volume,
-            p.masked,
-        )
-
-
 def series_to_csv(collection: Sequence[YearSeries]) -> str:
     """CSV rows discipline,entity,year,value,volume,masked.
 
@@ -292,36 +278,14 @@ def series_to_csv(collection: Sequence[YearSeries]) -> str:
     columns += ["year", "value", "volume", "masked"]
     lines = [",".join(columns)]
     for series in collection:
-        for disc, ent, ent_b, year, value, volume, masked in _series_rows(series):
-            val = "" if value is None else _fmt(value)
-            fields = [disc, ent]
+        for p in series.points:
+            val = "" if p.masked else _fmt(p.value)
+            fields = [series.discipline_id, series.entity]
             if has_pair:
-                fields.append(ent_b)
-            fields += [str(year), val, str(volume), str(masked).lower()]
+                fields.append(series.entity_b or "")
+            fields += [str(p.year), val, str(p.volume), str(p.masked).lower()]
             lines.append(",".join(fields))
     return "\n".join(lines) + "\n"
-
-
-def series_to_json(collection: Sequence[YearSeries]) -> str:
-    """JSON mirror of the CSV schema; masked values become null."""
-    if not collection:
-        raise ValueError("nothing to export")
-    has_pair = any(series.entity_b for series in collection)
-    rows = []
-    for series in collection:
-        for disc, ent, ent_b, year, value, volume, masked in _series_rows(series):
-            row = {
-                "discipline": disc,
-                "entity": ent,
-                "year": year,
-                "value": None if value is None else float(_fmt(value)),
-                "volume": volume,
-                "masked": masked,
-            }
-            if has_pair:
-                row["entity_b"] = ent_b or None
-            rows.append(row)
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def icd_series_to_csv(collection: Sequence[IcdSeries]) -> str:
@@ -342,34 +306,6 @@ def icd_series_to_csv(collection: Sequence[IcdSeries]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def icd_series_to_json(collection: Sequence[IcdSeries]) -> str:
-    if not collection:
-        raise ValueError("nothing to export")
-    rows = [
-        {
-            "discipline": item.discipline_id,
-            "period": item.period.label,
-            "h0": float(_fmt(item.result.h0)),
-            "mean": float(_fmt(item.result.mean)),
-            "median": float(_fmt(item.result.median)),
-        }
-        for item in collection
-    ]
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
-
-
-def export_series(collection: Sequence, fmt: str = "csv") -> str:
-    """Export a YearSeries or IcdSeries collection as CSV or JSON text."""
-    items = list(collection)
-    if not items:
-        raise ValueError("nothing to export")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown export format {fmt!r}")
-    if isinstance(items[0], IcdSeries):
-        return icd_series_to_csv(items) if fmt == "csv" else icd_series_to_json(items)
-    return series_to_csv(items) if fmt == "csv" else series_to_json(items)
 
 
 def icd_detail_to_csv(item: IcdSeries) -> str:
@@ -395,25 +331,3 @@ def kde_to_csv(discipline_id: str, period: Period, curve: KdeCurve) -> str:
     for x, d in zip(curve.x, curve.density):
         lines.append(f"{discipline_id},{period.label},{_fmt(x)},{_fmt(d)}")
     return "\n".join(lines) + "\n"
-
-
-def parse_series_csv(text: str) -> list[dict]:
-    """Inverse of series_to_csv, for round-trip checks and downstream use."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        row = dict(zip(header, parts))
-        rows.append(
-            {
-                "discipline": row["discipline"],
-                "entity": row["entity"],
-                "entity_b": row.get("entity_b") or None,
-                "year": int(row["year"]),
-                "value": float(row["value"]) if row["value"] else None,
-                "volume": int(row["volume"]),
-                "masked": row["masked"] == "true",
-            }
-        )
-    return rows

@@ -221,29 +221,6 @@ class SyntheticOpenAlexTransport:
             for year in range(max(year_from, YEAR_FROM), min(year_to, YEAR_TO) + 1)
             for w in generate_works(root, year)
         ]
-        if "group_by" in params:
-            field = params["group_by"]
-            counts: dict[str, int] = {}
-            for w in works:
-                keys = set()
-                for authorship in w["authorships"]:
-                    for inst in authorship["institutions"]:
-                        if field == "authorships.countries":
-                            key = inst.get("country_code")
-                        else:
-                            key = inst.get("ror")
-                        if key:
-                            keys.add(key)
-                for key in keys:
-                    counts[key] = counts.get(key, 0) + 1
-            doc = {
-                "meta": {"count": len(works), "next_cursor": None},
-                "results": [],
-                "group_by": [
-                    {"key": k, "count": c} for k, c in sorted(counts.items())
-                ],
-            }
-            return TransportResponse(200, json.dumps(doc).encode())
         per_page = int(params.get("per-page", 25))
         cursor = params.get("cursor", "*")
         offset = 0 if cursor == "*" else int(cursor[1:])

@@ -106,6 +106,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bad config value"):
             config_from_dict({"disciplines": ["C1"], "bilateral_pairs": [["US"]]})
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("journal_only", "false"),
+            ("journal_only", 0),
+            ("top_n", 30.9),
+            ("top_n", True),
+            ("min_volume", 5.0),
+            ("min_volume", False),
+        ],
+    )
+    def test_mistyped_values_not_coerced(self, field, value):
+        with pytest.raises(ConfigError, match=f"bad config value: {field}"):
+            config_from_dict({"disciplines": ["C1"], field: value})
+
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -187,6 +202,20 @@ class TestValidate:
         bad = validate(_config(disciplines=("C100", "C999")), catalog)
         assert [d.field for d in bad] == ["disciplines[1]"]
         assert "C999" in bad[0].message
+
+    @pytest.mark.parametrize(
+        "disciplines", ["C100", ["C100", 100]], ids=["bare-string", "int-item"]
+    )
+    def test_disciplines_must_be_string_list(
+        self, tmp_path, fixture_cache_dir, capsys, disciplines
+    ):
+        # a bare string used to be split into one-character concept ids
+        with pytest.raises(ConfigError, match="disciplines"):
+            config_from_dict({"disciplines": disciplines})
+        path = _write_config(tmp_path, fixture_cache_dir, disciplines=disciplines)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,6 @@ from collabkit.errors import (
 )
 from collabkit.ingest import (
     ConceptCatalog,
-    GroupCount,
     OpenAlexClient,
     PageCache,
     TokenBucket,
@@ -155,8 +154,6 @@ class TestWorksQuery:
             WorksQuery(("C1",), 2001, 2000)
         with pytest.raises(ValueError):
             WorksQuery(("C1",), 1990, 2000, per_page=0)
-        with pytest.raises(ValueError):
-            WorksQuery(("C1",), 1990, 2000, group_by="continent")
 
     def test_params(self):
         q = WorksQuery(("C2", "C1"), 1971, 2020)
@@ -169,14 +166,6 @@ class TestWorksQuery:
             "per-page": "200",
             "cursor": "*",
         }
-
-    @pytest.mark.parametrize(
-        "key,field",
-        [("country", "authorships.countries"), ("institution", "authorships.institutions.ror")],
-    )
-    def test_group_by_mapping(self, key, field):
-        q = WorksQuery(("C1",), 1990, 2000, group_by=key)
-        assert query_params(q)["group_by"] == field
 
 
 class TestFingerprint:
@@ -346,16 +335,6 @@ class TestParsing:
         page = parse_works_page(json.dumps(doc).encode())
         assert len(page.works) == 2
         assert page.next_cursor == "abc"
-        assert page.total == 2
-
-    def test_parse_group_page(self):
-        doc = {
-            "meta": {"count": 3, "next_cursor": None},
-            "results": [],
-            "group_by": [{"key": "US", "count": 2}, {"key": "CN", "count": 1}],
-        }
-        page = parse_works_page(json.dumps(doc).encode())
-        assert page.groups == (GroupCount("US", 2), GroupCount("CN", 1))
 
     @pytest.mark.parametrize(
         "body",

@@ -1,5 +1,5 @@
 """Presentation layer: chord tables, circular dendrogram SVG, and the
-CSV/JSON export formats."""
+CSV export formats."""
 
 from __future__ import annotations
 
@@ -23,15 +23,11 @@ from collabkit.report import (
     ChordData,
     chord_data,
     chord_to_csv,
-    export_series,
     icd_detail_to_csv,
     icd_series_to_csv,
-    icd_series_to_json,
     kde_to_csv,
-    parse_series_csv,
     render_circular_dendrogram,
     series_to_csv,
-    series_to_json,
 )
 from tests.util import records_from_sets, table_from_sets
 
@@ -246,48 +242,20 @@ class TestSeriesExports:
         with pytest.raises(ValueError):
             series_to_csv([])
         with pytest.raises(ValueError):
-            series_to_json([])
-
-    def test_json_masked_value_null(self):
-        import json
-
-        rows = json.loads(series_to_json([SERIES]))
-        assert rows[0]["value"] == 0.25
-        assert "entity_b" not in rows[0]
-        assert rows[1]["value"] is None
-        assert rows[1]["masked"] is True
-        pair_rows = json.loads(series_to_json([BILATERAL]))
-        assert pair_rows[0]["entity_b"] == "CN"
+            icd_series_to_csv([])
 
     def test_round_trip_via_parser(self):
-        parsed = parse_series_csv(series_to_csv([SERIES]))
-        assert parsed == [
-            {
-                "discipline": "C1",
-                "entity": "US",
-                "entity_b": None,
-                "year": 1990,
-                "value": 0.25,
-                "volume": 120,
-                "masked": False,
-            },
-            {
-                "discipline": "C1",
-                "entity": "US",
-                "entity_b": None,
-                "year": 1991,
-                "value": None,
-                "volume": 30,
-                "masked": True,
-            },
-        ]
-        parsed_b = parse_series_csv(series_to_csv([BILATERAL]))
-        assert parsed_b[0]["entity_b"] == "CN"
-        assert parsed_b[0]["value"] == pytest.approx(1.60944)
+        expected = (
+            "discipline,entity,entity_b,year,value,volume,masked\n"
+            "C1,US,,1990,0.25,120,false\n"
+            "C1,US,,1991,,30,true\n"
+            "C1,US,CN,1990,1.60944,25,false\n"
+        )
+        assert series_to_csv([SERIES, BILATERAL]) == expected
 
     def test_byte_determinism(self):
         assert series_to_csv([SERIES]) == series_to_csv([SERIES])
-        assert series_to_json([BILATERAL]) == series_to_json([BILATERAL])
+        assert series_to_csv([BILATERAL]) == series_to_csv([BILATERAL])
 
 
 def _icd_series(labels):
@@ -324,14 +292,6 @@ class TestIcdExports:
         assert [ln.split(",")[1] for ln in lines] == labels
         assert len(lines) == 10
 
-    def test_json(self):
-        import json
-
-        rows = json.loads(icd_series_to_json(_icd_series(["1971-1975"])))
-        assert rows[0]["period"] == "1971-1975"
-        assert rows[0]["mean"] == 2.25
-        assert rows[0]["h0"] == 1.1
-
     def test_detail_csv(self):
         text = icd_detail_to_csv(_icd_series(["1971-1975"])[0])
         assert text == (
@@ -339,17 +299,6 @@ class TestIcdExports:
             "C1,1971-1975,1.1,0,2\n"
             "C1,1971-1975,1.1,1,2.5\n"
         )
-
-    def test_export_series_dispatch(self):
-        assert export_series([SERIES], "csv").startswith("discipline,entity,year")
-        assert export_series(_icd_series(["1971-1975"]), "csv").startswith(
-            "discipline,period,h0"
-        )
-        assert export_series([SERIES], "json").startswith("[")
-        with pytest.raises(ValueError):
-            export_series([SERIES], "xml")
-        with pytest.raises(ValueError):
-            export_series([], "csv")
 
 
 class TestKdeExport:
