@@ -14,7 +14,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .corpus import (
     Period,
     VALID_KEYS,
     build_count_table,
+    merge_tables,
     overlapping_periods,
     top_entities,
     unknown_rate,
@@ -112,16 +113,22 @@ def resolve_periods(spec) -> tuple[Period, ...]:
         return tuple(Period(label, lo, hi) for label, lo, hi in PERIOD_PRESETS[spec])
     periods = []
     for item in spec:
-        try:
-            periods.append(
-                Period(
-                    label=str(item["label"]),
-                    year_from=int(item["year_from"]),
-                    year_to=int(item["year_to"]),
-                )
+        if not (
+            isinstance(item, dict)
+            and _is_json(item.get("label"), str)
+            and _is_json(item.get("year_from"), int)
+            and _is_json(item.get("year_to"), int)
+        ):
+            raise ConfigError(
+                "bad config value: periods entries need a string label and "
+                f"int year_from/year_to, got {item!r}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad period entry {item!r}: {exc}") from exc
+        try:
+            periods.append(Period(item["label"], item["year_from"], item["year_to"]))
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad config value: periods entry {item!r}: {exc}"
+            ) from exc
     return tuple(periods)
 
 
@@ -175,34 +182,26 @@ class Diagnostic:
         return f"{self.field}: {self.message}"
 
 
-_CONFIG_KEYS = {
-    "disciplines",
-    "periods",
-    "key",
-    "top_n",
-    "h_star",
-    "h0_mode",
-    "min_volume",
-    "journal_only",
-    "expansion",
-    "rate_limit",
-    "bilateral_pairs",
-    "cache_dir",
-    "out_dir",
-}
+_CONFIG_KEYS = frozenset(f.name for f in fields(AnalysisConfig))
+
+_NUMBER = (int, float)
 
 
-def _typed_value(doc: dict, name: str, kind: type, default):
+def _is_json(value, kind) -> bool:
+    """isinstance, except that a bool is not a JSON int or number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _typed_value(doc: dict, name: str, kind, default):
     """doc[name], or the default, if it is a JSON value of type ``kind``.
 
     No coercion: ``bool("false")`` is True and ``int(30.9)`` is 30, so a
     mistyped value would otherwise change the run without a word.
     """
     value = doc.get(name, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(
-            f"bad config value: {name} must be {kind.__name__}, got {value!r}"
-        )
+    if not _is_json(value, kind):
+        what = "a number" if kind is _NUMBER else kind.__name__
+        raise ConfigError(f"bad config value: {name} must be {what}, got {value!r}")
     return value
 
 
@@ -220,24 +219,32 @@ def config_from_dict(doc: dict) -> AnalysisConfig:
             "bad config value: disciplines must be a list of concept id strings, "
             f"got {disciplines!r}"
         )
-    try:
-        pairs = tuple(
-            (str(a), str(b)) for a, b in (doc.get("bilateral_pairs") or ())
+    pairs = doc.get("bilateral_pairs", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(_is_json(e, str) for e in p)
+        for p in pairs
+    ):
+        raise ConfigError(
+            "bad config value: bilateral_pairs must be a list of two-string lists, "
+            f"got {pairs!r}"
         )
+    try:
         return AnalysisConfig(
             disciplines=tuple(disciplines),
             periods=resolve_periods(doc.get("periods", "paper-4")),
             key=doc.get("key", COUNTRY_KEY),
             top_n=_typed_value(doc, "top_n", int, 30),
-            h_star=float(doc.get("h_star", 1.005)),
+            h_star=float(_typed_value(doc, "h_star", _NUMBER, 1.005)),
             h0_mode=doc.get("h0_mode", "auto"),
             min_volume=_typed_value(doc, "min_volume", int, 100),
             journal_only=_typed_value(doc, "journal_only", bool, False),
             expansion=doc.get("expansion", "transitive"),
-            rate_limit=float(doc.get("rate_limit", DEFAULT_RATE_LIMIT)),
-            bilateral_pairs=pairs,
-            cache_dir=str(doc.get("cache_dir", "cache")),
-            out_dir=str(doc.get("out_dir", "out")),
+            rate_limit=float(
+                _typed_value(doc, "rate_limit", _NUMBER, DEFAULT_RATE_LIMIT)
+            ),
+            bilateral_pairs=tuple(tuple(p) for p in pairs),
+            cache_dir=_typed_value(doc, "cache_dir", str, "cache"),
+            out_dir=_typed_value(doc, "out_dir", str, "out"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
@@ -326,18 +333,18 @@ def _year_buckets(records, year_lo: int, year_hi: int) -> dict[int, list]:
 
 def _analyze_cell(
     config: AnalysisConfig,
-    discipline: str,
-    period: Period,
-    records: list,
-    yearly: dict[int, CountTable],
+    table: CountTable,
+    period_years: dict[int, CountTable],
     stage: str,
 ) -> tuple[dict[str, str], IcdSeries, dict]:
-    """Compute one (discipline, period) cell from the period's records.
+    """Compute one (discipline, period) cell from its count table.
 
-    Returns artifact texts keyed by path relative to the out dir, the
-    cell's IcdSeries, and a manifest stanza. Pure function of its inputs.
+    ``period_years`` holds the one-year tables of the period's years, which
+    feed the yearly series. Returns artifact texts keyed by path relative
+    to the out dir, the cell's IcdSeries, and a manifest stanza. Pure
+    function of its inputs.
     """
-    table = build_count_table(records, discipline, period, config.key)
+    discipline, period = table.discipline_id, table.period
     top = top_entities(table, config.top_n)
     if len(top) < 2:
         raise CollabKitError(
@@ -362,8 +369,6 @@ def _analyze_cell(
         outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(cell)
         if curve is not None:
             outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
-
-        period_years = {y: t for y, t in yearly.items() if period.contains(y)}
         rate_series = [
             apply_min_volume_mask(
                 collab_rate_series(period_years, discipline, entity),
@@ -468,12 +473,14 @@ def run(
             )
             for year, bucket in buckets.items()
         }
+        del buckets  # no record list outlives the counting
 
         icd_cells = []
         for period in config.periods:
-            records = [rec for year in period.years() for rec in buckets[year]]
+            period_years = {year: yearly[year] for year in period.years()}
+            table = merge_tables(list(period_years.values()), period)
             cell_outputs, icd_cell, info = _analyze_cell(
-                config, discipline, period, records, yearly, stage
+                config, table, period_years, stage
             )
             outputs.update(cell_outputs)
             icd_cells.append(icd_cell)

@@ -93,21 +93,34 @@ def institutions_of(raw: Mapping) -> frozenset[str]:
 
 
 def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
-    """Build a WorkRecord from one raw works-endpoint item."""
+    """Build a WorkRecord from one raw works-endpoint item.
+
+    Raises ValueError when the item is not a work object of the expected
+    shape.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"work item is not an object: {raw!r}")
     work_id = raw.get("id")
     if not work_id:
         raise ValueError("work item has no id")
     year = raw.get("publication_year")
-    if not isinstance(year, int):
+    if not isinstance(year, int) or isinstance(year, bool):
         raise ValueError(f"work {work_id}: missing publication year")
-    wtype = (raw.get("type") or "").lower()
+    wtype = raw.get("type") or ""
+    if not isinstance(wtype, str):
+        raise ValueError(f"work {work_id}: type must be a string, got {wtype!r}")
+    try:
+        nationalities, institutions = nationality_of(raw), institutions_of(raw)
+    except (AttributeError, TypeError) as exc:
+        # an authorship or institution entry that is not an object
+        raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
     return WorkRecord(
         work_id=str(work_id),
         year=year,
         discipline_id=discipline_id,
-        nationalities=nationality_of(raw),
-        institutions=institutions_of(raw),
-        is_journal_article=wtype in _JOURNAL_TYPES,
+        nationalities=nationalities,
+        institutions=institutions,
+        is_journal_article=wtype.lower() in _JOURNAL_TYPES,
     )
 
 
@@ -190,25 +203,46 @@ def build_count_table(
     )
 
 
-def merge_tables(a: CountTable, b: CountTable) -> CountTable:
-    """Pointwise sum of two shards of the same slice."""
-    if (a.discipline_id, a.period, a.key) != (b.discipline_id, b.period, b.key):
-        raise ValueError("tables describe different slices")
-    unary = Counter(a.unary)
-    unary.update(b.unary)
-    pairwise = Counter(a.pairwise)
-    pairwise.update(b.pairwise)
-    multi = Counter(a.multi)
-    multi.update(b.multi)
+def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
+    """Pointwise sum of count tables, labelled ``period``.
+
+    The tables must count disjoint sets of works: a work counted in two of
+    them is counted twice in the sum. They must share the discipline and
+    the key, and each table's period must lie inside ``period``. The yearly
+    tables of a period's years sum to that period's table.
+    """
+    if not tables:
+        raise ValueError("merge_tables needs at least one table")
+    discipline_id, key = tables[0].discipline_id, tables[0].key
+    unary: Counter[str] = Counter()
+    pairwise: Counter[tuple[str, str]] = Counter()
+    multi: Counter[str] = Counter()
+    unknown = 0
+    total = 0
+    for table in tables:
+        if (table.discipline_id, table.key) != (discipline_id, key):
+            raise ValueError("tables describe different disciplines or keys")
+        if not (
+            period.year_from <= table.period.year_from
+            and table.period.year_to <= period.year_to
+        ):
+            raise ValueError(
+                f"table period {table.period.label!r} lies outside {period.label!r}"
+            )
+        unary.update(table.unary)
+        pairwise.update(table.pairwise)
+        multi.update(table.multi)
+        unknown += table.unknown_count
+        total += table.total_count
     return CountTable(
-        discipline_id=a.discipline_id,
-        period=a.period,
-        key=a.key,
+        discipline_id=discipline_id,
+        period=period,
+        key=key,
         unary=dict(unary),
         pairwise=dict(pairwise),
         multi=dict(multi),
-        unknown_count=a.unknown_count + b.unknown_count,
-        total_count=a.total_count + b.total_count,
+        unknown_count=unknown,
+        total_count=total,
     )
 
 

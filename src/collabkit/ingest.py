@@ -327,11 +327,15 @@ def parse_works_page(body: bytes) -> ParsedPage:
         raise ParseError(f"response is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
         raise ParseError("works page lacks a results list")
-    meta = doc.get("meta") or {}
-    cursor = meta.get("next_cursor") or None
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ParseError(f"works page meta is not an object: {meta!r}")
+    cursor = meta.get("next_cursor")
+    if cursor is not None and not isinstance(cursor, str):
+        raise ParseError(f"works page next_cursor is not a string: {cursor!r}")
     return ParsedPage(
         works=tuple(doc["results"]),
-        next_cursor=cursor,
+        next_cursor=cursor or None,
     )
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collabkit import cli
 from collabkit.cli import (
     EXIT_ANALYSIS,
     EXIT_CONFIG,
@@ -28,7 +29,13 @@ from collabkit.cli import (
     run,
     validate,
 )
-from collabkit.corpus import VALID_KEYS, Period, WorkRecord, build_count_table
+from collabkit.corpus import (
+    VALID_KEYS,
+    Period,
+    WorkRecord,
+    build_count_table,
+    merge_tables,
+)
 from collabkit.errors import ConfigError, MissingFixtures
 from collabkit.ingest import ConceptCatalog
 from collabkit.synthetic import concept_payload
@@ -115,6 +122,15 @@ class TestConfig:
             ("top_n", True),
             ("min_volume", 5.0),
             ("min_volume", False),
+            ("h_star", True),
+            ("h_star", "1.005"),
+            ("rate_limit", True),
+            ("periods", [{"label": 7, "year_from": 1990, "year_to": 1999}]),
+            ("periods", [{"label": "90s", "year_from": 1990.7, "year_to": 1999}]),
+            ("periods", [{"label": "90s", "year_from": 1990, "year_to": "1999"}]),
+            ("bilateral_pairs", [["US", 1]]),
+            ("cache_dir", 5),
+            ("out_dir", 5),
         ],
     )
     def test_mistyped_values_not_coerced(self, field, value):
@@ -400,16 +416,38 @@ def test_year_buckets_match_full_scan(records, key):
     assert [rec for bucket in buckets.values() for rec in bucket] == sorted(
         in_range, key=lambda rec: rec.year
     )
+    yearly = {}
     for year, bucket in buckets.items():
         period = Period(str(year), year, year)
-        assert build_count_table(bucket, "D1", period, key) == build_count_table(
-            records, "D1", period, key
-        )
+        yearly[year] = build_count_table(bucket, "D1", period, key)
+        assert yearly[year] == build_count_table(records, "D1", period, key)
     for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
-        in_period = [rec for year in period.years() for rec in buckets[year]]
-        assert build_count_table(in_period, "D1", period, key) == build_count_table(
-            records, "D1", period, key
-        )
+        assert merge_tables(
+            [yearly[y] for y in period.years()], period
+        ) == build_count_table(records, "D1", period, key)
+
+
+def test_each_record_counted_once(fixture_config, tmp_path, monkeypatch):
+    harvested, scanned = [], []
+
+    def recording_harvest(*args, **kwargs):
+        for rec in real_harvest(*args, **kwargs):
+            harvested.append(rec)
+            yield rec
+
+    def recording_count(records, *args, **kwargs):
+        scanned.append(len(records))
+        return real_count(records, *args, **kwargs)
+
+    real_harvest, real_count = cli.harvest, cli.build_count_table
+    monkeypatch.setattr(cli, "harvest", recording_harvest)
+    monkeypatch.setattr(cli, "build_count_table", recording_count)
+    config = replace(fixture_config, out_dir=str(tmp_path))
+    run(config, mode="fixtures", stage="all")
+    year_lo = min(p.year_from for p in config.periods)
+    year_hi = max(p.year_to for p in config.periods)
+    in_range = [rec for rec in harvested if year_lo <= rec.year <= year_hi]
+    assert in_range and sum(scanned) == len(in_range)
 
 
 class TestArgs:

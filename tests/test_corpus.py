@@ -226,13 +226,28 @@ class TestBuildCountTable:
         whole = build_count_table(records, "D1", period, "country")
         left = build_count_table(records[:split], "D1", period, "country")
         right = build_count_table(records[split:], "D1", period, "country")
-        assert merge_tables(left, right) == whole
+        assert merge_tables([left, right], period) == whole
 
-    def test_merge_rejects_different_slices(self):
-        a = table_from_sets([{"US"}], year=2000)
-        b = table_from_sets([{"US"}], year=2001)
-        with pytest.raises(ValueError):
-            merge_tables(a, b)
+    def test_merge_years_into_period(self):
+        records = records_from_sets([{"US", "CN"}, {"US"}], year=2000)
+        records += records_from_sets([set(), {"CN", "JP", "US"}], year=2001)
+        period = Period("2000-2001", 2000, 2001)
+        y2000 = build_count_table(records, "D1", Period("2000", 2000, 2000))
+        y2001 = build_count_table(records, "D1", Period("2001", 2001, 2001))
+        assert merge_tables([y2000, y2001], period) == build_count_table(
+            records, "D1", period
+        )
+        other_discipline = table_from_sets([{"US"}], discipline="D2", year=2001)
+        other_key = table_from_sets([{"US"}], year=2001, key="institution")
+        outside = table_from_sets([{"US"}], year=2002)
+        for tables in (
+            [y2000, other_discipline],
+            [y2000, other_key],
+            [y2000, outside],
+            [],
+        ):
+            with pytest.raises(ValueError):
+                merge_tables(tables, period)
 
     def test_cross_key_consistency(self):
         # one institution per country means both keyings count identically

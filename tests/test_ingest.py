@@ -338,7 +338,14 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "body",
-        [b"not json", b"[]", b'{"meta": {}}', b'{"results": "nope"}'],
+        [
+            b"not json",
+            b"[]",
+            b'{"meta": {}}',
+            b'{"results": "nope"}',
+            b'{"results": [], "meta": "x"}',
+            b'{"results": [], "meta": {"next_cursor": 5}}',
+        ],
     )
     def test_parse_errors(self, body):
         with pytest.raises(ParseError):
@@ -438,6 +445,15 @@ class TestHarvest:
             {"id": "W1", "publication_year": 1990, "type": "article", "authorships": []},
             {"publication_year": 1990},
             {"id": "W2", "publication_year": None},
+            "x",
+            {"id": "W4", "publication_year": 1990, "authorships": ["x"]},
+            {
+                "id": "W5",
+                "publication_year": 1990,
+                "authorships": [{"institutions": ["x"]}],
+            },
+            {"id": "W6", "publication_year": True},
+            {"id": "W7", "publication_year": 1990, "type": 5},
             {"id": "W3", "publication_year": 1990, "type": "article", "authorships": []},
         ]
         transport = ScriptedTransport(

@@ -1,9 +1,13 @@
-"""Package surface: the exported names and the documented config example."""
+"""Package surface: the exported names, the documented config example and
+the bundled fixture cache's generator."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +32,20 @@ def test_config_example_is_valid(doc):
     assert len(blocks) == 1
     config = config_from_dict(json.loads(blocks[0]))
     assert validate(config) == []
+
+
+def test_fixture_cache_matches_generator(tmp_path):
+    cache = tmp_path / "cache"
+    script = ROOT / "scripts" / "make_fixtures.py"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    subprocess.run(
+        [sys.executable, str(script), "--cache-dir", str(cache)],
+        check=True,
+        capture_output=True,
+        env=env,
+    )
+    bundled = ROOT / "tests" / "fixtures" / "cache"
+    names = sorted(p.name for p in bundled.iterdir())
+    assert sorted(p.name for p in cache.iterdir()) == names
+    for name in names:
+        assert (cache / name).read_bytes() == (bundled / name).read_bytes(), name
