@@ -3,7 +3,8 @@ fingerprinted page cache, and a polite rate-limited client.
 
 Every page request is identified by a fingerprint of its canonical query,
 and responses are cached verbatim on disk, so a harvest replayed against a
-warm cache touches the network zero times and yields identical records.
+warm cache touches the network zero times and yields identical records. A
+cached page is served only if it still matches the sha256 in its sidecar.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Protocol
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
 
 from .corpus import WorkRecord, work_from_metadata
 from .errors import (
@@ -39,6 +39,8 @@ CURSOR_START = "*"
 
 ROOT_LEVEL = 1
 MIN_EXPANSION_LEVEL = 2
+
+T = TypeVar("T")
 
 
 def normalize_concept_id(concept_id: str) -> str:
@@ -95,13 +97,6 @@ class ConceptCatalog:
                     stub=True,
                 )
         return concept
-
-    @classmethod
-    def from_payloads(cls, payloads: Iterable[Mapping]) -> "ConceptCatalog":
-        catalog = cls()
-        for payload in payloads:
-            catalog.add_payload(payload)
-        return catalog
 
     def get(self, concept_id: str) -> Concept | None:
         return self.entries.get(normalize_concept_id(concept_id))
@@ -172,15 +167,6 @@ class WorksQuery:
         if not 1 <= self.per_page <= 200:
             raise ValueError("per_page must be in 1..200")
 
-    def with_cursor(self, cursor: str) -> "WorksQuery":
-        return WorksQuery(
-            concept_ids=self.concept_ids,
-            year_from=self.year_from,
-            year_to=self.year_to,
-            per_page=self.per_page,
-            cursor=cursor,
-        )
-
 
 def query_params(query: WorksQuery) -> dict[str, str]:
     filt = ",".join(
@@ -214,7 +200,8 @@ def fingerprint(endpoint: str, params: Mapping[str, str]) -> str:
 
 class PageCache:
     """Verbatim response store: <fingerprint>.json plus a .meta.json
-    sidecar describing the request that produced it."""
+    sidecar describing the request that produced it and the sha256 of
+    the stored bytes."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -229,17 +216,28 @@ class PageCache:
         except FileNotFoundError:
             return None
 
-    def put(self, fp: str, payload: bytes, endpoint: str, params: Mapping[str, str]) -> None:
+    def meta(self, fp: str) -> dict | None:
+        """The page's sidecar, or None if it is missing or unreadable."""
+        try:
+            meta = json.loads((self.root / f"{fp}.meta.json").read_bytes())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError):
+            return None
+        return meta if isinstance(meta, dict) else None
+
+    def put(self, fp: str, payload: bytes, endpoint: str, params: Mapping[str, str]) -> str:
+        """Store a page and its sidecar; returns the sha256 recorded there."""
+        digest = hashlib.sha256(payload).hexdigest()
         meta = {
             "endpoint": endpoint,
             "params": {k: v for k, v in sorted(params.items()) if k != "mailto"},
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": digest,
         }
         write_bytes_atomic(self.path_for(fp), payload)
         write_bytes_atomic(
             self.root / f"{fp}.meta.json",
             (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"),
         )
+        return digest
 
     def fingerprints(self) -> list[str]:
         if not self.root.is_dir():
@@ -272,20 +270,18 @@ class TokenBucket:
         self._clock = clock
         self._sleep = sleep
         self._last = clock()
-        self._lock = threading.Lock()
 
     def take(self, tokens: float = 1.0) -> None:
-        with self._lock:
-            while True:
-                now = self._clock()
-                self._tokens = min(
-                    self.capacity, self._tokens + (now - self._last) * self.rate
-                )
-                self._last = now
-                if self._tokens >= tokens:
-                    self._tokens -= tokens
-                    return
-                self._sleep((tokens - self._tokens) / self.rate)
+        while True:
+            now = self._clock()
+            self._tokens = min(
+                self.capacity, self._tokens + (now - self._last) * self.rate
+            )
+            self._last = now
+            if self._tokens >= tokens:
+                self._tokens -= tokens
+                return
+            self._sleep((tokens - self._tokens) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -339,6 +335,16 @@ def parse_works_page(body: bytes) -> ParsedPage:
     )
 
 
+def parse_concept_page(body: bytes) -> dict:
+    try:
+        doc = json.loads(body)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"concept page is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("concept page is not an object")
+    return doc
+
+
 class OpenAlexClient:
     """Cache-first client with rate limiting and bounded retries.
 
@@ -366,12 +372,21 @@ class OpenAlexClient:
         self.network_calls = 0
         self.consumed: dict[str, str] = {}
 
-    def _fetch(self, endpoint: str, params: Mapping[str, str]) -> bytes:
+    def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
+        """The page for one request, as ``decode`` returns it.
+
+        A cached page must match the sha256 in its sidecar. A downloaded
+        page is cached only once ``decode`` has accepted it.
+        """
         fp = fingerprint(endpoint, params)
         cached = self.cache.get(fp)
         if cached is not None:
-            self.consumed[fp] = hashlib.sha256(cached).hexdigest()
-            return cached
+            digest = hashlib.sha256(cached).hexdigest()
+            meta = self.cache.meta(fp)
+            if meta is None or meta.get("sha256") != digest:
+                raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
+            self.consumed[fp] = digest
+            return decode(cached)
         if self.transport is None:
             raise MissingFixtures(
                 f"offline run: no cached page for {endpoint} (fingerprint {fp[:12]})"
@@ -392,13 +407,9 @@ class OpenAlexClient:
                 failure = TransportError(f"{endpoint}: {exc}")
                 continue
             if resp.status == 200:
-                try:
-                    json.loads(resp.body)
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise ParseError(f"{endpoint}: malformed JSON body") from exc
-                self.cache.put(fp, resp.body, endpoint, params)
-                self.consumed[fp] = hashlib.sha256(resp.body).hexdigest()
-                return resp.body
+                page = decode(resp.body)
+                self.consumed[fp] = self.cache.put(fp, resp.body, endpoint, params)
+                return page
             if resp.status == 429:
                 failure = RateLimited(f"{endpoint}: rate limited (HTTP 429)")
                 continue
@@ -409,19 +420,14 @@ class OpenAlexClient:
         assert failure is not None
         raise failure
 
-    def fetch_concept(self, concept_id: str) -> Mapping:
+    def fetch_concept(self, concept_id: str) -> dict:
         cid = normalize_concept_id(concept_id)
-        body = self._fetch(f"concepts/{cid}", {})
-        try:
-            doc = json.loads(body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"concept {cid}: malformed JSON") from exc
-        if not isinstance(doc, dict):
-            raise ParseError(f"concept {cid}: payload is not an object")
-        return doc
+        return self._fetch(f"concepts/{cid}", {}, parse_concept_page)
 
     def fetch_page(self, query: WorksQuery) -> ParsedPage:
-        return parse_works_page(self._fetch("works", query_params(query)))
+        # parse_works_page is read from the module on every call, so a
+        # wrapper set on the module attribute sees every works page
+        return self._fetch("works", query_params(query), parse_works_page)
 
     def pages(self, query: WorksQuery) -> Iterator[ParsedPage]:
         """Follow cursor pagination until the server stops handing out
@@ -429,7 +435,7 @@ class OpenAlexClient:
         cursor = query.cursor
         seen = {cursor}
         while True:
-            page = self.fetch_page(query.with_cursor(cursor))
+            page = self.fetch_page(replace(query, cursor=cursor))
             yield page
             if page.next_cursor is None:
                 return
@@ -447,24 +453,16 @@ def catalog_from_cache(cache: PageCache) -> ConceptCatalog:
     """
     catalog = ConceptCatalog()
     for fp in cache.fingerprints():
-        try:
-            meta = json.loads((cache.root / f"{fp}.meta.json").read_text())
-        except (OSError, json.JSONDecodeError):
+        meta = cache.meta(fp)
+        if meta is None or not str(meta.get("endpoint") or "").startswith("concepts/"):
             continue
-        if not str(meta.get("endpoint") or "").startswith("concepts/"):
-            continue
-        payload = cache.get(fp)
-        if payload is None:
+        body = cache.get(fp)
+        if body is None:
             continue
         try:
-            doc = json.loads(payload)
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            catalog.add_payload(parse_concept_page(body))
+        except ParseError:
             continue
-        if isinstance(doc, dict):
-            try:
-                catalog.add_payload(doc)
-            except ParseError:
-                continue
     return catalog
 
 

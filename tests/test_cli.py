@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -37,9 +38,8 @@ from collabkit.corpus import (
     merge_tables,
 )
 from collabkit.errors import ConfigError, MissingFixtures
-from collabkit.ingest import ConceptCatalog
 from collabkit.synthetic import concept_payload
-from util import POOL6
+from util import POOL6, catalog_of
 
 FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
 
@@ -212,7 +212,7 @@ class TestValidate:
         assert any(d.field == "bilateral_pairs[0]" for d in diags)
 
     def test_catalog_check(self):
-        catalog = ConceptCatalog.from_payloads([concept_payload("C100")])
+        catalog = catalog_of([concept_payload("C100")])
         good = validate(_config(disciplines=("C100",)), catalog)
         assert good == []
         bad = validate(_config(disciplines=("C100", "C999")), catalog)
@@ -556,6 +556,33 @@ class TestMain:
         assert code == EXIT_TRANSPORT
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MissingFixtures"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "damage", ["flipped-byte", "deleted-sidecar", "unreadable-sidecar"]
+    )
+    def test_corrupt_cache_exit_code(self, tmp_path, fixture_cache_dir, capsys, damage):
+        cache = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache)
+        fp = next(
+            p.name[: -len(".meta.json")]
+            for p in sorted(cache.glob("*.meta.json"))
+            if json.loads(p.read_text())["endpoint"] == "works"
+        )
+        page = cache / f"{fp}.json"
+        if damage == "flipped-byte":
+            body = page.read_bytes()
+            assert b'"country_code": "US"' in body
+            page.write_bytes(body.replace(b'"country_code": "US"', b'"country_code": "UT"', 1))
+        elif damage == "deleted-sidecar":
+            (cache / f"{fp}.meta.json").unlink()
+        else:
+            (cache / f"{fp}.meta.json").write_text("[]")
+        path = _write_config(tmp_path, cache, disciplines=["C100", "C200"])
+        code = main(["all", "--config", path, "--offline"])
+        assert code == EXIT_TRANSPORT
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError" and fp in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_analysis_error_exit_code(self, tmp_path, fixture_cache_dir, capsys):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from collabkit import ingest
 from collabkit.errors import (
     MissingFixtures,
     ParseError,
@@ -16,7 +17,6 @@ from collabkit.errors import (
     WrongLevel,
 )
 from collabkit.ingest import (
-    ConceptCatalog,
     OpenAlexClient,
     PageCache,
     TokenBucket,
@@ -32,6 +32,7 @@ from collabkit.ingest import (
     query_params,
 )
 from collabkit.synthetic import SyntheticOpenAlexTransport
+from util import catalog_of
 
 
 def _concept(cid, level, related=()):
@@ -81,7 +82,7 @@ class TestConceptIds:
 
 class TestCatalogAndExpansion:
     def _catalog(self):
-        return ConceptCatalog.from_payloads(
+        return catalog_of(
             [
                 _concept("C1", 1, [("C10", 2), ("C20", 2), ("C2", 1), ("C0", 0)]),
                 _concept("C10", 2, [("C11", 3)]),
@@ -117,7 +118,7 @@ class TestCatalogAndExpansion:
             expand_concept("C0", self._catalog())
 
     def test_unresolved_related_skipped(self):
-        catalog = ConceptCatalog.from_payloads([_concept("C1", 1)])
+        catalog = catalog_of([_concept("C1", 1)])
         # no stub information at all for a dangling id
         catalog.entries["C1"] = catalog.entries["C1"].__class__(
             concept_id="C1", display_name="C1", level=1, related=("C404",)
@@ -125,9 +126,7 @@ class TestCatalogAndExpansion:
         assert expand_concept("C1", catalog) == {"C1"}
 
     def test_stub_entries_from_related_lists(self):
-        catalog = ConceptCatalog.from_payloads(
-            [_concept("C1", 1, [("C10", 2)])]
-        )
+        catalog = catalog_of([_concept("C1", 1, [("C10", 2)])])
         stub = catalog.get("C10")
         assert stub is not None and stub.stub and stub.level == 2
         # stub has no outgoing links, so expansion stops there
@@ -249,7 +248,8 @@ class TestClient:
         page2 = client.fetch_page(q)
         assert transport.calls == 1
         assert page1 == page2
-        assert len(client.consumed) == 1
+        [(fp, digest)] = client.consumed.items()
+        assert digest == client.cache.meta(fp)["sha256"]
 
     def test_offline_miss_raises(self, tmp_path):
         client = _client(None, tmp_path)
@@ -302,12 +302,22 @@ class TestClient:
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 3
 
-    def test_malformed_body_not_cached(self, tmp_path):
-        transport = ScriptedTransport([TransportResponse(200, b"not json")])
+    @pytest.mark.parametrize(
+        "fetch, body",
+        [
+            (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b"not json"),
+            (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b'{"results": "x"}'),
+            (lambda c: c.fetch_concept("C1"), b"[]"),
+        ],
+        ids=["not-json", "works-not-a-page", "concept-not-an-object"],
+    )
+    def test_malformed_body_not_cached(self, tmp_path, fetch, body):
+        transport = ScriptedTransport([TransportResponse(200, body)])
         client = _client(transport, tmp_path)
         with pytest.raises(ParseError):
-            client.fetch_page(WorksQuery(("C1",), 1990, 1991))
+            fetch(client)
         assert client.cache.is_empty()
+        assert client.consumed == {}
 
     def test_mailto_sent_but_not_fingerprinted(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENALEX_MAILTO", "env@example.org")
@@ -371,6 +381,25 @@ class TestPagination:
         assert [len(p.works) for p in pages] == [2, 2, 1]
         cursors = [params["cursor"] for _, params in client.transport.requests]
         assert cursors == ["*", "c2", "c4"]
+
+    def test_each_page_decoded_once(self, tmp_path, monkeypatch):
+        transport = self._paged_transport()
+        bodies = {resp.body for resp in transport.responses}
+        decoded = []
+        loads = ingest.json.loads
+
+        def counting_loads(data, *args, **kwargs):
+            if data in bodies:
+                decoded.append(data)
+            return loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(ingest.json, "loads", counting_loads)
+        q = WorksQuery(("C1",), 1990, 1991, per_page=2)
+        online = list(_client(transport, tmp_path).pages(q))
+        assert len(decoded) == 3
+        replayed = list(_client(None, tmp_path).pages(q))
+        assert len(decoded) == 6
+        assert replayed == online
 
     def test_cursor_loop_detected(self, tmp_path):
         looped = ScriptedTransport(

@@ -8,6 +8,7 @@ import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table
 from collabkit.geometry import MERGE_TIE_EPS, Dendrogram, DistanceMatrix, Merge
+from collabkit.ingest import ConceptCatalog
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
 
@@ -31,6 +32,14 @@ def records_from_sets(sets, discipline="D1", year=2000):
             )
         )
     return records
+
+
+def catalog_of(payloads):
+    """A concept catalog holding the given concept payloads and their stubs."""
+    catalog = ConceptCatalog()
+    for payload in payloads:
+        catalog.add_payload(payload)
+    return catalog
 
 
 def table_from_sets(sets, discipline="D1", year=2000, key="country"):
