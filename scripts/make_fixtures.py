@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild the bundled offline fixture cache.
 
-Runs the full pipeline against the deterministic synthetic transport with
-the bundled demo configuration, so the committed cache contains exactly
-the pages an offline run requests. Outputs of the warm-up run are thrown
-away; only the cache is kept.
+Runs the full pipeline against the deterministic synthetic transport in
+``tests/synthetic.py`` with the bundled demo configuration, so the
+committed cache contains exactly the pages an offline run requests.
+Outputs of the warm-up run are thrown away; only the cache is kept.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from pathlib import Path
 
 from collabkit.cli import AnalysisConfig, resolve_periods, run
 from collabkit.ingest import PageCache
-from collabkit.synthetic import ROOTS, SyntheticOpenAlexTransport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CACHE = REPO_ROOT / "tests" / "fixtures" / "cache"
+
+sys.path.insert(0, str(REPO_ROOT / "tests"))
+from synthetic import ROOTS, SyntheticOpenAlexTransport  # noqa: E402
 
 
 def main() -> int:

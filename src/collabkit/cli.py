@@ -25,7 +25,7 @@ from .corpus import (
     CountTable,
     Period,
     VALID_KEYS,
-    build_count_table,
+    count_years,
     merge_tables,
     overlapping_periods,
     top_entities,
@@ -317,20 +317,6 @@ def config_hash(config: AnalysisConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _year_buckets(records, year_lo: int, year_hi: int) -> dict[int, list]:
-    """Records grouped by year, one list per year in [year_lo, year_hi].
-
-    Records from other years are dropped, as every period filter would
-    drop them.
-    """
-    buckets: dict[int, list] = {year: [] for year in range(year_lo, year_hi + 1)}
-    for rec in records:
-        bucket = buckets.get(rec.year)
-        if bucket is not None:
-            bucket.append(rec)
-    return buckets
-
-
 def _analyze_cell(
     config: AnalysisConfig,
     table: CountTable,
@@ -452,28 +438,22 @@ def run(
     for discipline in config.disciplines:
         catalog = crawl_concepts(client, discipline)
         concepts = expand_concept(discipline, catalog, config.expansion)
-        buckets = _year_buckets(
-            harvest(
-                client,
-                discipline,
-                sorted(concepts),
-                year_lo,
-                year_hi,
-                journal_only=config.journal_only,
-            ),
+        records = harvest(
+            client,
+            discipline,
+            sorted(concepts),
             year_lo,
             year_hi,
+            journal_only=config.journal_only,
         )
         if stage == "harvest":
+            for _ in records:  # fills the cache; nothing is counted
+                pass
             continue
 
-        yearly = {
-            year: build_count_table(
-                bucket, discipline, Period(str(year), year, year), config.key
-            )
-            for year, bucket in buckets.items()
-        }
-        del buckets  # no record list outlives the counting
+        yearly = count_years(
+            records, discipline, range(year_lo, year_hi + 1), config.key
+        )
 
         icd_cells = []
         for period in config.periods:
@@ -489,8 +469,7 @@ def run(
         if stage in ("analyze", "all"):
             outputs[f"{discipline}/icd_series.csv"] = icd_series_to_csv(icd_cells)
             lines = ["discipline,year,unknown_count,total_count,rate"]
-            for year in range(year_lo, year_hi + 1):
-                table = yearly[year]
+            for year, table in yearly.items():
                 if table.total_count == 0:
                     continue
                 lines.append(

@@ -156,51 +156,69 @@ class CountTable:
         return self.pairwise.get((lo, hi), 0)
 
 
+def count_years(
+    records: Iterable[WorkRecord],
+    discipline_id: str,
+    years: range,
+    key: str = COUNTRY_KEY,
+) -> dict[int, CountTable]:
+    """One-year count tables for ``years``, from one pass over ``records``.
+
+    Records of another discipline or from a year outside ``years`` are
+    skipped, and no record is kept once it is counted. Every work raises
+    an entity's unary count at most once; pairwise counts cover each
+    unordered entity pair present on the work.
+    """
+    if key not in VALID_KEYS:
+        raise ValueError(f"unknown aggregation key {key!r}")
+    unary: dict[int, Counter[str]] = {year: Counter() for year in years}
+    pairwise: dict[int, Counter[tuple[str, str]]] = {year: Counter() for year in years}
+    multi: dict[int, Counter[str]] = {year: Counter() for year in years}
+    unknown = dict.fromkeys(years, 0)
+    total = dict.fromkeys(years, 0)
+    for rec in records:
+        year = rec.year
+        if rec.discipline_id != discipline_id or year not in total:
+            continue
+        total[year] += 1
+        entities = sorted(
+            rec.nationalities if key == COUNTRY_KEY else rec.institutions
+        )
+        if not entities:
+            unknown[year] += 1
+            continue
+        for e in entities:
+            unary[year][e] += 1
+        if len(entities) >= 2:
+            for e in entities:
+                multi[year][e] += 1
+            for pair in combinations(entities, 2):
+                pairwise[year][pair] += 1
+    return {
+        year: CountTable(
+            discipline_id=discipline_id,
+            period=Period(str(year), year, year),
+            key=key,
+            unary=dict(unary[year]),
+            pairwise=dict(pairwise[year]),
+            multi=dict(multi[year]),
+            unknown_count=unknown[year],
+            total_count=total[year],
+        )
+        for year in years
+    }
+
+
 def build_count_table(
     records: Iterable[WorkRecord],
     discipline_id: str,
     period: Period,
     key: str = COUNTRY_KEY,
 ) -> CountTable:
-    """Count works falling inside the discipline/period slice.
-
-    Every work in the slice raises an entity's unary count at most once;
-    pairwise counts cover each unordered entity pair present on the work.
-    """
-    if key not in VALID_KEYS:
-        raise ValueError(f"unknown aggregation key {key!r}")
-    unary: Counter[str] = Counter()
-    pairwise: Counter[tuple[str, str]] = Counter()
-    multi: Counter[str] = Counter()
-    unknown = 0
-    total = 0
-    for rec in records:
-        if rec.discipline_id != discipline_id or not period.contains(rec.year):
-            continue
-        total += 1
-        entities = sorted(
-            rec.nationalities if key == COUNTRY_KEY else rec.institutions
-        )
-        if not entities:
-            unknown += 1
-            continue
-        for e in entities:
-            unary[e] += 1
-        if len(entities) >= 2:
-            for e in entities:
-                multi[e] += 1
-            for a, b in combinations(entities, 2):
-                pairwise[(a, b)] += 1
-    return CountTable(
-        discipline_id=discipline_id,
-        period=period,
-        key=key,
-        unary=dict(unary),
-        pairwise=dict(pairwise),
-        multi=dict(multi),
-        unknown_count=unknown,
-        total_count=total,
-    )
+    """Count works falling inside the discipline/period slice: the sum of
+    the period's one-year tables from ``count_years``."""
+    yearly = count_years(records, discipline_id, period.years(), key)
+    return merge_tables(list(yearly.values()), period)
 
 
 def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:

@@ -342,6 +342,13 @@ def parse_concept_page(body: bytes) -> dict:
         raise ParseError(f"concept page is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("concept page is not an object")
+    related = doc.get("related_concepts", [])
+    if not isinstance(related, list) or not all(isinstance(i, dict) for i in related):
+        raise ParseError("concept page: related_concepts is not a list of objects")
+    for item in related:
+        level = item.get("level", 0)
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise ParseError(f"concept page: related level {level!r} is not an int")
     return doc
 
 

@@ -1,4 +1,5 @@
-"""Deterministic synthetic OpenAlex stand-in for tests and demos.
+"""Deterministic synthetic OpenAlex stand-in for the tests and for
+``scripts/make_fixtures.py``, which builds the bundled cache from it.
 
 Serves two fake level-1 disciplines (C100, C200) with a small concept
 graph and fifty years of works (1971-2020). Collaboration intensity and
@@ -14,7 +15,7 @@ import json
 import random
 from typing import Mapping
 
-from .ingest import TransportResponse
+from collabkit.ingest import TransportResponse
 
 YEAR_FROM = 1971
 YEAR_TO = 2020

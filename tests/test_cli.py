@@ -3,10 +3,13 @@ over the bundled offline corpus, manifests, and exit codes."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import shutil
+import weakref
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -21,7 +24,6 @@ from collabkit.cli import (
     AnalysisConfig,
     _build_parser,
     _config_from_args,
-    _year_buckets,
     config_from_dict,
     config_hash,
     load_config,
@@ -35,10 +37,12 @@ from collabkit.corpus import (
     Period,
     WorkRecord,
     build_count_table,
+    count_years,
     merge_tables,
 )
 from collabkit.errors import ConfigError, MissingFixtures
-from collabkit.synthetic import concept_payload
+from collabkit.ingest import PageCache
+from synthetic import concept_payload
 from util import POOL6, catalog_of
 
 FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
@@ -330,12 +334,15 @@ class TestRun:
         text = (out / "C100" / "1991-2000" / "series.csv").read_text()
         assert text.startswith("discipline,entity,year,value,volume,masked\n")
 
-    def test_harvest_stage_writes_nothing(self, fixture_config, tmp_path):
+    def test_harvest_stage_writes_nothing(self, fixture_config, tmp_path, monkeypatch):
         config = replace(
             fixture_config, disciplines=("C100",), out_dir=str(tmp_path / "o")
         )
+        counted = []
+        monkeypatch.setattr(cli, "count_years", lambda *a, **k: counted.append(a))
         code, manifest = run(config, mode="fixtures", stage="harvest")
         assert code == EXIT_OK
+        assert counted == []
         assert manifest["outputs"] == {}
         assert not (tmp_path / "o").exists()
         assert manifest["inputs"]  # pages were still consumed
@@ -407,20 +414,40 @@ _RECORDS = st.lists(
 )
 
 
+def _brute_year_table(records, year, key):
+    """unary, pairwise, multi, unknown and total for D1 in one year, each
+    entry counted over the year's works from the counting rules."""
+    sets = [
+        rec.nationalities if key == "country" else rec.institutions
+        for rec in records
+        if rec.discipline_id == "D1" and rec.year == year
+    ]
+    entities = sorted(set().union(*sets))
+    unary = {e: sum(e in s for s in sets) for e in entities}
+    pairwise = {
+        (a, b): n
+        for a, b in combinations(entities, 2)
+        if (n := sum(a in s and b in s for s in sets))
+    }
+    multi = {e: n for e in entities if (n := sum(e in s and len(s) > 1 for s in sets))}
+    return unary, pairwise, multi, sum(not s for s in sets), len(sets)
+
+
 @given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
-def test_year_buckets_match_full_scan(records, key):
+def test_count_years_match_full_scan(records, key):
     # records arrive in any year order, some outside the run's 1990-1999
-    buckets = _year_buckets(iter(records), 1990, 1999)
-    assert list(buckets) == list(range(1990, 2000))
-    in_range = [rec for rec in records if 1990 <= rec.year <= 1999]
-    assert [rec for bucket in buckets.values() for rec in bucket] == sorted(
-        in_range, key=lambda rec: rec.year
-    )
-    yearly = {}
-    for year, bucket in buckets.items():
-        period = Period(str(year), year, year)
-        yearly[year] = build_count_table(bucket, "D1", period, key)
-        assert yearly[year] == build_count_table(records, "D1", period, key)
+    # and some of another discipline; the pass takes a one-shot iterator
+    yearly = count_years(iter(records), "D1", range(1990, 2000), key)
+    assert list(yearly) == list(range(1990, 2000))
+    for year, table in yearly.items():
+        assert table == build_count_table(records, "D1", Period(str(year), year, year), key)
+        assert (
+            table.unary,
+            table.pairwise,
+            table.multi,
+            table.unknown_count,
+            table.total_count,
+        ) == _brute_year_table(records, year, key)
     for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
         assert merge_tables(
             [yearly[y] for y in period.years()], period
@@ -428,26 +455,48 @@ def test_year_buckets_match_full_scan(records, key):
 
 
 def test_each_record_counted_once(fixture_config, tmp_path, monkeypatch):
-    harvested, scanned = [], []
+    harvested, totals = [], []
 
     def recording_harvest(*args, **kwargs):
         for rec in real_harvest(*args, **kwargs):
             harvested.append(rec)
             yield rec
 
-    def recording_count(records, *args, **kwargs):
-        scanned.append(len(records))
-        return real_count(records, *args, **kwargs)
+    def recording_count(*args, **kwargs):
+        yearly = real_count(*args, **kwargs)
+        totals.extend(table.total_count for table in yearly.values())
+        return yearly
 
-    real_harvest, real_count = cli.harvest, cli.build_count_table
+    real_harvest, real_count = cli.harvest, cli.count_years
     monkeypatch.setattr(cli, "harvest", recording_harvest)
-    monkeypatch.setattr(cli, "build_count_table", recording_count)
+    monkeypatch.setattr(cli, "count_years", recording_count)
     config = replace(fixture_config, out_dir=str(tmp_path))
     run(config, mode="fixtures", stage="all")
     year_lo = min(p.year_from for p in config.periods)
     year_hi = max(p.year_to for p in config.periods)
     in_range = [rec for rec in harvested if year_lo <= rec.year <= year_hi]
-    assert in_range and sum(scanned) == len(in_range)
+    assert in_range and sum(totals) == len(in_range)
+
+
+def test_no_record_outlives_its_count(fixture_config, tmp_path, monkeypatch):
+    alive = {}
+
+    def weak_harvest(client, discipline, *args, **kwargs):
+        refs = []
+        for rec in real_harvest(client, discipline, *args, **kwargs):
+            refs.append(weakref.ref(rec))
+            yield rec
+        rec = None
+        gc.collect()
+        alive[discipline] = (sum(ref() is not None for ref in refs), len(refs))
+
+    real_harvest = cli.harvest
+    monkeypatch.setattr(cli, "harvest", weak_harvest)
+    run(replace(fixture_config, out_dir=str(tmp_path)), mode="fixtures", stage="all")
+    assert set(alive) == {"C100", "C200"}
+    for kept, harvested in alive.values():
+        # the consumer's loop variable may still hold the last record
+        assert harvested > 1000 and kept <= 2
 
 
 class TestArgs:
@@ -583,6 +632,26 @@ class TestMain:
         assert code == EXIT_TRANSPORT
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and fp in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "related",
+        [["x"], [{"id": "C110", "level": "x"}], 5],
+        ids=["entry-not-an-object", "level-not-an-int", "not-a-list"],
+    )
+    def test_malformed_concept_page_exit_code(
+        self, tmp_path, fixture_cache_dir, capsys, related
+    ):
+        shutil.copytree(fixture_cache_dir, tmp_path / "cache")
+        cache = PageCache(tmp_path / "cache")
+        meta = {fp: cache.meta(fp) for fp in cache.fingerprints()}
+        fp = next(fp for fp, m in meta.items() if m["endpoint"] == "concepts/C100")
+        body = {"id": "C100", "level": 1, "related_concepts": related}
+        cache.put(fp, json.dumps(body).encode(), "concepts/C100", meta[fp]["params"])
+        path = _write_config(tmp_path, tmp_path / "cache")
+        code = main(["all", "--config", path, "--offline"])
+        assert code == EXIT_TRANSPORT
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
         assert not (tmp_path / "out").exists()
 
     def test_analysis_error_exit_code(self, tmp_path, fixture_cache_dir, capsys):

@@ -31,7 +31,7 @@ from collabkit.ingest import (
     parse_works_page,
     query_params,
 )
-from collabkit.synthetic import SyntheticOpenAlexTransport
+from synthetic import SyntheticOpenAlexTransport
 from util import catalog_of
 
 
@@ -308,8 +308,27 @@ class TestClient:
             (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b"not json"),
             (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b'{"results": "x"}'),
             (lambda c: c.fetch_concept("C1"), b"[]"),
+            (
+                lambda c: c.fetch_concept("C1"),
+                b'{"id": "C1", "level": 1, "related_concepts": ["x"]}',
+            ),
+            (
+                lambda c: c.fetch_concept("C1"),
+                b'{"id": "C1", "level": 1, "related_concepts": [{"id": "C2", "level": "x"}]}',
+            ),
+            (
+                lambda c: c.fetch_concept("C1"),
+                b'{"id": "C1", "level": 1, "related_concepts": 5}',
+            ),
         ],
-        ids=["not-json", "works-not-a-page", "concept-not-an-object"],
+        ids=[
+            "not-json",
+            "works-not-a-page",
+            "concept-not-an-object",
+            "related-entry-not-an-object",
+            "related-level-not-an-int",
+            "related-not-a-list",
+        ],
     )
     def test_malformed_body_not_cached(self, tmp_path, fetch, body):
         transport = ScriptedTransport([TransportResponse(200, body)])
