@@ -32,11 +32,9 @@ from .geometry import (
     ward_cluster,
 )
 from .ingest import (
-    ConceptCatalog,
     OpenAlexClient,
     PageCache,
     WorksQuery,
-    crawl_concepts,
     expand_concept,
     harvest,
 )
@@ -72,11 +70,9 @@ __all__ = [
     "euclidean_embedding",
     "icd",
     "ward_cluster",
-    "ConceptCatalog",
     "OpenAlexClient",
     "PageCache",
     "WorksQuery",
-    "crawl_concepts",
     "expand_concept",
     "harvest",
     "IcdSeries",

@@ -55,8 +55,6 @@ from .ingest import (
     DEFAULT_RATE_LIMIT,
     OpenAlexClient,
     PageCache,
-    catalog_from_cache,
-    crawl_concepts,
     expand_concept,
     harvest,
 )
@@ -262,12 +260,13 @@ def load_config(path: str | Path) -> AnalysisConfig:
     return config_from_dict(doc)
 
 
-def validate(config: AnalysisConfig, catalog=None) -> list[Diagnostic]:
+def validate(config: AnalysisConfig, cache: PageCache | None = None) -> list[Diagnostic]:
     """Config diagnostics; empty list means a run would start.
 
-    With an offline concept catalog available, discipline ids are checked
-    against it; without one the ids go unchecked here and are verified on
-    first fetch.
+    With a non-empty page cache, each discipline's concept page is read
+    from it offline: a missing page, one that fails decoding or its
+    sidecar check, or a root that is not level 1 is a diagnostic. Without
+    one the ids go unchecked here and are verified on first fetch.
     """
     diags: list[Diagnostic] = []
     if not config.disciplines:
@@ -303,12 +302,18 @@ def validate(config: AnalysisConfig, catalog=None) -> list[Diagnostic]:
             diags.append(
                 Diagnostic(f"bilateral_pairs[{i}]", "expected a pair of entity codes")
             )
-    if catalog is not None:
+    if cache is not None and not cache.is_empty():
+        client = OpenAlexClient(cache, transport=None)
         for i, d in enumerate(config.disciplines):
-            if d and d not in catalog:
-                diags.append(
-                    Diagnostic(f"disciplines[{i}]", f"{d} not in offline catalog")
-                )
+            if not d:
+                continue
+            try:
+                # one-hop reads the root page only and checks its level
+                expand_concept(d, client.fetch_concept, "one-hop")
+            except MissingFixtures:
+                diags.append(Diagnostic(f"disciplines[{i}]", f"{d} not in offline cache"))
+            except (ParseError, WrongLevel) as exc:
+                diags.append(Diagnostic(f"disciplines[{i}]", str(exc)))
     return diags
 
 
@@ -436,8 +441,7 @@ def run(
     year_hi = max(p.year_to for p in config.periods)
 
     for discipline in config.disciplines:
-        catalog = crawl_concepts(client, discipline)
-        concepts = expand_concept(discipline, catalog, config.expansion)
+        concepts = expand_concept(discipline, client.fetch_concept, config.expansion)
         records = harvest(
             client,
             discipline,
@@ -574,8 +578,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "validate":
-            catalog = catalog_from_cache(PageCache(config.cache_dir))
-            diags = validate(config, catalog if catalog.entries else None)
+            diags = validate(config, PageCache(config.cache_dir))
             for diag in diags:
                 print(diag, file=sys.stderr)
             return EXIT_OK if not diags else EXIT_CONFIG

@@ -45,9 +45,6 @@ class Period:
         if self.year_from > self.year_to:
             raise ValueError(f"period {self.label!r}: empty year range")
 
-    def contains(self, year: int) -> bool:
-        return self.year_from <= year <= self.year_to
-
     def years(self) -> range:
         return range(self.year_from, self.year_to + 1)
 

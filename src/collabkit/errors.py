@@ -30,7 +30,7 @@ class ParseError(CollabKitError):
 
 
 class UnknownConcept(CollabKitError):
-    """A concept id is absent from the catalog."""
+    """No concept has the requested id."""
 
 
 class WrongLevel(CollabKitError):

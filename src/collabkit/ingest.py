@@ -1,4 +1,4 @@
-"""OpenAlex harvesting: concept catalog, query canonicalization, a
+"""OpenAlex harvesting: concept expansion, query canonicalization, a
 fingerprinted page cache, and a polite rate-limited client.
 
 Every page request is identified by a fingerprint of its canonical query,
@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
 
@@ -24,7 +24,6 @@ from .errors import (
     ParseError,
     RateLimited,
     TransportError,
-    UnknownConcept,
     WrongLevel,
 )
 from .fsio import write_bytes_atomic
@@ -34,6 +33,8 @@ log = logging.getLogger(__name__)
 OPENALEX_BASE = "https://api.openalex.org"
 MAILTO_ENV = "OPENALEX_MAILTO"
 DEFAULT_RATE_LIMIT = 8.0
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
 DEFAULT_PER_PAGE = 200
 CURSOR_START = "*"
 
@@ -50,100 +51,44 @@ def normalize_concept_id(concept_id: str) -> str:
 
 @dataclass(frozen=True)
 class Concept:
-    """One taxonomy node. ``stub`` entries come from a neighbor's related
-    list and carry no related links of their own."""
+    """One taxonomy node and the (id, level) pairs of its related list."""
 
     concept_id: str
-    display_name: str
     level: int
-    related: tuple[str, ...] = ()
-    stub: bool = False
-
-
-def concept_from_payload(payload: Mapping) -> Concept:
-    cid = payload.get("id")
-    level = payload.get("level")
-    if not cid or not isinstance(level, int):
-        raise ParseError("concept payload lacks id or level")
-    related = tuple(
-        normalize_concept_id(str(item["id"]))
-        for item in payload.get("related_concepts") or ()
-        if item.get("id")
-    )
-    return Concept(
-        concept_id=normalize_concept_id(str(cid)),
-        display_name=str(payload.get("display_name") or ""),
-        level=level,
-        related=related,
-    )
-
-
-@dataclass
-class ConceptCatalog:
-    """Id-indexed collection of concepts plus stubs for their neighbors."""
-
-    entries: dict[str, Concept] = field(default_factory=dict)
-
-    def add_payload(self, payload: Mapping) -> Concept:
-        concept = concept_from_payload(payload)
-        self.entries[concept.concept_id] = concept
-        for item in payload.get("related_concepts") or ():
-            rid = normalize_concept_id(str(item.get("id") or ""))
-            if rid and rid not in self.entries:
-                self.entries[rid] = Concept(
-                    concept_id=rid,
-                    display_name=str(item.get("display_name") or ""),
-                    level=int(item.get("level") or 0),
-                    stub=True,
-                )
-        return concept
-
-    def get(self, concept_id: str) -> Concept | None:
-        return self.entries.get(normalize_concept_id(concept_id))
-
-    def __contains__(self, concept_id: str) -> bool:
-        return self.get(concept_id) is not None
+    related: tuple[tuple[str, int], ...] = ()
 
 
 def expand_concept(
     root_id: str,
-    catalog: ConceptCatalog,
+    fetch: Callable[[str], Concept],
     mode: str = "transitive",
 ) -> frozenset[str]:
     """Concept ids spanned by a discipline root.
 
-    The root must be a level-1 concept. Expansion walks related links,
-    keeping only concepts of level >= 2 (level-0 domains and sibling
-    level-1 roots are pruned and not traversed). "one-hop" stops at the
-    root's direct neighbors; "transitive" follows related links through
-    every kept concept. Related ids missing from the catalog are skipped.
+    ``fetch`` maps a concept id to its Concept. The root must be a
+    level-1 concept. Expansion selects the related concepts listed at
+    level >= 2 (level-0 domains and sibling level-1 roots are pruned and
+    not traversed). "one-hop" stops at the root's direct neighbors and
+    fetches nothing but the root; "transitive" fetches every newly
+    selected concept and follows its related list.
     """
     if mode not in ("transitive", "one-hop"):
         raise ValueError(f"unknown expansion mode {mode!r}")
     root = normalize_concept_id(root_id)
-    concept = catalog.get(root)
-    if concept is None:
-        raise UnknownConcept(root)
+    concept = fetch(root)
     if concept.level != ROOT_LEVEL:
         raise WrongLevel(
             f"{root} has level {concept.level}, discipline roots have level {ROOT_LEVEL}"
         )
     selected = {root}
-    frontier = [root]
+    frontier = [concept]
     while frontier:
-        current = catalog.get(frontier.pop())
-        if current is None:
-            continue
-        for rid in current.related:
-            neighbor = catalog.get(rid)
-            if neighbor is None:
-                log.warning("skipping unresolved related concept %s", rid)
-                continue
-            if neighbor.level < MIN_EXPANSION_LEVEL or rid in selected:
+        for rid, level in frontier.pop().related:
+            if level < MIN_EXPANSION_LEVEL or rid in selected:
                 continue
             selected.add(rid)
             if mode == "transitive":
-                frontier.append(rid)
+                frontier.append(fetch(rid))
     return frozenset(selected)
 
 
@@ -253,35 +198,31 @@ class PageCache:
 
 
 class TokenBucket:
-    """Blocking token bucket on a monotonic clock."""
+    """Blocking token bucket on a monotonic clock; it holds at most
+    ``max(1, rate)`` tokens."""
 
-    def __init__(
-        self,
-        rate: float,
-        capacity: float | None = None,
-        clock=time.monotonic,
-        sleep=time.sleep,
-    ):
+    def __init__(self, rate: float, clock=time.monotonic, sleep=time.sleep):
         if rate <= 0:
             raise ValueError("rate must be positive")
         self.rate = float(rate)
-        self.capacity = float(capacity) if capacity is not None else max(1.0, rate)
+        self.capacity = max(1.0, self.rate)
         self._tokens = self.capacity
         self._clock = clock
         self._sleep = sleep
         self._last = clock()
 
-    def take(self, tokens: float = 1.0) -> None:
+    def take(self) -> None:
+        """Wait until a token is available and take it."""
         while True:
             now = self._clock()
             self._tokens = min(
                 self.capacity, self._tokens + (now - self._last) * self.rate
             )
             self._last = now
-            if self._tokens >= tokens:
-                self._tokens -= tokens
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
                 return
-            self._sleep((tokens - self._tokens) / self.rate)
+            self._sleep((1.0 - self._tokens) / self.rate)
 
 
 @dataclass(frozen=True)
@@ -335,21 +276,33 @@ def parse_works_page(body: bytes) -> ParsedPage:
     )
 
 
-def parse_concept_page(body: bytes) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_concept_page(body: bytes) -> Concept:
     try:
         doc = json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"concept page is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("concept page is not an object")
+    cid, level = doc.get("id"), doc.get("level")
+    if not isinstance(cid, str) or not cid:
+        raise ParseError(f"concept page: id {cid!r} is not a non-empty string")
+    if not _is_int(level):
+        raise ParseError(f"concept page: level {level!r} is not an int")
     related = doc.get("related_concepts", [])
     if not isinstance(related, list) or not all(isinstance(i, dict) for i in related):
         raise ParseError("concept page: related_concepts is not a list of objects")
+    links = []
     for item in related:
-        level = item.get("level", 0)
-        if not isinstance(level, int) or isinstance(level, bool):
-            raise ParseError(f"concept page: related level {level!r} is not an int")
-    return doc
+        rlevel = item.get("level", 0)
+        if not _is_int(rlevel):
+            raise ParseError(f"concept page: related level {rlevel!r} is not an int")
+        if item.get("id"):
+            links.append((normalize_concept_id(str(item["id"])), rlevel))
+    return Concept(normalize_concept_id(cid), level, tuple(links))
 
 
 class OpenAlexClient:
@@ -364,16 +317,12 @@ class OpenAlexClient:
         cache: PageCache,
         transport: HttpTransport | None = None,
         rate_limit: float = DEFAULT_RATE_LIMIT,
-        max_retries: int = 3,
-        backoff: float = 0.5,
         mailto: str | None = None,
         sleep=time.sleep,
     ):
         self.cache = cache
         self.transport = transport
         self.bucket = TokenBucket(rate_limit, sleep=sleep)
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.mailto = mailto if mailto is not None else os.environ.get(MAILTO_ENV)
         self._sleep = sleep
         self.network_calls = 0
@@ -403,9 +352,9 @@ class OpenAlexClient:
             send_params["mailto"] = self.mailto
         url = f"{OPENALEX_BASE}/{endpoint}"
         failure: TransportError | None = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                self._sleep(self.backoff * 2 ** (attempt - 1))
+                self._sleep(BACKOFF_S * 2 ** (attempt - 1))
             self.bucket.take()
             self.network_calls += 1
             try:
@@ -427,7 +376,7 @@ class OpenAlexClient:
         assert failure is not None
         raise failure
 
-    def fetch_concept(self, concept_id: str) -> dict:
+    def fetch_concept(self, concept_id: str) -> Concept:
         cid = normalize_concept_id(concept_id)
         return self._fetch(f"concepts/{cid}", {}, parse_concept_page)
 
@@ -450,50 +399,6 @@ class OpenAlexClient:
                 raise ParseError(f"cursor loop at {page.next_cursor!r}")
             cursor = page.next_cursor
             seen.add(cursor)
-
-
-def catalog_from_cache(cache: PageCache) -> ConceptCatalog:
-    """Rebuild a concept catalog from every cached concepts/ page.
-
-    Lets offline validation check discipline ids without any network;
-    unparseable entries are simply skipped.
-    """
-    catalog = ConceptCatalog()
-    for fp in cache.fingerprints():
-        meta = cache.meta(fp)
-        if meta is None or not str(meta.get("endpoint") or "").startswith("concepts/"):
-            continue
-        body = cache.get(fp)
-        if body is None:
-            continue
-        try:
-            catalog.add_payload(parse_concept_page(body))
-        except ParseError:
-            continue
-    return catalog
-
-
-def crawl_concepts(client: OpenAlexClient, root_id: str) -> ConceptCatalog:
-    """Fetch the root concept and, transitively, every related concept of
-    level >= 2, recording shallower neighbors as stubs."""
-    catalog = ConceptCatalog()
-    queue = [normalize_concept_id(root_id)]
-    fetched: set[str] = set()
-    while queue:
-        cid = queue.pop(0)
-        if cid in fetched:
-            continue
-        fetched.add(cid)
-        concept = catalog.add_payload(client.fetch_concept(cid))
-        for rid in concept.related:
-            neighbor = catalog.get(rid)
-            if (
-                neighbor is not None
-                and neighbor.level >= MIN_EXPANSION_LEVEL
-                and rid not in fetched
-            ):
-                queue.append(rid)
-    return catalog
 
 
 def harvest(

@@ -58,9 +58,6 @@ class YearSeries:
         if any(b <= a for a, b in zip(years, years[1:])):
             raise ValueError("points must be in strictly increasing year order")
 
-    def values(self) -> list[float | None]:
-        return [p.value for p in self.points]
-
 
 def intl_collab_rate(table: CountTable, entity: str) -> float:
     """Share of an entity's works involving at least one other entity.

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from collabkit.cli import load_config
-from collabkit.ingest import OpenAlexClient, PageCache, crawl_concepts, expand_concept, harvest
+from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
 
 FIXTURE_DIR = Path(__file__).resolve().parent / "fixtures"
 FIXTURE_CACHE = FIXTURE_DIR / "cache"
@@ -35,7 +35,6 @@ def offline_records(fixture_cache_dir):
     client = OpenAlexClient(PageCache(fixture_cache_dir), transport=None)
     records = {}
     for root in ("C100", "C200"):
-        catalog = crawl_concepts(client, root)
-        concepts = expand_concept(root, catalog)
+        concepts = expand_concept(root, client.fetch_concept)
         records[root] = list(harvest(client, root, sorted(concepts), 1971, 2020))
     return records

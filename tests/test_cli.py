@@ -42,8 +42,7 @@ from collabkit.corpus import (
 )
 from collabkit.errors import ConfigError, MissingFixtures
 from collabkit.ingest import PageCache
-from synthetic import concept_payload
-from util import POOL6, catalog_of
+from util import POOL6
 
 FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
 
@@ -215,13 +214,39 @@ class TestValidate:
         diags = validate(_config(bilateral_pairs=(("US", ""),)))
         assert any(d.field == "bilateral_pairs[0]" for d in diags)
 
-    def test_catalog_check(self):
-        catalog = catalog_of([concept_payload("C100")])
-        good = validate(_config(disciplines=("C100",)), catalog)
+    def test_catalog_check(self, fixture_cache_dir):
+        cache = PageCache(fixture_cache_dir)
+        good = validate(_config(disciplines=("C100",)), cache)
         assert good == []
-        bad = validate(_config(disciplines=("C100", "C999")), catalog)
+        bad = validate(_config(disciplines=("C100", "C999")), cache)
         assert [d.field for d in bad] == ["disciplines[1]"]
-        assert "C999" in bad[0].message
+        assert "C999 not in offline cache" in bad[0].message
+
+    @pytest.mark.parametrize("damage", ["level-2-root", "flipped-byte"])
+    def test_discipline_page_checked_against_cache(
+        self, tmp_path, fixture_cache_dir, capsys, damage
+    ):
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache_dir)
+        disciplines = ["C100", "C200"]
+        if damage == "level-2-root":
+            disciplines[0] = "C110"  # cached, but not a discipline root
+        else:
+            cache = PageCache(cache_dir)
+            fp = next(
+                fp
+                for fp in cache.fingerprints()
+                if cache.meta(fp)["endpoint"] == "concepts/C100"
+            )
+            page = cache.path_for(fp)
+            body = page.read_bytes()
+            page.write_bytes(body.replace(b"Synthetic Field A", b"Synthetic Field a", 1))
+            assert page.read_bytes() != body
+        diags = validate(_config(disciplines=tuple(disciplines)), PageCache(cache_dir))
+        assert [d.field for d in diags] == ["disciplines[0]"]
+        path = _write_config(tmp_path, cache_dir, disciplines=disciplines)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert "disciplines[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "disciplines", ["C100", ["C100", 100]], ids=["bare-string", "int-item"]
@@ -582,7 +607,7 @@ class TestMain:
         path = _write_config(tmp_path, fixture_cache_dir, disciplines=["C999"])
         code = main(["validate", "--config", path])
         assert code == EXIT_CONFIG
-        assert "not in offline catalog" in capsys.readouterr().err
+        assert "C999 not in offline cache" in capsys.readouterr().err
 
     def test_offline_analyze_succeeds(self, tmp_path, fixture_cache_dir, capsys):
         path = _write_config(tmp_path, fixture_cache_dir)

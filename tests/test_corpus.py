@@ -127,11 +127,6 @@ class TestWorkFromMetadata:
 
 
 class TestPeriod:
-    def test_contains(self):
-        p = Period("1991-2000", 1991, 2000)
-        assert p.contains(1991) and p.contains(2000)
-        assert not p.contains(1990) and not p.contains(2001)
-
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             Period("bad", 2000, 1999)

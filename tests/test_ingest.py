@@ -1,4 +1,4 @@
-"""Harvesting plumbing: catalog expansion, fingerprints, cache, rate
+"""Harvesting plumbing: concept expansion, fingerprints, cache, rate
 limiting, retries, pagination, and record streaming."""
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from collabkit.ingest import (
     TokenBucket,
     TransportResponse,
     WorksQuery,
-    catalog_from_cache,
-    crawl_concepts,
     expand_concept,
     fingerprint,
     harvest,
@@ -32,7 +30,7 @@ from collabkit.ingest import (
     query_params,
 )
 from synthetic import SyntheticOpenAlexTransport
-from util import catalog_of
+from util import fetch_of
 
 
 def _concept(cid, level, related=()):
@@ -81,8 +79,8 @@ class TestConceptIds:
 
 
 class TestCatalogAndExpansion:
-    def _catalog(self):
-        return catalog_of(
+    def _fetch(self):
+        return fetch_of(
             [
                 _concept("C1", 1, [("C10", 2), ("C20", 2), ("C2", 1), ("C0", 0)]),
                 _concept("C10", 2, [("C11", 3)]),
@@ -95,50 +93,56 @@ class TestCatalogAndExpansion:
         )
 
     def test_transitive_expansion(self):
-        selected = expand_concept("C1", self._catalog())
+        selected = expand_concept("C1", self._fetch())
         assert selected == {"C1", "C10", "C20", "C11", "C21"}
 
     def test_one_hop_expansion(self):
-        selected = expand_concept("C1", self._catalog(), mode="one-hop")
+        selected = expand_concept("C1", self._fetch(), mode="one-hop")
         assert selected == {"C1", "C10", "C20"}
 
     def test_low_levels_pruned_not_traversed(self):
         # C2 (level 1) and C0 (level 0) are neighbors but never selected
-        selected = expand_concept("C1", self._catalog())
+        selected = expand_concept("C1", self._fetch())
         assert "C2" not in selected and "C0" not in selected
 
     def test_unknown_root(self):
         with pytest.raises(UnknownConcept):
-            expand_concept("C999", self._catalog())
+            expand_concept("C999", self._fetch())
 
     def test_wrong_level_root(self):
         with pytest.raises(WrongLevel):
-            expand_concept("C10", self._catalog())
+            expand_concept("C10", self._fetch())
         with pytest.raises(WrongLevel):
-            expand_concept("C0", self._catalog())
-
-    def test_unresolved_related_skipped(self):
-        catalog = catalog_of([_concept("C1", 1)])
-        # no stub information at all for a dangling id
-        catalog.entries["C1"] = catalog.entries["C1"].__class__(
-            concept_id="C1", display_name="C1", level=1, related=("C404",)
-        )
-        assert expand_concept("C1", catalog) == {"C1"}
-
-    def test_stub_entries_from_related_lists(self):
-        catalog = catalog_of([_concept("C1", 1, [("C10", 2)])])
-        stub = catalog.get("C10")
-        assert stub is not None and stub.stub and stub.level == 2
-        # stub has no outgoing links, so expansion stops there
-        assert expand_concept("C1", catalog) == {"C1", "C10"}
+            expand_concept("C0", self._fetch())
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            expand_concept("C1", self._catalog(), mode="recursive")
+            expand_concept("C1", self._fetch(), mode="recursive")
 
     def test_url_form_ids(self):
-        assert "C1" in self._catalog()
-        assert self._catalog().get("https://openalex.org/C10").concept_id == "C10"
+        selected = expand_concept("https://openalex.org/C1/", self._fetch(), mode="one-hop")
+        assert selected == {"C1", "C10", "C20"}
+
+    @pytest.mark.parametrize(
+        "mode, selected, calls",
+        [
+            ("transitive", {"C100", "C110", "C120", "C111", "C121"}, 5),
+            ("one-hop", {"C100", "C110", "C120"}, 1),
+        ],
+        ids=["transitive", "one-hop"],
+    )
+    def test_fetches_only_what_it_follows(self, tmp_path, mode, selected, calls):
+        # the synthetic root also lists a level-1 sibling and a level-0
+        # domain; neither is fetched, and one-hop reads the root alone
+        client = _client(SyntheticOpenAlexTransport(), tmp_path)
+        assert expand_concept("C100", client.fetch_concept, mode) == selected
+        assert client.network_calls == calls
+
+    def test_wrong_level_root_fetched_alone(self, tmp_path):
+        client = _client(SyntheticOpenAlexTransport(), tmp_path)
+        with pytest.raises(WrongLevel):
+            expand_concept("C110", client.fetch_concept)
+        assert client.network_calls == 1
 
 
 class TestWorksQuery:
@@ -213,7 +217,7 @@ class TestTokenBucket:
             sleeps.append(s)
             clock["t"] += s
 
-        bucket = TokenBucket(rate=2.0, capacity=2.0, clock=lambda: clock["t"], sleep=fake_sleep)
+        bucket = TokenBucket(rate=2.0, clock=lambda: clock["t"], sleep=fake_sleep)
         bucket.take()
         bucket.take()
         assert sleeps == []
@@ -222,10 +226,17 @@ class TestTokenBucket:
 
     def test_refill(self):
         clock = {"t": 0.0}
-        bucket = TokenBucket(rate=4.0, capacity=1.0, clock=lambda: clock["t"], sleep=lambda s: None)
+        sleeps = []
+
+        def fake_sleep(s):
+            sleeps.append(s)
+            clock["t"] += s
+
+        bucket = TokenBucket(rate=1.0, clock=lambda: clock["t"], sleep=fake_sleep)
         bucket.take()
-        clock["t"] += 0.25
-        bucket.take()  # exactly one token refilled; no sleep path asserted via no exception
+        clock["t"] += 1.0
+        bucket.take()  # exactly one token refilled, so no wait
+        assert sleeps == []
 
     def test_bad_rate(self):
         with pytest.raises(ValueError):
@@ -261,14 +272,14 @@ class TestClient:
         transport = ScriptedTransport(
             [TransportResponse(429, b""), _ok(EMPTY_PAGE)]
         )
-        client = _client(transport, tmp_path, sleep=sleeps.append, backoff=0.5)
+        client = _client(transport, tmp_path, sleep=sleeps.append)
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 2
         assert sleeps == [0.5]
 
     def test_rate_limited_after_retries(self, tmp_path):
         transport = ScriptedTransport([TransportResponse(429, b"")] * 4)
-        client = _client(transport, tmp_path, max_retries=3)
+        client = _client(transport, tmp_path)
         with pytest.raises(RateLimited):
             client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 4
@@ -320,6 +331,9 @@ class TestClient:
                 lambda c: c.fetch_concept("C1"),
                 b'{"id": "C1", "level": 1, "related_concepts": 5}',
             ),
+            (lambda c: c.fetch_concept("C1"), b'{"level": 1}'),
+            (lambda c: c.fetch_concept("C1"), b'{"id": "C1", "level": "1"}'),
+            (lambda c: c.fetch_concept("C1"), b'{"id": "C1", "level": true}'),
         ],
         ids=[
             "not-json",
@@ -328,6 +342,9 @@ class TestClient:
             "related-entry-not-an-object",
             "related-level-not-an-int",
             "related-not-a-list",
+            "concept-without-id",
+            "level-not-an-int",
+            "level-a-bool",
         ],
     )
     def test_malformed_body_not_cached(self, tmp_path, fetch, body):
@@ -430,24 +447,6 @@ class TestPagination:
         client = _client(looped, tmp_path)
         with pytest.raises(ParseError, match="cursor loop"):
             list(client.pages(WorksQuery(("C1",), 1990, 1991)))
-
-
-class TestCrawl:
-    def test_crawl_synthetic_graph(self, tmp_path):
-        client = _client(SyntheticOpenAlexTransport(), tmp_path)
-        catalog = crawl_concepts(client, "C100")
-        fetched = {cid for cid, c in catalog.entries.items() if not c.stub}
-        assert fetched == {"C100", "C110", "C120", "C111", "C121"}
-        # shallow neighbors stay stubs and are never fetched
-        assert catalog.get("C900").stub and catalog.get("C001").stub
-
-    def test_catalog_from_cache(self, tmp_path):
-        client = _client(SyntheticOpenAlexTransport(), tmp_path)
-        crawl_concepts(client, "C100")
-        rebuilt = catalog_from_cache(client.cache)
-        assert "C100" in rebuilt and rebuilt.get("C100").level == 1
-        assert "C110" in rebuilt
-        assert "C999" not in rebuilt
 
 
 class TestHarvest:

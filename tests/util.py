@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table
+from collabkit.errors import UnknownConcept
 from collabkit.geometry import MERGE_TIE_EPS, Dendrogram, DistanceMatrix, Merge
-from collabkit.ingest import ConceptCatalog
+from collabkit.ingest import normalize_concept_id, parse_concept_page
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
 
@@ -34,12 +36,21 @@ def records_from_sets(sets, discipline="D1", year=2000):
     return records
 
 
-def catalog_of(payloads):
-    """A concept catalog holding the given concept payloads and their stubs."""
-    catalog = ConceptCatalog()
+def fetch_of(payloads):
+    """A concept fetch function over the given concept payloads, for
+    ``expand_concept``; an id with no payload raises UnknownConcept."""
+    concepts = {}
     for payload in payloads:
-        catalog.add_payload(payload)
-    return catalog
+        concept = parse_concept_page(json.dumps(payload).encode())
+        concepts[concept.concept_id] = concept
+
+    def fetch(concept_id):
+        try:
+            return concepts[normalize_concept_id(concept_id)]
+        except KeyError:
+            raise UnknownConcept(concept_id) from None
+
+    return fetch
 
 
 def table_from_sets(sets, discipline="D1", year=2000, key="country"):
