@@ -15,7 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from collabkit.cli import AnalysisConfig, resolve_periods, run
+from collabkit.cli import AnalysisConfig, run
 from collabkit.ingest import PageCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +39,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         config = AnalysisConfig(
             disciplines=ROOTS,
-            periods=resolve_periods("paper-4"),
             top_n=10,
             min_volume=5,
             cache_dir=str(cache_dir),

@@ -2,9 +2,9 @@
 
 Stages: harvest (fill the page cache), analyze (counts, geometry, data
 exports), report (SVG dendrograms), all (one pass over everything),
-validate (config diagnostics only). A declarative JSON config feeds every
-stage; flags override config fields. Exit codes: 0 success, 1 config
-error, 2 transport error, 3 analysis error.
+validate (build the config, then check each discipline against the cache).
+A declarative JSON config feeds every stage; flags override config fields.
+Exit codes: 0 success, 1 config error, 2 transport error, 3 analysis error.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import json
 import platform
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ from .errors import (
     MissingFixtures,
     ParseError,
     TransportError,
-    UnknownConcept,
     WrongLevel,
 )
 from .fsio import write_text_atomic
@@ -57,6 +56,7 @@ from .ingest import (
     PageCache,
     expand_concept,
     harvest,
+    normalize_concept_id,
 )
 from .metrics import (
     IcdSeries,
@@ -97,7 +97,7 @@ EXIT_CONFIG = 1
 EXIT_TRANSPORT = 2
 EXIT_ANALYSIS = 3
 
-_CONFIG_ERRORS = (ConfigError, UnknownConcept, WrongLevel)
+_CONFIG_ERRORS = (ConfigError, WrongLevel)
 _TRANSPORT_ERRORS = (TransportError, ParseError)  # includes RateLimited, MissingFixtures
 
 
@@ -109,6 +109,10 @@ def resolve_periods(spec) -> tuple[Period, ...]:
                 f"unknown period preset {spec!r}; choose from {sorted(PERIOD_PRESETS)}"
             )
         return tuple(Period(label, lo, hi) for label, lo, hi in PERIOD_PRESETS[spec])
+    if not isinstance(spec, list):
+        raise ConfigError(
+            f"bad config value: periods must be a preset name or a list, got {spec!r}"
+        )
     periods = []
     for item in spec:
         if not (
@@ -131,11 +135,59 @@ def resolve_periods(spec) -> tuple[Period, ...]:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    """Declarative description of one full analysis run."""
+class Diagnostic:
+    """One validation finding: which config field, and what is wrong."""
 
-    disciplines: tuple[str, ...]
-    periods: tuple[Period, ...]
+    field: str
+    message: str
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.message}"
+
+
+_NUMBER = (int, float)
+
+
+def _is_json(value, kind) -> bool:
+    """isinstance, except that a bool is not a JSON int or number."""
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _is_tuple_of(value, kind) -> bool:
+    return isinstance(value, tuple) and all(_is_json(v, kind) for v in value)
+
+
+# field -> (JSON type, rule a value of that type must keep, what the rule says)
+_SCALAR_RULES = {
+    "key": (str, lambda v: v in VALID_KEYS, f"must be one of {VALID_KEYS}"),
+    "top_n": (int, lambda v: v >= 2, "need at least 2 entities to compare"),
+    "h_star": (_NUMBER, lambda v: v > 0, "threshold must be positive"),
+    "h0_mode": (str, lambda v: v in H0_MODES, f"must be one of {H0_MODES}"),
+    "min_volume": (int, lambda v: v >= 0, "must be non-negative"),
+    "journal_only": (bool, None, None),
+    "expansion": (
+        str, lambda v: v in EXPANSION_MODES, f"must be one of {EXPANSION_MODES}"
+    ),
+    "rate_limit": (_NUMBER, lambda v: v > 0, "must be positive"),
+    "cache_dir": (str, None, None),
+    "out_dir": (str, None, None),
+}
+
+
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Declarative description of one full analysis run.
+
+    Every rule is checked when the config is built, by ``config_from_dict``,
+    ``dataclasses.replace`` or a direct call, and a config that breaks any
+    raises one ConfigError naming each ``field: message``. No value is
+    coerced: a bool is not an int, and ``int(30.9)`` would change the run
+    without a word. Discipline ids are stored bare (``C100``, not its
+    OpenAlex URL), and ``h_star`` and ``rate_limit`` as floats.
+    """
+
+    disciplines: tuple[str, ...] = ()
+    periods: tuple[Period, ...] = resolve_periods("paper-4")
     key: str = COUNTRY_KEY
     top_n: int = 30
     h_star: float = 1.005
@@ -148,107 +200,75 @@ class AnalysisConfig:
     cache_dir: str = "cache"
     out_dir: str = "out"
 
-    def to_dict(self) -> dict:
-        return {
-            "disciplines": list(self.disciplines),
-            "periods": [
-                {"label": p.label, "year_from": p.year_from, "year_to": p.year_to}
-                for p in self.periods
-            ],
-            "key": self.key,
-            "top_n": self.top_n,
-            "h_star": self.h_star,
-            "h0_mode": self.h0_mode,
-            "min_volume": self.min_volume,
-            "journal_only": self.journal_only,
-            "expansion": self.expansion,
-            "rate_limit": self.rate_limit,
-            "bilateral_pairs": [list(p) for p in self.bilateral_pairs],
-            "cache_dir": self.cache_dir,
-            "out_dir": self.out_dir,
-        }
+    def __post_init__(self) -> None:
+        diags = self._findings()
+        if diags:
+            raise ConfigError("bad config value: " + "; ".join(map(str, diags)))
+        bare = tuple(normalize_concept_id(d) for d in self.disciplines)
+        object.__setattr__(self, "disciplines", bare)
+        object.__setattr__(self, "h_star", float(self.h_star))
+        object.__setattr__(self, "rate_limit", float(self.rate_limit))
 
+    def _findings(self) -> list[Diagnostic]:
+        diags: list[Diagnostic] = []
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding: which config field, and what is wrong."""
+        def add(field: str, message: str) -> None:
+            diags.append(Diagnostic(field, message))
 
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
+        if not _is_tuple_of(self.disciplines, str):
+            add("disciplines", f"must be a list of strings, got {self.disciplines!r}")
+        elif not self.disciplines:
+            add("disciplines", "at least one root concept id required")
+        else:
+            for i, d in enumerate(self.disciplines):
+                if not normalize_concept_id(d):
+                    add(f"disciplines[{i}]", "empty concept id")
+        if not _is_tuple_of(self.periods, Period):
+            add("periods", f"must be a list of periods, got {self.periods!r}")
+        elif not self.periods:
+            add("periods", "at least one period required")
+        else:
+            labels = [p.label for p in self.periods]
+            if len(set(labels)) != len(labels):
+                add("periods", "period labels must be unique")
+            for a, b in overlapping_periods(self.periods):
+                add("periods", f"periods {a.label!r} and {b.label!r} overlap")
+        for name, (kind, rule, message) in _SCALAR_RULES.items():
+            value = getattr(self, name)
+            if not _is_json(value, kind):
+                what = "a number" if kind is _NUMBER else kind.__name__
+                add(name, f"must be {what}, got {value!r}")
+            elif rule is not None and not rule(value):
+                add(name, message)
+        if not isinstance(self.bilateral_pairs, tuple):
+            add("bilateral_pairs", f"must be a list of pairs, got {self.bilateral_pairs!r}")
+        else:
+            for i, pair in enumerate(self.bilateral_pairs):
+                if not (_is_tuple_of(pair, str) and len(pair) == 2 and all(pair)):
+                    add(f"bilateral_pairs[{i}]", f"expected two entity codes, got {pair!r}")
+        return diags
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(AnalysisConfig))
 
-_NUMBER = (int, float)
 
-
-def _is_json(value, kind) -> bool:
-    """isinstance, except that a bool is not a JSON int or number."""
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-
-
-def _typed_value(doc: dict, name: str, kind, default):
-    """doc[name], or the default, if it is a JSON value of type ``kind``.
-
-    No coercion: ``bool("false")`` is True and ``int(30.9)`` is 30, so a
-    mistyped value would otherwise change the run without a word.
-    """
-    value = doc.get(name, default)
-    if not _is_json(value, kind):
-        what = "a number" if kind is _NUMBER else kind.__name__
-        raise ConfigError(f"bad config value: {name} must be {what}, got {value!r}")
-    return value
+def _as_tuples(value):
+    """A JSON value with every list, at any depth, made a tuple."""
+    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
 
 
 def config_from_dict(doc: dict) -> AnalysisConfig:
+    """Build a config from its JSON document; ``periods`` may name a preset."""
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if "disciplines" not in doc:
-        raise ConfigError("config needs a disciplines list")
-    disciplines = doc["disciplines"]
-    if not isinstance(disciplines, list) or not all(
-        isinstance(d, str) for d in disciplines
-    ):
-        raise ConfigError(
-            "bad config value: disciplines must be a list of concept id strings, "
-            f"got {disciplines!r}"
-        )
-    pairs = doc.get("bilateral_pairs", [])
-    if not isinstance(pairs, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(_is_json(e, str) for e in p)
-        for p in pairs
-    ):
-        raise ConfigError(
-            "bad config value: bilateral_pairs must be a list of two-string lists, "
-            f"got {pairs!r}"
-        )
-    try:
-        return AnalysisConfig(
-            disciplines=tuple(disciplines),
-            periods=resolve_periods(doc.get("periods", "paper-4")),
-            key=doc.get("key", COUNTRY_KEY),
-            top_n=_typed_value(doc, "top_n", int, 30),
-            h_star=float(_typed_value(doc, "h_star", _NUMBER, 1.005)),
-            h0_mode=doc.get("h0_mode", "auto"),
-            min_volume=_typed_value(doc, "min_volume", int, 100),
-            journal_only=_typed_value(doc, "journal_only", bool, False),
-            expansion=doc.get("expansion", "transitive"),
-            rate_limit=float(
-                _typed_value(doc, "rate_limit", _NUMBER, DEFAULT_RATE_LIMIT)
-            ),
-            bilateral_pairs=tuple(tuple(p) for p in pairs),
-            cache_dir=_typed_value(doc, "cache_dir", str, "cache"),
-            out_dir=_typed_value(doc, "out_dir", str, "out"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    values = {name: _as_tuples(value) for name, value in doc.items()}
+    if "periods" in doc:
+        values["periods"] = resolve_periods(doc["periods"])
+    return AnalysisConfig(**values)
 
 
-def load_config(path: str | Path) -> AnalysisConfig:
+def _read_config(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError as exc:
@@ -257,68 +277,38 @@ def load_config(path: str | Path) -> AnalysisConfig:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    return config_from_dict(doc)
+    return doc
+
+
+def load_config(path: str | Path) -> AnalysisConfig:
+    return config_from_dict(_read_config(path))
 
 
 def validate(config: AnalysisConfig, cache: PageCache | None = None) -> list[Diagnostic]:
-    """Config diagnostics; empty list means a run would start.
+    """Cache findings on a built, hence valid, config; empty means none.
 
     With a non-empty page cache, each discipline's concept page is read
     from it offline: a missing page, one that fails decoding or its
-    sidecar check, or a root that is not level 1 is a diagnostic. Without
+    sidecar check, or a root that is not level 1 is a finding. Without
     one the ids go unchecked here and are verified on first fetch.
     """
     diags: list[Diagnostic] = []
-    if not config.disciplines:
-        diags.append(Diagnostic("disciplines", "at least one root concept id required"))
+    if cache is None or cache.is_empty():
+        return diags
+    client = OpenAlexClient(cache, transport=None)
     for i, d in enumerate(config.disciplines):
-        if not d:
-            diags.append(Diagnostic(f"disciplines[{i}]", "empty concept id"))
-    if not config.periods:
-        diags.append(Diagnostic("periods", "at least one period required"))
-    labels = [p.label for p in config.periods]
-    if len(set(labels)) != len(labels):
-        diags.append(Diagnostic("periods", "period labels must be unique"))
-    for a, b in overlapping_periods(config.periods):
-        diags.append(
-            Diagnostic("periods", f"periods {a.label!r} and {b.label!r} overlap")
-        )
-    if config.key not in VALID_KEYS:
-        diags.append(Diagnostic("key", f"must be one of {VALID_KEYS}"))
-    if config.top_n < 2:
-        diags.append(Diagnostic("top_n", "need at least 2 entities to compare"))
-    if not config.h_star > 0:
-        diags.append(Diagnostic("h_star", "threshold must be positive"))
-    if config.h0_mode not in H0_MODES:
-        diags.append(Diagnostic("h0_mode", f"must be one of {H0_MODES}"))
-    if config.min_volume < 0:
-        diags.append(Diagnostic("min_volume", "must be non-negative"))
-    if config.expansion not in EXPANSION_MODES:
-        diags.append(Diagnostic("expansion", f"must be one of {EXPANSION_MODES}"))
-    if not config.rate_limit > 0:
-        diags.append(Diagnostic("rate_limit", "must be positive"))
-    for i, pair in enumerate(config.bilateral_pairs):
-        if len(pair) != 2 or not pair[0] or not pair[1]:
-            diags.append(
-                Diagnostic(f"bilateral_pairs[{i}]", "expected a pair of entity codes")
-            )
-    if cache is not None and not cache.is_empty():
-        client = OpenAlexClient(cache, transport=None)
-        for i, d in enumerate(config.disciplines):
-            if not d:
-                continue
-            try:
-                # one-hop reads the root page only and checks its level
-                expand_concept(d, client.fetch_concept, "one-hop")
-            except MissingFixtures:
-                diags.append(Diagnostic(f"disciplines[{i}]", f"{d} not in offline cache"))
-            except (ParseError, WrongLevel) as exc:
-                diags.append(Diagnostic(f"disciplines[{i}]", str(exc)))
+        try:
+            # one-hop reads the root page only and checks its level
+            expand_concept(d, client.fetch_concept, "one-hop")
+        except MissingFixtures:
+            diags.append(Diagnostic(f"disciplines[{i}]", f"{d} not in offline cache"))
+        except (ParseError, WrongLevel) as exc:
+            diags.append(Diagnostic(f"disciplines[{i}]", str(exc)))
     return diags
 
 
 def config_hash(config: AnalysisConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -413,9 +403,6 @@ def run(
         raise ConfigError(f"unknown mode {mode!r}")
     if stage not in STAGES:
         raise ConfigError(f"unknown stage {stage!r}")
-    diags = validate(config)
-    if diags:
-        raise ConfigError("; ".join(str(d) for d in diags))
 
     cache = PageCache(config.cache_dir)
     if mode == "fixtures":
@@ -486,7 +473,7 @@ def run(
         "schema": 1,
         "stage": stage,
         "mode": mode,
-        "config": config.to_dict(),
+        "config": json.loads(json.dumps(asdict(config))),
         "config_sha256": config_hash(config),
         "versions": {
             "collabkit": __version__,
@@ -525,7 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="path to a JSON config file")
         cmd.add_argument(
-            "--disciplines", help="comma-separated root concept ids"
+            "--disciplines",
+            type=lambda text: text.split(","),
+            help="comma-separated root concept ids",
         )
         cmd.add_argument(
             "--periods",
@@ -551,26 +540,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        if not args.disciplines:
-            raise ConfigError("either --config or --disciplines is required")
-        config = config_from_dict({"disciplines": args.disciplines.split(",")})
-    updates: dict = {}
-    if args.disciplines:
-        updates["disciplines"] = tuple(args.disciplines.split(","))
-    if args.periods:
-        updates["periods"] = resolve_periods(args.periods)
-    for name in ("key", "top_n", "h_star", "min_volume", "cache_dir", "out_dir"):
-        value = getattr(args, name)
-        if value is not None:
-            updates[name] = value
-    if args.journal_only is not None:
-        updates["journal_only"] = args.journal_only
+    """The --config document, or an empty one, with each given flag laid over it."""
+    doc = _read_config(args.config) if args.config else {}
+    for name, value in vars(args).items():
+        if name in _CONFIG_KEYS and value is not None:
+            doc[name] = value
     if args.h0 is not None:
-        updates["h0_mode"] = "auto" if args.h0 == "auto" else "strict-1.0"
-    return replace(config, **updates)
+        doc["h0_mode"] = "auto" if args.h0 == "auto" else "strict-1.0"
+    return config_from_dict(doc)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -29,10 +29,6 @@ class ParseError(CollabKitError):
     """A payload could not be decoded into the expected shape."""
 
 
-class UnknownConcept(CollabKitError):
-    """No concept has the requested id."""
-
-
 class WrongLevel(CollabKitError):
     """A concept was used in a role its taxonomy level does not allow."""
 

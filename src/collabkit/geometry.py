@@ -358,22 +358,18 @@ def to_newick(dendrogram: Dendrogram) -> str:
     (leaves sit at height zero), so path lengths reproduce merge heights.
     """
     n = dendrogram.n_leaves
-
-    def node_height(node: int) -> float:
-        return 0.0 if node < n else dendrogram.merges[node - n].height
-
-    def render(node: int, parent_height: float) -> str:
-        length = _FMT % (parent_height - node_height(node))
-        if node < n:
-            return f"{dendrogram.entities[node]}:{length}"
-        m = dendrogram.merges[node - n]
-        inner = f"({render(m.left, m.height)},{render(m.right, m.height)})"
-        return f"{inner}:{length}"
-
-    root = dendrogram.merges[-1]
-    left = render(root.left, root.height)
-    right = render(root.right, root.height)
-    return f"({left},{right});"
+    # node id -> its subtree's text and height; merge order is bottom-up,
+    # so no recursion limits the tree's depth
+    text = list(dendrogram.entities)
+    height = [0.0] * n
+    for m in dendrogram.merges:
+        left, right = (
+            f"{text[c]}:{_FMT % (m.height - height[c])}" for c in (m.left, m.right)
+        )
+        text[m.left] = text[m.right] = ""  # each subtree is used once
+        text.append(f"({left},{right})")
+        height.append(m.height)
+    return text[-1] + ";"
 
 
 def merges_to_json(dendrogram: Dendrogram) -> str:

@@ -35,6 +35,7 @@ MAILTO_ENV = "OPENALEX_MAILTO"
 DEFAULT_RATE_LIMIT = 8.0
 MAX_RETRIES = 3
 BACKOFF_S = 0.5
+TIMEOUT_S = 30.0
 DEFAULT_PER_PAGE = 200
 CURSOR_START = "*"
 
@@ -238,14 +239,13 @@ class HttpTransport(Protocol):
 class RequestsTransport:
     """Thin synchronous HTTP adapter."""
 
-    def __init__(self, timeout: float = 30.0):
+    def __init__(self):
         import requests
 
         self._session = requests.Session()
-        self._timeout = timeout
 
     def get(self, url: str, params: Mapping[str, str]) -> TransportResponse:
-        resp = self._session.get(url, params=dict(params), timeout=self._timeout)
+        resp = self._session.get(url, params=dict(params), timeout=TIMEOUT_S)
         return TransportResponse(status=resp.status_code, body=resp.content)
 
 

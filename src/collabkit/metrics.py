@@ -204,12 +204,9 @@ def silverman_bandwidth(values: Sequence[float]) -> float:
     return bw
 
 
-def kde(
-    values: Sequence[float],
-    bandwidth: float | str = "auto",
-    grid_size: int = KDE_GRID_SIZE,
-) -> KdeCurve:
-    """Gaussian KDE over an even grid padded past the data range.
+def kde(values: Sequence[float]) -> KdeCurve:
+    """Gaussian KDE with Silverman's bandwidth over an even grid of
+    ``KDE_GRID_SIZE`` points padded past the data range.
 
     The curve is a plain average of kernels (no renormalization), so its
     integral over the grid is 1 up to tail truncation. Raises TooFewValues
@@ -218,12 +215,10 @@ def kde(
     x = np.asarray(values, dtype=float)
     if x.size < 2:
         raise TooFewValues(f"density estimate needs >= 2 values, got {x.size}")
-    bw = silverman_bandwidth(x) if bandwidth == "auto" else float(bandwidth)
-    if bw <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    bw = silverman_bandwidth(x)
     lo = float(x.min()) - KDE_GRID_PAD * bw
     hi = float(x.max()) + KDE_GRID_PAD * bw
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, KDE_GRID_SIZE)
     z = (grid[:, None] - x[None, :]) / bw
     density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * bw * math.sqrt(2.0 * math.pi))
     return KdeCurve(x=grid, density=density, bandwidth=bw)

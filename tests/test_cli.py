@@ -10,6 +10,7 @@ import shutil
 import weakref
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,8 @@ from collabkit.corpus import (
 from collabkit.errors import ConfigError, MissingFixtures
 from collabkit.ingest import PageCache
 from util import POOL6
+
+FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
 FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
 
@@ -137,8 +140,67 @@ class TestConfig:
         ],
     )
     def test_mistyped_values_not_coerced(self, field, value):
-        with pytest.raises(ConfigError, match=f"bad config value: {field}"):
-            config_from_dict({"disciplines": ["C1"], field: value})
+        # the same rules hold however the config is built
+        for build in (
+            lambda: config_from_dict({"disciplines": ["C1"], field: value}),
+            lambda: replace(config_from_dict({"disciplines": ["C1"]}), **{field: value}),
+            lambda: AnalysisConfig(disciplines=("C1",), **{field: value}),
+        ):
+            with pytest.raises(ConfigError, match=f"bad config value: {field}"):
+                build()
+
+    def test_every_bad_field_named_at_once(self):
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(
+                {
+                    "disciplines": ["C1", ""],
+                    "top_n": 1,
+                    "h_star": True,
+                    "key": "continent",
+                    "bilateral_pairs": [["US", "CN"], ["US"]],
+                }
+            )
+        message = str(caught.value)
+        for named in (
+            "disciplines[1]: ",
+            "top_n: ",
+            "h_star: ",
+            "key: ",
+            "bilateral_pairs[1]: ",
+        ):
+            assert named in message
+        assert message.count("; ") == 4
+
+    @pytest.mark.parametrize(
+        "doc,digest",
+        [
+            (
+                json.loads(FIXTURE_CONFIG.read_text()),
+                "58f68d6c43173eed026ef72111dc50009ac8341c3149a8db7ce6607f1476a1df",
+            ),
+            (
+                {
+                    "disciplines": ["C1", "C2"],
+                    "bilateral_pairs": [["US", "CN"]],
+                    "periods": "paper-10",
+                    "rate_limit": 3,
+                },
+                "acd53985cec6ff95ff3b4cab45232758f8b92af00daab86beff5765513b8aa85",
+            ),
+        ],
+        ids=["fixture-config", "paper-10-pairs"],
+    )
+    def test_pinned_hashes(self, doc, digest):
+        # config_sha256 in existing manifests stays comparable; an int
+        # rate_limit hashes as the float it is stored as
+        assert config_hash(config_from_dict(doc)) == digest
+
+    def test_discipline_ids_stored_bare(self):
+        config = config_from_dict({"disciplines": ["https://openalex.org/C100/", "C2"]})
+        assert config.disciplines == ("C100", "C2")
+        assert config_hash(config) == config_hash(
+            config_from_dict({"disciplines": ["C100", "C2"]})
+        )
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -194,25 +256,20 @@ class TestValidate:
         ],
     )
     def test_field_diagnostics(self, field, overrides):
-        diags = validate(_config(**overrides))
-        assert any(d.field.startswith(field) for d in diags)
+        with pytest.raises(ConfigError, match=f"bad config value: {field}: "):
+            _config(**overrides)
 
     def test_overlapping_periods_named(self):
-        config = _config(
-            periods=(Period("a", 1990, 2000), Period("b", 1995, 2005))
-        )
-        diags = validate(config)
-        assert any("'a'" in d.message and "'b'" in d.message for d in diags)
+        with pytest.raises(ConfigError, match="periods: periods 'a' and 'b' overlap"):
+            _config(periods=(Period("a", 1990, 2000), Period("b", 1995, 2005)))
 
     def test_duplicate_labels(self):
-        config = _config(
-            periods=(Period("x", 1990, 1991), Period("x", 1992, 1993))
-        )
-        assert any("unique" in d.message for d in validate(config))
+        with pytest.raises(ConfigError, match="periods: period labels must be unique"):
+            _config(periods=(Period("x", 1990, 1991), Period("x", 1992, 1993)))
 
     def test_bad_pair(self):
-        diags = validate(_config(bilateral_pairs=(("US", ""),)))
-        assert any(d.field == "bilateral_pairs[0]" for d in diags)
+        with pytest.raises(ConfigError, match=r"bilateral_pairs\[0\]: "):
+            _config(bilateral_pairs=(("US", ""),))
 
     def test_catalog_check(self, fixture_cache_dir):
         cache = PageCache(fixture_cache_dir)
@@ -400,10 +457,14 @@ class TestRun:
         assert digest.hexdigest() == FIXTURE_OUTPUTS_SHA256
 
     def test_invalid_config_writes_nothing(self, fixture_config, tmp_path):
+        # an invalid config cannot be built, so no run can start from one
         out = tmp_path / "fresh"
-        config = replace(fixture_config, h_star=-1.0, out_dir=str(out))
-        with pytest.raises(ConfigError):
-            run(config, mode="fixtures", stage="all")
+        with pytest.raises(ConfigError, match="h_star"):
+            run(
+                replace(fixture_config, h_star=-1.0, out_dir=str(out)),
+                mode="fixtures",
+                stage="all",
+            )
         assert not out.exists()
 
     def test_empty_cache_aborts_before_output(self, fixture_config, tmp_path):
@@ -615,6 +676,31 @@ class TestMain:
         assert code == EXIT_OK
         assert "wrote" in capsys.readouterr().out
         assert (tmp_path / "out" / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("command", ["validate", "all"])
+    def test_bad_flag_value_writes_nothing(
+        self, tmp_path, fixture_cache_dir, capsys, command
+    ):
+        path = _write_config(tmp_path, fixture_cache_dir)
+        code = main([command, "--config", path, "--offline", "--top-n", "1"])
+        assert code == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "top_n" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_url_discipline_ids_write_bare_paths(
+        self, tmp_path, fixture_cache_dir, capsys
+    ):
+        outputs = []
+        for i, discipline in enumerate(["https://openalex.org/C100", "C100"]):
+            out = tmp_path / f"out{i}"
+            path = _write_config(
+                tmp_path, fixture_cache_dir, disciplines=[discipline], out_dir=str(out)
+            )
+            assert main(["all", "--config", path, "--offline"]) == EXIT_OK
+            outputs.append(json.loads((out / "manifest.json").read_text())["outputs"])
+        assert outputs[0] == outputs[1]
+        assert all(rel.startswith("C100/") for rel in outputs[0])
 
     def test_config_error_exit_code(self, tmp_path, fixture_cache_dir, capsys):
         path = _write_config(tmp_path, fixture_cache_dir, extra_knob=1)

@@ -3,6 +3,7 @@ structural properties."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -516,6 +517,21 @@ class TestTreeExports:
             assert text.endswith(";")
             for entity in dend.entities:
                 assert entity in text
+
+    def test_newick_deep_chain(self):
+        # top entities that never co-produce: all distances 1, and Ward
+        # grows one cluster a leaf at a time, a chain 1,099 levels deep
+        n = 1100
+        dm = DistanceMatrix(tuple(f"E{i}" for i in range(n)), 1.0 - np.eye(n))
+        dend = ward_cluster(dm)
+        assert all(n + k - 1 in (m.left, m.right) for k, m in enumerate(dend.merges) if k)
+        text = to_newick(dend)
+        assert text.count("(") == n - 1
+        assert text.startswith("(" * (n - 1) + "E0:1,E1:1):0,E2:1)")
+        # the recursive writer's bytes, with the recursion limit raised
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "494ea5cf68326941fd99e900631b9435603c18aaf82d44b8666bc7ec60238056"
+        )
 
     def test_merges_json(self):
         doc = json.loads(merges_to_json(self._dend()))

@@ -13,7 +13,6 @@ from collabkit.errors import (
     ParseError,
     RateLimited,
     TransportError,
-    UnknownConcept,
     WrongLevel,
 )
 from collabkit.ingest import (
@@ -106,7 +105,7 @@ class TestCatalogAndExpansion:
         assert "C2" not in selected and "C0" not in selected
 
     def test_unknown_root(self):
-        with pytest.raises(UnknownConcept):
+        with pytest.raises(MissingFixtures):
             expand_concept("C999", self._fetch())
 
     def test_wrong_level_root(self):

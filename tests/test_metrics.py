@@ -233,9 +233,3 @@ class TestKde:
 
     def test_silverman_degenerate_fallback(self):
         assert silverman_bandwidth([2.0, 2.0, 2.0]) > 0.0
-
-    def test_explicit_bandwidth(self):
-        curve = kde([0.0, 1.0], bandwidth=0.5)
-        assert curve.bandwidth == 0.5
-        with pytest.raises(ValueError):
-            kde([0.0, 1.0], bandwidth=-1.0)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table
-from collabkit.errors import UnknownConcept
+from collabkit.errors import MissingFixtures
 from collabkit.geometry import MERGE_TIE_EPS, Dendrogram, DistanceMatrix, Merge
 from collabkit.ingest import normalize_concept_id, parse_concept_page
 
@@ -38,7 +38,8 @@ def records_from_sets(sets, discipline="D1", year=2000):
 
 def fetch_of(payloads):
     """A concept fetch function over the given concept payloads, for
-    ``expand_concept``; an id with no payload raises UnknownConcept."""
+    ``expand_concept``; an id with no payload raises MissingFixtures, as
+    the offline client does on a cache miss."""
     concepts = {}
     for payload in payloads:
         concept = parse_concept_page(json.dumps(payload).encode())
@@ -48,7 +49,7 @@ def fetch_of(payloads):
         try:
             return concepts[normalize_concept_id(concept_id)]
         except KeyError:
-            raise UnknownConcept(concept_id) from None
+            raise MissingFixtures(concept_id) from None
 
     return fetch
 
