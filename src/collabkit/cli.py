@@ -183,7 +183,8 @@ class AnalysisConfig:
     raises one ConfigError naming each ``field: message``. No value is
     coerced: a bool is not an int, and ``int(30.9)`` would change the run
     without a word. Discipline ids are stored bare (``C100``, not its
-    OpenAlex URL), and ``h_star`` and ``rate_limit`` as floats.
+    OpenAlex URL) and must be distinct once bare; ``h_star`` and
+    ``rate_limit`` are stored as floats.
     """
 
     disciplines: tuple[str, ...] = ()
@@ -220,9 +221,15 @@ class AnalysisConfig:
         elif not self.disciplines:
             add("disciplines", "at least one root concept id required")
         else:
+            first: dict[str, int] = {}  # bare id -> index it first appears at
             for i, d in enumerate(self.disciplines):
-                if not normalize_concept_id(d):
+                bare = normalize_concept_id(d)
+                if not bare:
                     add(f"disciplines[{i}]", "empty concept id")
+                elif bare in first:
+                    add(f"disciplines[{i}]", f"duplicate of disciplines[{first[bare]}]")
+                else:
+                    first[bare] = i
         if not _is_tuple_of(self.periods, Period):
             add("periods", f"must be a list of periods, got {self.periods!r}")
         elif not self.periods:
@@ -338,7 +345,7 @@ def _analyze_cell(
     h0 = "auto" if config.h0_mode == "auto" else 1.0
     result = icd(dend, h0)
     curve = kde(result.rescaled) if len(result.rescaled) >= 2 else None
-    cell = IcdSeries(discipline, period, result, curve)
+    cell = IcdSeries(discipline, period, result)
 
     prefix = f"{discipline}/{period.label}"
     outputs: dict[str, str] = {}

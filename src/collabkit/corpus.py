@@ -58,42 +58,14 @@ def overlapping_periods(periods: Sequence[Period]) -> list[tuple[Period, Period]
     return clashes
 
 
-def _ror_tail(value: str) -> str:
-    """Normalize a ROR id to its bare form (drop the https://ror.org/ prefix)."""
-    return value.rsplit("/", 1)[-1]
-
-
-def nationality_of(raw: Mapping) -> frozenset[str]:
-    """Union of institution country codes across all contributors.
-
-    The same country appearing through several contributors or institutions
-    counts once. An empty result means the nationality is unknown.
-    """
-    countries: set[str] = set()
-    for authorship in raw.get("authorships") or ():
-        for inst in authorship.get("institutions") or ():
-            code = inst.get("country_code")
-            if code:
-                countries.add(str(code).upper())
-    return frozenset(countries)
-
-
-def institutions_of(raw: Mapping) -> frozenset[str]:
-    """Union of bare ROR ids across all contributors."""
-    rors: set[str] = set()
-    for authorship in raw.get("authorships") or ():
-        for inst in authorship.get("institutions") or ():
-            ror = inst.get("ror")
-            if ror:
-                rors.add(_ror_tail(str(ror)))
-    return frozenset(rors)
-
-
 def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
     """Build a WorkRecord from one raw works-endpoint item.
 
-    Raises ValueError when the item is not a work object of the expected
-    shape.
+    One walk over every contributor's institutions collects the upper-cased
+    country codes and the bare ROR ids (the https://ror.org/ prefix
+    dropped); each counts once however often it appears. An empty country
+    set means the nationality is unknown. Raises ValueError when the item
+    is not a work object of the expected shape.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"work item is not an object: {raw!r}")
@@ -106,8 +78,16 @@ def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
     wtype = raw.get("type") or ""
     if not isinstance(wtype, str):
         raise ValueError(f"work {work_id}: type must be a string, got {wtype!r}")
+    countries: set[str] = set()
+    rors: set[str] = set()
     try:
-        nationalities, institutions = nationality_of(raw), institutions_of(raw)
+        for authorship in raw.get("authorships") or ():
+            for inst in authorship.get("institutions") or ():
+                code, ror = inst.get("country_code"), inst.get("ror")
+                if code:
+                    countries.add(str(code).upper())
+                if ror:
+                    rors.add(str(ror).rsplit("/", 1)[-1])
     except (AttributeError, TypeError) as exc:
         # an authorship or institution entry that is not an object
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
@@ -115,8 +95,8 @@ def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
         work_id=str(work_id),
         year=year,
         discipline_id=discipline_id,
-        nationalities=nationalities,
-        institutions=institutions,
+        nationalities=frozenset(countries),
+        institutions=frozenset(rors),
         is_journal_article=wtype.lower() in _JOURNAL_TYPES,
     )
 

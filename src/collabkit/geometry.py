@@ -197,14 +197,6 @@ class Dendrogram:
     def heights(self) -> tuple[float, ...]:
         return tuple(m.height for m in self.merges)
 
-    def subtree_leaves(self) -> list[list[int]]:
-        """Leaf index lists for every node id, in node id order."""
-        n = self.n_leaves
-        leaves: list[list[int]] = [[i] for i in range(n)]
-        for m in self.merges:
-            leaves.append(leaves[m.left] + leaves[m.right])
-        return leaves
-
     def leaf_order(self) -> list[int]:
         """Leaf indices in left-to-right display order."""
         n = self.n_leaves
@@ -300,10 +292,11 @@ def cut_clusters(dendrogram: Dendrogram, h_star: float) -> ClusterCut:
             i = parent[i]
         return i
 
-    leaves = dendrogram.subtree_leaves()
+    first = list(range(n))  # one leaf of each node, by node id
     for m in dendrogram.merges:
+        first.append(first[m.left])
         if m.height < h_star:
-            ra, rb = find(leaves[m.left][0]), find(leaves[m.right][0])
+            ra, rb = find(first[m.left]), find(first[m.right])
             if ra != rb:
                 parent[rb] = ra
     labels: dict[int, int] = {}

@@ -100,7 +100,6 @@ class WorksQuery:
     concept_ids: tuple[str, ...]
     year_from: int
     year_to: int
-    per_page: int = DEFAULT_PER_PAGE
     cursor: str = CURSOR_START
 
     def __post_init__(self) -> None:
@@ -110,8 +109,6 @@ class WorksQuery:
         object.__setattr__(self, "concept_ids", ids)
         if self.year_from > self.year_to:
             raise ValueError("empty year range")
-        if not 1 <= self.per_page <= 200:
-            raise ValueError("per_page must be in 1..200")
 
 
 def query_params(query: WorksQuery) -> dict[str, str]:
@@ -124,7 +121,7 @@ def query_params(query: WorksQuery) -> dict[str, str]:
     )
     return {
         "filter": filt,
-        "per-page": str(query.per_page),
+        "per-page": str(DEFAULT_PER_PAGE),
         "cursor": query.cursor,
     }
 

@@ -163,13 +163,11 @@ def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:
 @dataclass(frozen=True, eq=False)
 class IcdSeries:
     """Integration measure of one discipline/period: the rescaled merge
-    heights with their summary statistics, plus the density curve over
-    them (None when the period had too few merges to estimate one)."""
+    heights with their summary statistics."""
 
     discipline_id: str
     period: "Period"
     result: "IcdResult"
-    curve: "KdeCurve | None" = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +177,6 @@ class KdeCurve:
     x: np.ndarray
     density: np.ndarray
     bandwidth: float
-
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.x))
 
 
 def silverman_bandwidth(values: Sequence[float]) -> float:

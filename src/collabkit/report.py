@@ -149,14 +149,15 @@ def render_circular_dendrogram(
         a = angle_of[node]
         return center + rr * math.cos(a), center + rr * math.sin(a)
 
-    leaves_of = dendrogram.subtree_leaves()
     labels = [cut.assignment[e] for e in entities]
+    # the cluster label every leaf under a node shares, or 0 if they differ
+    common = list(labels)
+    for m in dendrogram.merges:
+        common.append(common[m.left] if common[m.left] == common[m.right] else 0)
 
     def node_color(node: int) -> str:
-        members = {labels[i] for i in leaves_of[node]}
-        if len(members) == 1:
-            return PALETTE[(next(iter(members)) - 1) % len(PALETTE)]
-        return TRUNK_COLOR
+        label = common[node]
+        return PALETTE[(label - 1) % len(PALETTE)] if label else TRUNK_COLOR
 
     svg = ET.Element(
         "svg",

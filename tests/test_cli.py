@@ -6,6 +6,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 import shutil
 import weakref
 from dataclasses import replace
@@ -201,6 +202,20 @@ class TestConfig:
         assert config_hash(config) == config_hash(
             config_from_dict({"disciplines": ["C100", "C2"]})
         )
+
+    def test_duplicate_disciplines_refused(self):
+        # the same root twice, once as its URL: run() would analyse it twice
+        # and the second pass would overwrite the first's outputs
+        twice = ("C100", "C2", "https://openalex.org/C100")
+        for build in (
+            lambda: config_from_dict({"disciplines": list(twice)}),
+            lambda: replace(config_from_dict({"disciplines": ["C1"]}), disciplines=twice),
+            lambda: AnalysisConfig(disciplines=twice),
+        ):
+            with pytest.raises(
+                ConfigError, match=re.escape("disciplines[2]: duplicate of disciplines[0]")
+            ):
+                build()
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -686,6 +701,17 @@ class TestMain:
         assert code == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "top_n" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_duplicate_discipline_writes_nothing(
+        self, tmp_path, fixture_cache_dir, capsys
+    ):
+        path = _write_config(
+            tmp_path, fixture_cache_dir, disciplines=["C100", "https://openalex.org/C100"]
+        )
+        assert main(["all", "--config", path, "--offline"]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "duplicate" in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_url_discipline_ids_write_bare_paths(

@@ -14,19 +14,40 @@ from collabkit.corpus import (
     CountTable,
     Period,
     build_count_table,
-    institutions_of,
     merge_tables,
-    nationality_of,
     overlapping_periods,
     top_entities,
     unknown_rate,
     work_from_metadata,
 )
 from collabkit.errors import EmptySlice
-from util import POOL6, records_from_sets, table_from_sets
+from util import POOL6, brute_work_sets, records_from_sets, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL6), max_size=4)
 corpora = st.lists(nationality_sets, min_size=0, max_size=50)
+
+# one institution entry: any mix of a country code (any case, or none) and
+# a ROR id (bare, URL form, or none), with absent and null keys both drawn
+_institutions = st.fixed_dictionaries(
+    {},
+    optional={
+        "country_code": st.none() | st.just("") | st.sampled_from(POOL6 + ("at", "fi")),
+        "ror": st.none() | st.just("") | st.sampled_from(
+            ("01aaa", "02bbb", "https://ror.org/01aaa", "https://ror.org/03ccc")
+        ),
+    },
+)
+raw_authorships = st.fixed_dictionaries(
+    {},
+    optional={
+        "authorships": st.none() | st.lists(
+            st.fixed_dictionaries(
+                {}, optional={"institutions": st.none() | st.lists(_institutions, max_size=3)}
+            ),
+            max_size=4,
+        )
+    },
+)
 
 
 def _raw_work(countries_per_author, work_id="https://openalex.org/W1", year=2000,
@@ -53,39 +74,66 @@ def _raw_work(countries_per_author, work_id="https://openalex.org/W1", year=2000
     }
 
 
+def _sets(raw):
+    """(nationalities, institutions) of one item, as work_from_metadata
+    builds them; the item gets an id and a year unless it has them."""
+    rec = work_from_metadata({"id": "W1", "publication_year": 2000, **raw}, "C1")
+    return rec.nationalities, rec.institutions
+
+
+def _authorships(*insts_per_author):
+    return {"authorships": [{"institutions": list(insts)} for insts in insts_per_author]}
+
+
 class TestNationality:
     def test_dual(self):
         raw = _raw_work([["US"], ["CN"]])
-        assert nationality_of(raw) == {"US", "CN"}
+        assert _sets(raw) == ({"US", "CN"}, {"us077", "cn077"})
 
     def test_same_country_counts_once(self):
         raw = _raw_work([["US"], ["US"]])
-        assert nationality_of(raw) == {"US"}
+        assert _sets(raw) == ({"US"}, {"us077"})
 
     def test_all_unknown(self):
         raw = _raw_work([[None], [None]])
-        assert nationality_of(raw) == frozenset()
+        assert _sets(raw) == (frozenset(), frozenset())
 
     def test_partial_unknown_contributes_nothing(self):
         raw = _raw_work([["US"], [None]])
-        assert nationality_of(raw) == {"US"}
+        assert _sets(raw) == ({"US"}, {"us077"})
 
     def test_missing_authorships(self):
-        assert nationality_of({"id": "W1"}) == frozenset()
+        assert _sets({}) == (frozenset(), frozenset())
 
     def test_lowercase_normalized(self):
-        raw = {"authorships": [{"institutions": [{"country_code": "us"}]}]}
-        assert nationality_of(raw) == {"US"}
+        raw = _authorships([{"country_code": "us"}])
+        assert _sets(raw) == ({"US"}, frozenset())
 
 
 class TestInstitutions:
     def test_ror_tail_normalization(self):
         raw = _raw_work([["US", "CN"]])
-        assert institutions_of(raw) == {"us077", "cn177"}
+        assert _sets(raw) == ({"US", "CN"}, {"us077", "cn177"})
 
     def test_missing_ror_skipped(self):
-        raw = {"authorships": [{"institutions": [{"country_code": "US"}]}]}
-        assert institutions_of(raw) == frozenset()
+        raw = _authorships([{"country_code": "US"}])
+        assert _sets(raw) == ({"US"}, frozenset())
+
+    def test_ror_without_country(self):
+        raw = _authorships([{"ror": "https://ror.org/05abc"}], [{"country_code": "FR"}])
+        assert _sets(raw) == ({"FR"}, {"05abc"})
+
+    def test_country_without_ror(self):
+        raw = _authorships([{"country_code": "DE", "ror": None}, {"ror": "06xyz"}])
+        assert _sets(raw) == ({"DE"}, {"06xyz"})
+
+    def test_lowercase_code_with_url_ror(self):
+        raw = _authorships([{"country_code": "gb", "ror": "https://ror.org/052gg0110"}])
+        assert _sets(raw) == ({"GB"}, {"052gg0110"})
+
+    @given(raw_authorships)
+    def test_matches_brute_force(self, raw):
+        assert _sets(raw) == brute_work_sets(raw)
 
 
 class TestWorkFromMetadata:

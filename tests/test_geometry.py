@@ -31,6 +31,8 @@ from collabkit.geometry import (
 )
 from util import (
     POOL6,
+    all_ties_chain,
+    brute_cut,
     brute_jaccard_distance,
     random_corpus,
     random_dendrogram,
@@ -365,12 +367,6 @@ class TestDendrogram:
             order = dend.leaf_order()
             assert sorted(order) == list(range(dend.n_leaves))
 
-    def test_subtree_leaves_root(self):
-        rng = random.Random(37)
-        dend = random_dendrogram(rng, 9)
-        leaves = dend.subtree_leaves()
-        assert sorted(leaves[-1]) == list(range(9))
-
 
 class TestCut:
     def _fixture(self):
@@ -410,6 +406,18 @@ class TestCut:
             expected = sum(1 for h in dend.heights if h >= h_star) + 1
             assert cut.n_clusters == expected
             assert len(set(cut.assignment.values())) == expected
+
+    def test_assignment_matches_leaf_sets(self):
+        rng = random.Random(37)
+        trees = [random_dendrogram(rng, rng.randint(2, 40)) for _ in range(100)]
+        for dend in trees + [all_ties_chain(300)]:
+            for h_star in (
+                rng.uniform(0, max(dend.heights) * 1.2),
+                rng.choice(dend.heights),
+                1.0,
+                1.005,
+            ):
+                assert cut_clusters(dend, h_star).assignment == brute_cut(dend, h_star)
 
     def test_labels_first_seen_order(self):
         cut = cut_clusters(self._fixture(), 1.0)
@@ -522,8 +530,7 @@ class TestTreeExports:
         # top entities that never co-produce: all distances 1, and Ward
         # grows one cluster a leaf at a time, a chain 1,099 levels deep
         n = 1100
-        dm = DistanceMatrix(tuple(f"E{i}" for i in range(n)), 1.0 - np.eye(n))
-        dend = ward_cluster(dm)
+        dend = all_ties_chain(n)
         assert all(n + k - 1 in (m.left, m.right) for k, m in enumerate(dend.merges) if k)
         text = to_newick(dend)
         assert text.count("(") == n - 1

@@ -154,8 +154,6 @@ class TestWorksQuery:
             WorksQuery((), 1990, 2000)
         with pytest.raises(ValueError):
             WorksQuery(("C1",), 2001, 2000)
-        with pytest.raises(ValueError):
-            WorksQuery(("C1",), 1990, 2000, per_page=0)
 
     def test_params(self):
         q = WorksQuery(("C2", "C1"), 1971, 2020)
@@ -412,7 +410,7 @@ class TestPagination:
 
     def test_follows_cursors(self, tmp_path):
         client = _client(self._paged_transport(), tmp_path)
-        pages = list(client.pages(WorksQuery(("C1",), 1990, 1991, per_page=2)))
+        pages = list(client.pages(WorksQuery(("C1",), 1990, 1991)))
         assert [len(p.works) for p in pages] == [2, 2, 1]
         cursors = [params["cursor"] for _, params in client.transport.requests]
         assert cursors == ["*", "c2", "c4"]
@@ -429,7 +427,7 @@ class TestPagination:
             return loads(data, *args, **kwargs)
 
         monkeypatch.setattr(ingest.json, "loads", counting_loads)
-        q = WorksQuery(("C1",), 1990, 1991, per_page=2)
+        q = WorksQuery(("C1",), 1990, 1991)
         online = list(_client(transport, tmp_path).pages(q))
         assert len(decoded) == 3
         replayed = list(_client(None, tmp_path).pages(q))

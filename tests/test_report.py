@@ -4,6 +4,7 @@ CSV export formats."""
 from __future__ import annotations
 
 import math
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -20,6 +21,7 @@ from collabkit.metrics import IcdSeries, SeriesPoint, YearSeries, kde
 from collabkit.report import (
     OTHER_LABEL,
     PALETTE,
+    TRUNK_COLOR,
     ChordData,
     chord_data,
     chord_to_csv,
@@ -29,7 +31,13 @@ from collabkit.report import (
     render_circular_dendrogram,
     series_to_csv,
 )
-from tests.util import records_from_sets, table_from_sets
+from tests.util import (
+    all_ties_chain,
+    brute_leaf_sets,
+    random_dendrogram,
+    records_from_sets,
+    table_from_sets,
+)
 
 PERIOD = Period("2000", 2000, 2000)
 
@@ -164,6 +172,35 @@ class TestDendrogramSvg:
             label = cut.assignment[c.get("data-entity")]
             assert c.get("data-cluster") == str(label)
             assert c.get("fill") == PALETTE[(label - 1) % len(PALETTE)]
+
+    def test_link_strokes_match_leaf_sets(self):
+        # each merge draws its arc, then the spokes to its left and right
+        # child; a node is coloured by its cluster when every leaf under it
+        # shares one, and is trunk otherwise
+        rng = random.Random(59)
+        trees = [random_dendrogram(rng, rng.randint(2, 40)) for _ in range(60)]
+        for dend in trees + [all_ties_chain(300)]:
+            n = dend.n_leaves
+            leaf_sets = brute_leaf_sets(dend)
+            volumes = {e: i + 1 for i, e in enumerate(dend.entities)}
+            for h_star in (rng.choice(dend.heights), 1.0, 1.005):
+                cut = cut_clusters(dend, h_star)
+                labels = [cut.assignment[e] for e in dend.entities]
+
+                def color(node):
+                    shared = {labels[i] for i in leaf_sets[node]}
+                    if len(shared) > 1:
+                        return TRUNK_COLOR
+                    return PALETTE[(shared.pop() - 1) % len(PALETTE)]
+
+                expected = [
+                    color(node)
+                    for k, m in enumerate(dend.merges)
+                    for node in (n + k, m.left, m.right)
+                ]
+                root = _svg_root(render_circular_dendrogram(dend, cut, volumes))
+                links = next(g for g in _tags(root, "g") if g.get("class") == "links")
+                assert [path.get("stroke") for path in links] == expected
 
     def test_volume_bars_present(self):
         dend, cut, volumes = _clustered([{"US", "CN"}] * 2 + [{"US"}] * 6)

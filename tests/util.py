@@ -9,7 +9,13 @@ import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table
 from collabkit.errors import MissingFixtures
-from collabkit.geometry import MERGE_TIE_EPS, Dendrogram, DistanceMatrix, Merge
+from collabkit.geometry import (
+    MERGE_TIE_EPS,
+    Dendrogram,
+    DistanceMatrix,
+    Merge,
+    ward_cluster,
+)
 from collabkit.ingest import normalize_concept_id, parse_concept_page
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
@@ -34,6 +40,19 @@ def records_from_sets(sets, discipline="D1", year=2000):
             )
         )
     return records
+
+
+def brute_work_sets(raw):
+    """(countries, bare ROR ids) of one raw work item, by brute force: every
+    institution of every contributor, then one comprehension per set."""
+    insts = [
+        inst
+        for authorship in raw.get("authorships") or []
+        for inst in authorship.get("institutions") or []
+    ]
+    countries = {str(i["country_code"]).upper() for i in insts if i.get("country_code")}
+    rors = {str(i["ror"]).split("/")[-1] for i in insts if i.get("ror")}
+    return frozenset(countries), frozenset(rors)
 
 
 def fetch_of(payloads):
@@ -194,6 +213,47 @@ def random_dendrogram(rng, n, plateau_prob=0.2, start=0.1):
         merges.append(Merge(min(a, b), max(a, b), h, sizes[node]))
         active.append(node)
     return Dendrogram(entities, tuple(merges))
+
+
+def brute_leaf_sets(dendrogram):
+    """The leaf indices under every node id, each set found by its own walk
+    down the tree from that node."""
+    n = dendrogram.n_leaves
+    sets = []
+    for node in range(2 * n - 1):
+        leaves, stack = set(), [node]
+        while stack:
+            x = stack.pop()
+            if x < n:
+                leaves.add(x)
+            else:
+                m = dendrogram.merges[x - n]
+                stack.extend((m.left, m.right))
+        sets.append(frozenset(leaves))
+    return sets
+
+
+def brute_cut(dendrogram, h_star):
+    """Cluster label of each entity, by brute force: two leaves share a
+    cluster when some merge below ``h_star`` covers both, and labels count
+    from 1 in order of each cluster's first leaf."""
+    n = dendrogram.n_leaves
+    sets = brute_leaf_sets(dendrogram)
+    below = [sets[n + k] for k, m in enumerate(dendrogram.merges) if m.height < h_star]
+    label = {}
+    for i in range(n):
+        if i not in label:
+            cluster = set().union({i}, *(s for s in below if i in s))
+            next_label = len(set(label.values())) + 1
+            label.update(dict.fromkeys(cluster, next_label))
+    return {e: label[i] for i, e in enumerate(dendrogram.entities)}
+
+
+def all_ties_chain(n):
+    """Ward's tree over ``n`` entities at distance 1 from each other: one
+    cluster grown a leaf at a time, a chain n - 1 levels deep."""
+    dm = DistanceMatrix(tuple(f"E{i}" for i in range(n)), 1.0 - np.eye(n))
+    return ward_cluster(dm)
 
 
 def random_corpus(rng, n_works=50, pool=POOL6, max_team=4, p_unknown=0.1):
