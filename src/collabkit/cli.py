@@ -26,6 +26,7 @@ from .corpus import (
     Period,
     VALID_KEYS,
     count_years,
+    gather,
     merge_tables,
     overlapping_periods,
     top_entities,
@@ -44,8 +45,8 @@ from .geometry import (
     cut_clusters,
     distance_matrix,
     distance_matrix_to_csv,
-    euclidean_embedding,
     icd,
+    is_embeddable,
     merges_to_json,
     to_newick,
     ward_cluster,
@@ -60,11 +61,10 @@ from .ingest import (
 )
 from .metrics import (
     IcdSeries,
-    apply_min_volume_mask,
     bilateral_distance_series,
-    collab_rate_series,
+    collab_rate_series_block,
     kde,
-    volume_series,
+    volume_series_block,
 )
 from .report import (
     chord_data,
@@ -339,7 +339,6 @@ def _analyze_cell(
             f"{discipline} {period.label}: fewer than 2 entities with works"
         )
     dm = distance_matrix(table, top)
-    emb = euclidean_embedding(dm)
     dend = ward_cluster(dm)
     cut = cut_clusters(dend, config.h_star)
     h0 = "auto" if config.h0_mode == "auto" else 1.0
@@ -357,16 +356,11 @@ def _analyze_cell(
         outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(cell)
         if curve is not None:
             outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
-        rate_series = [
-            apply_min_volume_mask(
-                collab_rate_series(period_years, discipline, entity),
-                config.min_volume,
-            )
-            for entity in top
-        ]
-        outputs[f"{prefix}/series.csv"] = series_to_csv(rate_series)
+        outputs[f"{prefix}/series.csv"] = series_to_csv(
+            collab_rate_series_block(period_years, discipline, top, config.min_volume)
+        )
         outputs[f"{prefix}/volumes.csv"] = series_to_csv(
-            [volume_series(period_years, discipline, e) for e in top]
+            volume_series_block(period_years, discipline, top)
         )
         pairs = config.bilateral_pairs or ((top[0], top[1]),)
         bilateral = [
@@ -377,7 +371,7 @@ def _analyze_cell(
         ]
         outputs[f"{prefix}/bilateral.csv"] = series_to_csv(bilateral)
     if stage in ("report", "all"):
-        volumes = {e: table.unary.get(e, 0) for e in top}
+        volumes = dict(zip(top, gather(table.unary_counts, table.indices(top)).tolist()))
         outputs[f"{prefix}/dendrogram.svg"] = render_circular_dendrogram(
             dend, cut, volumes
         )
@@ -385,7 +379,7 @@ def _analyze_cell(
     info = {
         "entities": len(top),
         "works": table.total_count,
-        "embeddable": emb.embeddable,
+        "embeddable": is_embeddable(dm),
         "n_clusters": cut.n_clusters,
         "icd_mean": result.mean,
     }
@@ -488,6 +482,11 @@ def run(
             "numpy": np.__version__,
         },
         "inputs": dict(sorted(client.consumed.items())),
+        "ingest": {
+            "pages_from_cache": client.pages_from_cache,
+            "pages_fetched": client.pages_fetched,
+            "network_calls": client.network_calls,
+        },
         "outputs": {},
         "cells": dict(sorted(cells_info.items())),
     }

@@ -7,10 +7,13 @@ counted as unknown. Tables can equally be keyed by institution.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptySlice
 
@@ -101,36 +104,130 @@ def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
     )
 
 
-@dataclass(frozen=True)
+# A pair of entity indices lo < hi is stored as the code (lo << 32) | hi.
+PAIR_SHIFT = 32
+PAIR_MASK = (1 << PAIR_SHIFT) - 1
+
+
+@dataclass(frozen=True, eq=False)
 class CountTable:
     """Production and co-production counts for one discipline/period slice.
 
-    ``unary`` maps each entity to the number of works it appears in,
-    ``pairwise`` maps each unordered pair (keys sorted ascending) to the
-    number of works both appear in, and ``multi`` maps each entity to the
-    number of its works involving at least one other entity. A work with
-    an empty key set contributes only to ``unknown_count``. Completed
-    tables are immutable and safe to share.
+    Counts are integer arrays over ``names``, the entity names in ascending
+    order: ``unary_counts[i]`` is the number of works entity i appears in
+    and ``multi_counts[i]`` the number of its works involving at least one
+    other entity. Each unordered pair i < j that shares a work has its
+    code ``(i << 32) | j`` in the ascending array ``pair_codes`` and the
+    number of works both appear in at the same position of
+    ``pair_counts``. A work with an empty key set contributes only to
+    ``unknown_count``. The one-year tables of one ``count_years`` call
+    share one ``names`` tuple, and entities may count zero in some years.
+
+    ``unary``, ``pairwise`` (keys sorted ascending) and ``multi`` are the
+    same counts keyed by name, holding only the non-zero ones; they are
+    built on first read. Two tables are equal when they describe the same
+    slice with the same non-zero counts. Completed tables are immutable
+    and safe to share.
     """
 
     discipline_id: str
     period: Period
     key: str
-    unary: dict[str, int] = field(default_factory=dict)
-    pairwise: dict[tuple[str, str], int] = field(default_factory=dict)
-    multi: dict[str, int] = field(default_factory=dict)
+    names: tuple[str, ...]
+    unary_counts: np.ndarray
+    multi_counts: np.ndarray
+    pair_codes: np.ndarray
+    pair_counts: np.ndarray
     unknown_count: int = 0
     total_count: int = 0
 
     def __post_init__(self) -> None:
         if self.key not in VALID_KEYS:
             raise ValueError(f"unknown aggregation key {self.key!r}")
+        k = len(self.names)
+        if self.unary_counts.shape != (k,) or self.multi_counts.shape != (k,):
+            raise ValueError(f"unary and multi counts need one entry per name ({k})")
+        if self.pair_codes.shape != self.pair_counts.shape:
+            raise ValueError("pair codes and pair counts differ in length")
+
+    def indices(self, entities: Sequence[str]) -> np.ndarray:
+        """Index of each entity in ``names``, or -1 where it has none."""
+        names = self.names
+        out = np.full(len(entities), -1, dtype=np.int64)
+        for k, entity in enumerate(entities):
+            i = bisect_left(names, entity)
+            if i < len(names) and names[i] == entity:
+                out[k] = i
+        return out
+
+    @cached_property
+    def _views(self) -> tuple[dict[str, int], dict[tuple[str, str], int], dict[str, int]]:
+        """The non-zero unary, pairwise and multi counts keyed by name."""
+        names = self.names
+        unary = {names[i]: n for i, n in enumerate(self.unary_counts.tolist()) if n}
+        multi = {names[i]: n for i, n in enumerate(self.multi_counts.tolist()) if n}
+        lo, hi = self.pair_indices()
+        pairwise = {
+            (names[i], names[j]): count
+            for i, j, count in zip(lo.tolist(), hi.tolist(), self.pair_counts.tolist())
+        }
+        return unary, pairwise, multi
+
+    @property
+    def unary(self) -> dict[str, int]:
+        return self._views[0]
+
+    @property
+    def pairwise(self) -> dict[tuple[str, str], int]:
+        return self._views[1]
+
+    @property
+    def multi(self) -> dict[str, int]:
+        return self._views[2]
+
+    def pair_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (lo, hi) entity indices of each entry of ``pair_codes``."""
+        return self.pair_codes >> PAIR_SHIFT, self.pair_codes & PAIR_MASK
 
     def pair_count(self, a: str, b: str) -> int:
-        if a == b:
-            return self.unary.get(a, 0)
-        lo, hi = sorted((a, b))
-        return self.pairwise.get((lo, hi), 0)
+        """Works both entities appear in; for a == b, the entity's works."""
+        i, j = self.indices(sorted((a, b))).tolist()
+        if i < 0 or j < 0:
+            return 0
+        if i == j:
+            return int(self.unary_counts[i])
+        code = (i << PAIR_SHIFT) | j
+        pos = int(np.searchsorted(self.pair_codes, code))
+        if pos < len(self.pair_codes) and self.pair_codes[pos] == code:
+            return int(self.pair_counts[pos])
+        return 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        return (
+            self.discipline_id, self.period, self.key, self.unknown_count,
+            self.total_count, self._views,
+        ) == (
+            other.discipline_id, other.period, other.key, other.unknown_count,
+            other.total_count, other._views,
+        )
+
+
+def gather(values: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``values`` at ``indices``, 0 where an index is -1."""
+    out = np.zeros(len(indices), dtype=values.dtype)
+    found = indices >= 0
+    out[found] = values[indices[found]]
+    return out
+
+
+class _Interner(dict):
+    """Entity name -> id, numbering names in order of first sight."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = n = len(self)
+        return n
 
 
 def count_years(
@@ -145,45 +242,66 @@ def count_years(
     skipped, and no record is kept once it is counted. Every work raises
     an entity's unary count at most once; pairwise counts cover each
     unordered entity pair present on the work.
+
+    Entity names are interned as the records stream past; each year keeps
+    flat int64 arrays of the entity ids and pair codes it saw. Once the
+    stream ends the ids are renumbered in name order and each year's
+    arrays are reduced to counts, so every table shares one ``names``.
     """
+    from array import array  # a C extension; importing it here keeps it off start-up
+
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
-    unary: dict[int, Counter[str]] = {year: Counter() for year in years}
-    pairwise: dict[int, Counter[tuple[str, str]]] = {year: Counter() for year in years}
-    multi: dict[int, Counter[str]] = {year: Counter() for year in years}
+    ids = _Interner()
+    entity_ids = {year: array("q") for year in years}  # one entry per work and entity
+    multi_ids = {year: array("q") for year in years}
+    pair_codes = {year: array("q") for year in years}
     unknown = dict.fromkeys(years, 0)
     total = dict.fromkeys(years, 0)
+    by_country = key == COUNTRY_KEY
     for rec in records:
         year = rec.year
         if rec.discipline_id != discipline_id or year not in total:
             continue
         total[year] += 1
-        entities = sorted(
-            rec.nationalities if key == COUNTRY_KEY else rec.institutions
-        )
-        if not entities:
+        work = sorted(map(ids.__getitem__, rec.nationalities if by_country else rec.institutions))
+        if not work:
             unknown[year] += 1
             continue
-        for e in entities:
-            unary[year][e] += 1
-        if len(entities) >= 2:
-            for e in entities:
-                multi[year][e] += 1
-            for pair in combinations(entities, 2):
-                pairwise[year][pair] += 1
-    return {
-        year: CountTable(
+        entity_ids[year].extend(work)
+        if len(work) >= 2:
+            multi_ids[year].extend(work)
+            pair_codes[year].extend([(a << PAIR_SHIFT) | b for a, b in combinations(work, 2)])
+
+    names = tuple(sorted(ids))
+    k = len(names)
+    by_rank = np.fromiter((ids[name] for name in names), dtype=np.int64, count=k)
+    rank = np.empty(k, dtype=np.int64)
+    rank[by_rank] = np.arange(k)
+    tables = {}
+    for year in years:
+        codes = np.frombuffer(pair_codes[year], dtype=np.int64)
+        a, b = rank[codes >> PAIR_SHIFT], rank[codes & PAIR_MASK]
+        codes, counts = np.unique(
+            (np.minimum(a, b) << PAIR_SHIFT) | np.maximum(a, b), return_counts=True
+        )
+        tables[year] = CountTable(
             discipline_id=discipline_id,
             period=Period(str(year), year, year),
             key=key,
-            unary=dict(unary[year]),
-            pairwise=dict(pairwise[year]),
-            multi=dict(multi[year]),
+            names=names,
+            unary_counts=np.bincount(
+                np.frombuffer(entity_ids[year], dtype=np.int64), minlength=k
+            )[by_rank],
+            multi_counts=np.bincount(
+                np.frombuffer(multi_ids[year], dtype=np.int64), minlength=k
+            )[by_rank],
+            pair_codes=codes,
+            pair_counts=counts,
             unknown_count=unknown[year],
             total_count=total[year],
         )
-        for year in years
-    }
+    return tables
 
 
 def build_count_table(
@@ -204,16 +322,13 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
     The tables must count disjoint sets of works: a work counted in two of
     them is counted twice in the sum. They must share the discipline and
     the key, and each table's period must lie inside ``period``. The yearly
-    tables of a period's years sum to that period's table.
+    tables of a period's years sum to that period's table. Tables that
+    share their ``names`` are summed array by array; otherwise each is
+    first mapped onto the union of the names.
     """
     if not tables:
         raise ValueError("merge_tables needs at least one table")
     discipline_id, key = tables[0].discipline_id, tables[0].key
-    unary: Counter[str] = Counter()
-    pairwise: Counter[tuple[str, str]] = Counter()
-    multi: Counter[str] = Counter()
-    unknown = 0
-    total = 0
     for table in tables:
         if (table.discipline_id, table.key) != (discipline_id, key):
             raise ValueError("tables describe different disciplines or keys")
@@ -224,27 +339,55 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
             raise ValueError(
                 f"table period {table.period.label!r} lies outside {period.label!r}"
             )
-        unary.update(table.unary)
-        pairwise.update(table.pairwise)
-        multi.update(table.multi)
-        unknown += table.unknown_count
-        total += table.total_count
+    names = tables[0].names
+    if all(table.names == names for table in tables):
+        unary = np.sum([t.unary_counts for t in tables], axis=0, dtype=np.int64)
+        multi = np.sum([t.multi_counts for t in tables], axis=0, dtype=np.int64)
+        codes = np.concatenate([t.pair_codes for t in tables])
+    else:
+        names = tuple(sorted(set().union(*(t.names for t in tables))))
+        position = {name: i for i, name in enumerate(names)}
+        unary = np.zeros(len(names), dtype=np.int64)
+        multi = np.zeros(len(names), dtype=np.int64)
+        remapped = []
+        for t in tables:
+            # both name lists ascend, so the map keeps every pair's lo < hi
+            to_union = np.fromiter(map(position.__getitem__, t.names), np.int64, len(t.names))
+            unary[to_union] += t.unary_counts
+            multi[to_union] += t.multi_counts
+            lo, hi = t.pair_indices()
+            remapped.append((to_union[lo] << PAIR_SHIFT) | to_union[hi])
+        codes = np.concatenate(remapped)
+    counts = np.concatenate([t.pair_counts for t in tables])
+    order = np.argsort(codes, kind="stable")
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))  # start of each code's run
     return CountTable(
         discipline_id=discipline_id,
         period=period,
         key=key,
-        unary=dict(unary),
-        pairwise=dict(pairwise),
-        multi=dict(multi),
-        unknown_count=unknown,
-        total_count=total,
+        names=names,
+        unary_counts=unary,
+        multi_counts=multi,
+        pair_codes=codes[first],
+        pair_counts=np.add.reduceat(counts, first) if first.size else counts,
+        unknown_count=sum(t.unknown_count for t in tables),
+        total_count=sum(t.total_count for t in tables),
     )
+
+
+def top_indices(table: CountTable, n: int) -> np.ndarray:
+    """Indices in ``table.names`` of the n entities with the highest unary
+    counts, ties broken by name; entities with no works are never chosen."""
+    present = np.flatnonzero(table.unary_counts)
+    # index order is name order, so a stable sort on -count breaks ties by name
+    ranked = present[np.argsort(-table.unary_counts[present], kind="stable")]
+    return ranked[:n]
 
 
 def top_entities(table: CountTable, n: int) -> list[str]:
     """The n entities with the highest unary counts, ties broken by name."""
-    ranked = sorted(table.unary.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [name for name, _ in ranked[:n]]
+    return [table.names[i] for i in top_indices(table, n)]
 
 
 def unknown_rate(table: CountTable) -> float:

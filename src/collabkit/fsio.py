@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
+
+# os.open applies the process umask to this mode, as creating a file with
+# open() does; tempfile.mkstemp would force 0600 whatever the umask.
+_FILE_MODE = 0o666
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def write_bytes_atomic(path: Path, payload: bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file."""
+    half-written file. The file gets mode 0o666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, _CREATE, _FILE_MODE)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)

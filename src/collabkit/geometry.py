@@ -9,14 +9,12 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .corpus import CountTable, gather
 from .errors import EmptyUnion, InvalidH0, MissingEntity
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .corpus import CountTable
 
 # Candidate merges whose squared criterion m' satisfies
 # m' <= m + MERGE_TIE_EPS * min(m, 1) for the minimum m are treated as tied
@@ -87,23 +85,35 @@ class DistanceMatrix:
         return float(self.values[self.index_of(a), self.index_of(b)])
 
 
-def distance_matrix(table: "CountTable", entities: Sequence[str]) -> DistanceMatrix:
+def distance_matrix(table: CountTable, entities: Sequence[str]) -> DistanceMatrix:
     """Jaccard distance matrix (1 - affinity) over the given entities.
 
     Counts come from a completed CountTable; entity order is preserved so
-    downstream leaf indices stay aligned with the caller's selection.
+    downstream leaf indices stay aligned with the caller's selection. The
+    co-count block C is filled in one pass over the table's pair codes,
+    and 1 - C / (n_i + n_j - C) is then computed in floating point: IEEE
+    division of exact integers gives the same doubles as ``affinity``,
+    whose guards apply entry by entry.
     """
     ents = tuple(entities)
     n = len(ents)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = affinity(
-                table.unary.get(ents[i], 0),
-                table.unary.get(ents[j], 0),
-                table.pair_count(ents[i], ents[j]),
-            )
-            values[i, j] = values[j, i] = 1.0 - a
+    idx = table.indices(ents)
+    unary = gather(table.unary_counts, idx)
+    # position of each table entity among ``ents``, -1 for the rest
+    slot = np.full(len(table.names), -1, dtype=np.int64)
+    slot[idx[idx >= 0]] = np.flatnonzero(idx >= 0)
+    lo, hi = (slot[ends] for ends in table.pair_indices())
+    shown = (lo >= 0) & (hi >= 0)
+    joint = np.zeros((n, n), dtype=np.int64)
+    joint[lo[shown], hi[shown]] = joint[hi[shown], lo[shown]] = table.pair_counts[shown]
+    if np.any(joint > np.minimum(unary[:, None], unary[None, :])):
+        raise ValueError("joint count exceeds a marginal count")
+    union = unary[:, None] + unary[None, :] - joint
+    np.fill_diagonal(union, 1)  # the diagonal is no pair; its distance is 0
+    if np.any(union <= 0):
+        raise EmptyUnion("affinity undefined: no works in the union")
+    values = 1.0 - joint / union
+    np.fill_diagonal(values, 0.0)
     return DistanceMatrix(ents, values)
 
 
@@ -128,6 +138,25 @@ class Embedding:
         return np.sqrt((diff**2).sum(axis=2))
 
 
+def _anchored_gram(dm: DistanceMatrix) -> np.ndarray:
+    sq = dm.values**2
+    return (sq[0, :][None, :] + sq[:, 0][:, None] - sq) / 2.0
+
+
+def _embeddable(evals: np.ndarray) -> bool:
+    """False when an eigenvalue of the anchored Gram matrix lies below
+    -EMBED_CLAMP_REL times the largest (taken as 0 if negative)."""
+    if evals.size == 0:
+        return True
+    lam_max = max(float(evals.max()), 0.0)
+    return bool(evals.min() >= -EMBED_CLAMP_REL * lam_max)
+
+
+def is_embeddable(dm: DistanceMatrix) -> bool:
+    """``euclidean_embedding(dm).embeddable`` from the eigenvalues alone."""
+    return _embeddable(np.linalg.eigvalsh(_anchored_gram(dm)))
+
+
 def euclidean_embedding(dm: DistanceMatrix) -> Embedding:
     """Embed a distance matrix in Euclidean space via its anchored Gram form.
 
@@ -136,16 +165,12 @@ def euclidean_embedding(dm: DistanceMatrix) -> Embedding:
     coordinates P sqrt(L). Negative eigenvalues (curvature the plane cannot
     hold) are clamped to zero.
     """
-    sq = dm.values**2
-    gram = (sq[0, :][None, :] + sq[:, 0][:, None] - sq) / 2.0
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = np.linalg.eigh(_anchored_gram(dm))
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    lam_max = max(float(evals[0]), 0.0) if evals.size else 0.0
-    embeddable = bool(evals.size == 0 or evals[-1] >= -EMBED_CLAMP_REL * lam_max)
     coords = evecs * np.sqrt(np.clip(evals, 0.0, None))[None, :]
-    return Embedding(dm.entities, coords, evals, embeddable)
+    return Embedding(dm.entities, coords, evals, _embeddable(evals))
 
 
 @dataclass(frozen=True)
@@ -235,17 +260,24 @@ def ward_cluster(dm: DistanceMatrix) -> Dendrogram:
     comes earlier, so it is found as the first row whose minimum is tied,
     then the first tied column in that row. The node in the lower slot is
     the left child.
+
+    Each row's minimum is cached across steps, as in the generic algorithm
+    of Muellner (2011, arXiv:1109.2378, section 3). A merge changes a live
+    row c only at the kept slot a (its new criterion) and the retired slot
+    b, so c's minimum is rescanned only when its old entry at a or b was
+    its minimum; otherwise the new entry at a is folded in. The cache thus
+    always equals a full rescan's row minima, and so do the merges.
     """
     n = dm.size
     if n < 2:
         raise ValueError("clustering needs at least 2 entities")
     d2 = dm.values**2
     np.fill_diagonal(d2, np.inf)
+    row_min = d2.min(axis=1)
     sizes = np.ones(n, dtype=int)
     node = list(range(n))  # node id of the cluster in each slot
     merges: list[Merge] = []
     for step in range(n - 1):
-        row_min = d2.min(axis=1)
         m = row_min.min()
         limit = m + MERGE_TIE_EPS * min(m, 1.0)
         a = int(np.argmax(row_min <= limit))
@@ -255,10 +287,18 @@ def ward_cluster(dm: DistanceMatrix) -> Dendrogram:
         c = np.flatnonzero(np.isfinite(d2[a]))
         c = c[c != b]
         sc = sizes[c]
-        d2[a, c] = d2[c, a] = (
-            (sizes[a] + sc) * d2[a, c] + (sizes[b] + sc) * d2[b, c] - sc * d_ab
-        ) / (nab + sc)
+        old_min = row_min[c]
+        stale = (d2[c, a] <= old_min) | (d2[c, b] <= old_min)
+        new = ((sizes[a] + sc) * d2[a, c] + (sizes[b] + sc) * d2[b, c] - sc * d_ab) / (
+            nab + sc
+        )
+        d2[a, c] = d2[c, a] = new
         d2[b, :] = d2[:, b] = np.inf
+        row_min[c] = np.minimum(old_min, new)
+        rescan = c[stale]
+        row_min[rescan] = d2[rescan].min(axis=1)
+        row_min[a] = d2[a].min()
+        row_min[b] = np.inf
         height = math.sqrt(max(d_ab, 0.0))
         merges.append(Merge(left=node[a], right=node[b], height=height, size=int(nab)))
         sizes[a] = nab
@@ -384,13 +424,18 @@ def merges_to_json(dendrogram: Dendrogram) -> str:
 
 
 def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
-    """Lower-triangle CSV of a distance matrix, one row per pair."""
+    """Lower-triangle CSV of a distance matrix, one row per pair.
+
+    Each distinct distance is formatted once; most pairs of a large
+    selection never co-publish and share the distance 1.
+    """
+    text = {value: _FMT % value for value in np.unique(dm.values).tolist()}
+    ents = dm.entities
     lines = ["entity_a,entity_b,distance"]
     for i in range(1, dm.size):
-        for j in range(i):
-            lines.append(
-                f"{dm.entities[i]},{dm.entities[j]},{_FMT % dm.values[i, j]}"
-            )
+        head = ents[i] + ","
+        row = dm.values[i, :i].tolist()  # one row of floats at a time, not n^2
+        lines.extend([f"{head}{b},{text[value]}" for b, value in zip(ents, row)])
     return "\n".join(lines) + "\n"
 
 

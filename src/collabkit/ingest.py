@@ -322,7 +322,9 @@ class OpenAlexClient:
         self.bucket = TokenBucket(rate_limit, sleep=sleep)
         self.mailto = mailto if mailto is not None else os.environ.get(MAILTO_ENV)
         self._sleep = sleep
-        self.network_calls = 0
+        self.pages_from_cache = 0  # pages read from the cache
+        self.pages_fetched = 0  # pages downloaded, then cached
+        self.network_calls = 0  # transport requests, retries included
         self.consumed: dict[str, str] = {}
 
     def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
@@ -339,6 +341,7 @@ class OpenAlexClient:
             if meta is None or meta.get("sha256") != digest:
                 raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
             self.consumed[fp] = digest
+            self.pages_from_cache += 1
             return decode(cached)
         if self.transport is None:
             raise MissingFixtures(
@@ -362,6 +365,7 @@ class OpenAlexClient:
             if resp.status == 200:
                 page = decode(resp.body)
                 self.consumed[fp] = self.cache.put(fp, resp.body, endpoint, params)
+                self.pages_fetched += 1
                 return page
             if resp.status == 429:
                 failure = RateLimited(f"{endpoint}: rate limited (HTTP 429)")

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Period
+from .corpus import CountTable, Period, gather
 from .errors import EmptyEntityYear, TooFewValues
 from .geometry import IcdResult, affinity, rescaled_distance
 
@@ -59,6 +59,60 @@ class YearSeries:
             raise ValueError("points must be in strictly increasing year order")
 
 
+def _year_counts(
+    tables_by_year: Mapping[int, CountTable], entities: Sequence[str]
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The years in ascending order, with the (years x entities) blocks of
+    unary and multi counts; an entity a year's table lacks counts 0 there.
+    Entity indices are looked up once per distinct ``names`` tuple, and
+    the one-year tables of one ``count_years`` call share theirs."""
+    years = sorted(tables_by_year)
+    unary = np.zeros((len(years), len(entities)), dtype=np.int64)
+    multi = np.zeros_like(unary)
+    names, idx = None, None
+    for row, year in enumerate(years):
+        table = tables_by_year[year]
+        if table.names is not names:
+            names, idx = table.names, table.indices(entities)
+        unary[row] = gather(table.unary_counts, idx)
+        multi[row] = gather(table.multi_counts, idx)
+    return years, unary, multi
+
+
+def _rates(multi: np.ndarray, unary: np.ndarray) -> np.ndarray:
+    """multi / unary in float64, which for counts below 2**53 is the
+    correctly rounded quotient that Python's int division gives."""
+    return multi / unary
+
+
+def _below_min_volume(volumes: np.ndarray, masked: np.ndarray, threshold: int) -> np.ndarray:
+    """Points the min-volume rule masks: not masked yet, volume below threshold."""
+    return ~masked & (volumes < threshold)
+
+
+def _series(
+    discipline_id: str,
+    entities: Sequence[str],
+    years: list[int],
+    values: np.ndarray,
+    volumes: np.ndarray,
+    reasons: np.ndarray,
+) -> list[YearSeries]:
+    """One YearSeries per column of the (years x entities) blocks; a point
+    is masked where its reason is not None."""
+    masked = np.not_equal(reasons, None)
+    return [
+        YearSeries(discipline_id, entity, tuple(map(SeriesPoint, years, *columns)))
+        for entity, *columns in zip(
+            entities,
+            values.T.tolist(),
+            volumes.T.tolist(),
+            masked.T.tolist(),
+            reasons.T.tolist(),
+        )
+    ]
+
+
 def intl_collab_rate(table: CountTable, entity: str) -> float:
     """Share of an entity's works involving at least one other entity.
 
@@ -66,10 +120,31 @@ def intl_collab_rate(table: CountTable, entity: str) -> float:
     nationality dilute nothing. Raises EmptyEntityYear when the entity
     has no works in the slice.
     """
-    n = table.unary.get(entity, 0)
-    if n == 0:
+    idx = table.indices([entity])
+    unary = gather(table.unary_counts, idx)
+    if unary[0] == 0:
         raise EmptyEntityYear(f"{entity}: no works in {table.period.label}")
-    return table.multi.get(entity, 0) / n
+    return float(_rates(gather(table.multi_counts, idx), unary)[0])
+
+
+def collab_rate_series_block(
+    tables_by_year: Mapping[int, CountTable],
+    discipline_id: str,
+    entities: Sequence[str],
+    min_volume: int = 0,
+) -> list[YearSeries]:
+    """Yearly international collaboration rate of each entity, as from
+    ``collab_rate_series`` then ``apply_min_volume_mask(..., min_volume)``.
+
+    A year without the entity's works is masked as missing, with no value
+    and volume 0; the rate's volume is the entity's unary count.
+    """
+    years, unary, multi = _year_counts(tables_by_year, entities)
+    present = unary > 0
+    values = np.where(present, _rates(multi, np.maximum(unary, 1)), None)
+    reasons = np.where(present, None, REASON_MISSING)
+    reasons[_below_min_volume(unary, ~present, min_volume)] = REASON_BELOW_MIN_VOLUME
+    return _series(discipline_id, entities, years, values, unary, reasons)
 
 
 def collab_rate_series(
@@ -78,19 +153,19 @@ def collab_rate_series(
     entity: str,
 ) -> YearSeries:
     """Yearly international collaboration rate for one entity."""
-    points = []
-    for year in sorted(tables_by_year):
-        table = tables_by_year[year]
-        n = table.unary.get(entity, 0)
-        if n == 0:
-            points.append(
-                SeriesPoint(year, None, 0, masked=True, reason=REASON_MISSING)
-            )
-        else:
-            points.append(
-                SeriesPoint(year, intl_collab_rate(table, entity), n)
-            )
-    return YearSeries(discipline_id, entity, tuple(points))
+    return collab_rate_series_block(tables_by_year, discipline_id, [entity])[0]
+
+
+def volume_series_block(
+    tables_by_year: Mapping[int, CountTable],
+    discipline_id: str,
+    entities: Sequence[str],
+) -> list[YearSeries]:
+    """Yearly production volume (unary count) of each entity."""
+    years, unary, _ = _year_counts(tables_by_year, entities)
+    values = unary.astype(float)
+    reasons = np.full(unary.shape, None, dtype=object)
+    return _series(discipline_id, entities, years, values, unary, reasons)
 
 
 def volume_series(
@@ -99,11 +174,7 @@ def volume_series(
     entity: str,
 ) -> YearSeries:
     """Yearly production volume (unary count) for one entity."""
-    points = []
-    for year in sorted(tables_by_year):
-        n = tables_by_year[year].unary.get(entity, 0)
-        points.append(SeriesPoint(year, float(n), n))
-    return YearSeries(discipline_id, entity, tuple(points))
+    return volume_series_block(tables_by_year, discipline_id, [entity])[0]
 
 
 def bilateral_distance_series(
@@ -121,17 +192,15 @@ def bilateral_distance_series(
     entity is absent are masked as missing. The series is symmetric in its
     two entities.
     """
+    years, unary, _ = _year_counts(tables_by_year, (entity_a, entity_b))
     points = []
-    for year in sorted(tables_by_year):
-        table = tables_by_year[year]
-        n_a = table.unary.get(entity_a, 0)
-        n_b = table.unary.get(entity_b, 0)
+    for year, (n_a, n_b) in zip(years, unary.tolist()):
         if n_a == 0 or n_b == 0:
             points.append(
                 SeriesPoint(year, None, 0, masked=True, reason=REASON_MISSING)
             )
             continue
-        joint = table.pair_count(entity_a, entity_b)
+        joint = tables_by_year[year].pair_count(entity_a, entity_b)
         aff = affinity(n_a, n_b, joint)
         if aff == 0.0:
             points.append(
@@ -151,13 +220,16 @@ def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:
     Values are kept; only the mask flag and reason change. A threshold of
     zero masks nothing new.
     """
-    points = []
-    for p in series.points:
-        if not p.masked and p.volume < threshold:
-            points.append(replace(p, masked=True, reason=REASON_BELOW_MIN_VOLUME))
-        else:
-            points.append(p)
-    return replace(series, points=tuple(points))
+    below = _below_min_volume(
+        np.array([p.volume for p in series.points], dtype=np.int64),
+        np.array([p.masked for p in series.points], dtype=bool),
+        threshold,
+    )
+    points = tuple(
+        replace(p, masked=True, reason=REASON_BELOW_MIN_VOLUME) if hit else p
+        for p, hit in zip(series.points, below.tolist())
+    )
+    return replace(series, points=points)
 
 
 @dataclass(frozen=True, eq=False)

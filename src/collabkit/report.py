@@ -12,7 +12,9 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus import CountTable, Period, top_entities
+import numpy as np
+
+from .corpus import CountTable, Period, top_indices
 from .geometry import ClusterCut, Dendrogram
 from .metrics import IcdSeries, KdeCurve, YearSeries
 
@@ -59,29 +61,38 @@ class ChordData:
 
 
 def chord_data(table: CountTable, n: int) -> ChordData:
-    """Restrict a count table to its top-N entities for chord plotting."""
+    """Restrict a count table to its top-N entities for chord plotting.
+
+    One pass over the table's pair codes splits each pair into a flow
+    (both ends displayed), an ``other`` count of its displayed end, or
+    nothing.
+    """
     if n < 2:
         raise ValueError("chord data needs at least 2 displayed entities")
-    displayed = top_entities(table, n)
-    shown = set(displayed)
-    flows: dict[tuple[str, str], int] = {}
-    other: dict[str, int] = {e: 0 for e in displayed}
-    for (a, b), count in table.pairwise.items():
-        if a in shown and b in shown:
-            flows[(a, b)] = count
-        elif a in shown:
-            other[a] += count
-        elif b in shown:
-            other[b] += count
-    solo = {
-        e: table.unary.get(e, 0) - table.multi.get(e, 0) for e in displayed
+    top = top_indices(table, n)
+    names = table.names
+    shown = np.zeros(len(names), dtype=bool)
+    shown[top] = True
+    lo, hi = table.pair_indices()
+    lo_shown, hi_shown = shown[lo], shown[hi]
+    both = lo_shown & hi_shown
+    flows = {
+        (names[a], names[b]): count
+        for a, b, count in zip(
+            lo[both].tolist(), hi[both].tolist(), table.pair_counts[both].tolist()
+        )
     }
+    other = np.zeros(len(names), dtype=np.int64)
+    for end, alone in ((lo, lo_shown & ~hi_shown), (hi, hi_shown & ~lo_shown)):
+        np.add.at(other, end[alone], table.pair_counts[alone])
+    solo = table.unary_counts - table.multi_counts
+    displayed = tuple(names[i] for i in top)
     return ChordData(
         period=table.period,
-        entities=tuple(displayed),
+        entities=displayed,
         flows=flows,
-        solo=solo,
-        other=other,
+        solo=dict(zip(displayed, solo[top].tolist())),
+        other=dict(zip(displayed, other[top].tolist())),
     )
 
 

@@ -36,6 +36,7 @@ from collabkit.cli import (
 )
 from collabkit.corpus import (
     VALID_KEYS,
+    CountTable,
     Period,
     WorkRecord,
     build_count_table,
@@ -365,6 +366,7 @@ class TestRun:
             "config_sha256",
             "versions",
             "inputs",
+            "ingest",
             "outputs",
             "cells",
         }
@@ -381,6 +383,15 @@ class TestRun:
         for fp, digest in manifest["inputs"].items():
             assert len(fp) == 64 and len(digest) == 64
             int(fp, 16) and int(digest, 16)
+
+    def test_manifest_ingest_replay_is_all_cache(self, fixtures_run):
+        # an offline replay reads every page from the cache, each once
+        _, manifest, _ = fixtures_run
+        assert manifest["ingest"] == {
+            "pages_from_cache": len(manifest["inputs"]),
+            "pages_fetched": 0,
+            "network_calls": 0,
+        }
 
     def test_manifest_output_hashes_match_files(self, fixtures_run):
         _, manifest, out = fixtures_run
@@ -577,6 +588,24 @@ def test_each_record_counted_once(fixture_config, tmp_path, monkeypatch):
     year_hi = max(p.year_to for p in config.periods)
     in_range = [rec for rec in harvested if year_lo <= rec.year <= year_hi]
     assert in_range and sum(totals) == len(in_range)
+
+
+def test_run_never_builds_name_keyed_views(fixture_config, tmp_path, monkeypatch):
+    # the pipeline reads the count arrays only; the unary/pairwise/multi
+    # dicts are for library callers, and building them per table is the
+    # cost the array form removed
+    built = []
+
+    def views(table):
+        built.append(table.period.label)
+        return {}, {}, {}
+
+    monkeypatch.setattr(CountTable, "_views", property(views))
+    code, manifest = run(
+        replace(fixture_config, out_dir=str(tmp_path)), mode="fixtures", stage="all"
+    )
+    assert code == EXIT_OK and len(manifest["outputs"]) == 84
+    assert built == []
 
 
 def test_no_record_outlives_its_count(fixture_config, tmp_path, monkeypatch):

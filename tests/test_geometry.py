@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collabkit.corpus import PAIR_SHIFT, CountTable, Period, count_years
 from collabkit.errors import EmptyUnion, InvalidH0, MissingEntity
 from collabkit.geometry import (
     Dendrogram,
@@ -24,6 +25,7 @@ from collabkit.geometry import (
     distance_matrix_to_csv,
     euclidean_embedding,
     icd,
+    is_embeddable,
     merges_to_json,
     rescaled_distance,
     to_newick,
@@ -36,7 +38,9 @@ from util import (
     brute_jaccard_distance,
     random_corpus,
     random_dendrogram,
+    records_from_sets,
     table_from_sets,
+    ward_full_scan,
     ward_reference,
 )
 
@@ -116,6 +120,37 @@ class TestDistanceMatrix:
                     assert dm.pair(x, y) == pytest.approx(
                         brute_jaccard_distance(sets, x, y), abs=1e-12
                     )
+
+    @given(st.randoms(use_true_random=False))
+    def test_counted_tables_match_brute_force(self, rng):
+        # every entry, from count_years' arrays, against explicit work sets;
+        # the entity listed last never appears, so its distances are all 1
+        sets = random_corpus(rng, n_works=rng.randint(1, 60))
+        present = sorted({c for s in sets for c in s})
+        if not present:
+            return
+        table = count_years(records_from_sets(sets), "D1", range(2000, 2001))[2000]
+        entities = present + ["ZZ"]
+        dm = distance_matrix(table, entities)
+        for i, x in enumerate(entities):
+            for j, y in enumerate(entities):
+                expected = 0.0 if i == j else brute_jaccard_distance(sets, x, y)
+                assert dm.values[i, j] == expected
+
+    def test_joint_count_above_marginal(self):
+        table = CountTable(
+            "D1", Period("2000", 2000, 2000), "country", names=("AA", "BB"),
+            unary_counts=np.array([2, 1]), multi_counts=np.array([1, 1]),
+            pair_codes=np.array([(0 << PAIR_SHIFT) | 1]), pair_counts=np.array([2]),
+        )
+        with pytest.raises(ValueError, match="joint count"):
+            distance_matrix(table, ["AA", "BB"])
+
+    def test_empty_union(self):
+        table = table_from_sets([{"AA"}])
+        with pytest.raises(EmptyUnion):
+            distance_matrix(table, ["BB", "CC"])
+        assert distance_matrix(table, ["AA", "BB"]).pair("AA", "BB") == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -212,6 +247,22 @@ class TestEmbedding:
         emb = euclidean_embedding(DistanceMatrix(("H", "X", "Y", "Z"), d))
         assert not emb.embeddable
         assert emb.eigenvalues.min() < 0
+
+    def test_flag_from_eigenvalues_agrees(self):
+        rng = random.Random(23)
+        matrices = [_random_points_matrix(rng, rng.randint(2, 40), 3)[1] for _ in range(20)]
+        matrices += [_named_matrix(1.0 - np.eye(n)) for n in (2, 3, 30)]  # a simplex
+        star = np.full((4, 4), 1.0) - np.eye(4)
+        star[0, 1:] = star[1:, 0] = 0.5
+        matrices.append(_named_matrix(star))
+        pool = tuple(f"C{i:02d}" for i in range(30))
+        for _ in range(20):
+            sets = random_corpus(rng, n_works=rng.randint(20, 120), pool=pool)
+            present = sorted({c for s in sets for c in s})
+            matrices.append(distance_matrix(table_from_sets(sets), present))
+        flags = [is_embeddable(dm) for dm in matrices]
+        assert flags == [euclidean_embedding(dm).embeddable for dm in matrices]
+        assert True in flags and False in flags
 
 
 class TestWard:
@@ -331,6 +382,22 @@ class TestWard:
                 continue
             dm = distance_matrix(table_from_sets(sets), present)
             assert ward_cluster(dm).merges == ward_reference(dm).merges, f"case {case}"
+
+    @pytest.mark.parametrize(
+        "n,levels,p",
+        [
+            (500, None, None),
+            (600, [0.25, 0.5, 0.75, 1.0], [0.1, 0.1, 0.1, 0.7]),
+        ],
+        ids=["random", "tie-heavy"],
+    )
+    def test_matches_full_scan_at_target_size(self, n, levels, p):
+        # the cached row minima must pick every merge a full rescan picks
+        rng = np.random.default_rng(n)
+        draws = rng.random((n, n)) if levels is None else rng.choice(levels, p=p, size=(n, n))
+        upper = np.triu(draws, 1)
+        dm = _named_matrix(upper + upper.T)
+        assert ward_cluster(dm).merges == ward_full_scan(dm).merges
 
     @pytest.mark.parametrize("n", [50, 300])
     def test_heights_match_scipy(self, n):

@@ -4,6 +4,8 @@ limiting, retries, pagination, and record streaming."""
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -204,6 +206,18 @@ class TestPageCache(object):
         assert "mailto" not in meta["params"]
         assert meta["sha256"] == __import__("hashlib").sha256(b"{}").hexdigest()
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_modes_follow_umask(self, tmp_path, umask, mode):
+        # pages and sidecars go through write_bytes_atomic, as outputs do
+        old = os.umask(umask)
+        try:
+            PageCache(tmp_path).put("ef" * 32, b"{}", "works", {"cursor": "*"})
+        finally:
+            os.umask(old)
+        written = sorted(tmp_path.iterdir())
+        assert [p.name for p in written] == ["ef" * 32 + ".json", "ef" * 32 + ".meta.json"]
+        assert [stat.S_IMODE(p.stat().st_mode) for p in written] == [mode, mode]
+
 
 class TestTokenBucket:
     def test_burst_then_wait(self):
@@ -258,6 +272,13 @@ class TestClient:
         assert page1 == page2
         [(fp, digest)] = client.consumed.items()
         assert digest == client.cache.meta(fp)["sha256"]
+        assert (client.pages_fetched, client.pages_from_cache) == (1, 1)
+
+    def test_retries_count_as_network_calls(self, tmp_path):
+        transport = ScriptedTransport([TransportResponse(503, b""), _ok(EMPTY_PAGE)])
+        client = _client(transport, tmp_path)
+        client.fetch_page(WorksQuery(("C1",), 1990, 1991))
+        assert (client.pages_fetched, client.pages_from_cache, client.network_calls) == (1, 0, 2)
 
     def test_offline_miss_raises(self, tmp_path):
         client = _client(None, tmp_path)

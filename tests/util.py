@@ -196,6 +196,44 @@ def ward_reference(dm: DistanceMatrix) -> Dendrogram:
     return Dendrogram(dm.entities, tuple(merges))
 
 
+def ward_full_scan(dm: DistanceMatrix) -> Dendrogram:
+    """Ward agglomeration that rescans every row minimum at every step.
+
+    The slot-per-rep matrix form of ``ward_cluster``, with the same tie
+    pick and the same Lance-Williams expression, but no cached minima:
+    each step is one O(n^2) scan, so it stays usable at n in the hundreds,
+    where ``ward_reference`` is too slow. For tests only.
+    """
+    n = dm.size
+    if n < 2:
+        raise ValueError("clustering needs at least 2 entities")
+    d2 = dm.values**2
+    np.fill_diagonal(d2, np.inf)
+    sizes = np.ones(n, dtype=int)
+    node = list(range(n))  # node id of the cluster in each slot
+    merges: list[Merge] = []
+    for step in range(n - 1):
+        row_min = d2.min(axis=1)
+        m = row_min.min()
+        limit = m + MERGE_TIE_EPS * min(m, 1.0)
+        a = int(np.argmax(row_min <= limit))
+        b = int(np.argmax(d2[a] <= limit))
+        d_ab = d2[a, b]
+        nab = sizes[a] + sizes[b]
+        c = np.flatnonzero(np.isfinite(d2[a]))
+        c = c[c != b]
+        sc = sizes[c]
+        d2[a, c] = d2[c, a] = (
+            (sizes[a] + sc) * d2[a, c] + (sizes[b] + sc) * d2[b, c] - sc * d_ab
+        ) / (nab + sc)
+        d2[b, :] = d2[:, b] = np.inf
+        height = math.sqrt(max(d_ab, 0.0))
+        merges.append(Merge(left=node[a], right=node[b], height=height, size=int(nab)))
+        sizes[a] = nab
+        node[a] = n + step
+    return Dendrogram(dm.entities, tuple(merges))
+
+
 def random_dendrogram(rng, n, plateau_prob=0.2, start=0.1):
     """A structurally random dendrogram with non-decreasing heights."""
     entities = tuple(f"E{i:02d}" for i in range(n))
