@@ -39,7 +39,6 @@ from .ingest import (
     harvest,
 )
 from .metrics import (
-    IcdSeries,
     KdeCurve,
     YearSeries,
     apply_min_volume_mask,
@@ -75,7 +74,6 @@ __all__ = [
     "WorksQuery",
     "expand_concept",
     "harvest",
-    "IcdSeries",
     "KdeCurve",
     "YearSeries",
     "apply_min_volume_mask",

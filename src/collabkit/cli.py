@@ -30,7 +30,6 @@ from .corpus import (
     merge_tables,
     overlapping_periods,
     top_entities,
-    unknown_rate,
 )
 from .errors import (
     CollabKitError,
@@ -42,13 +41,11 @@ from .errors import (
 )
 from .fsio import write_text_atomic
 from .geometry import (
+    IcdResult,
     cut_clusters,
     distance_matrix,
-    distance_matrix_to_csv,
     icd,
     is_embeddable,
-    merges_to_json,
-    to_newick,
     ward_cluster,
 )
 from .ingest import (
@@ -60,20 +57,24 @@ from .ingest import (
     normalize_concept_id,
 )
 from .metrics import (
-    IcdSeries,
     bilateral_distance_series,
     collab_rate_series_block,
     kde,
     volume_series_block,
 )
 from .report import (
+    CSV_SPECIALS,
     chord_data,
     chord_to_csv,
+    distance_matrix_to_csv,
     icd_detail_to_csv,
     icd_series_to_csv,
     kde_to_csv,
+    merges_to_json,
     render_circular_dendrogram,
     series_to_csv,
+    to_newick,
+    unknown_rate_to_csv,
 )
 
 PERIOD_PRESETS: dict[str, tuple[tuple[str, int, int], ...]] = {
@@ -157,6 +158,11 @@ def _is_tuple_of(value, kind) -> bool:
     return isinstance(value, tuple) and all(_is_json(v, kind) for v in value)
 
 
+# Pair codes and period labels fill CSV fields; a label also names a
+# directory under out_dir.
+_LABEL_SPECIALS = CSV_SPECIALS | frozenset("/\\")
+
+
 # field -> (JSON type, rule a value of that type must keep, what the rule says)
 _SCALAR_RULES = {
     "key": (str, lambda v: v in VALID_KEYS, f"must be one of {VALID_KEYS}"),
@@ -238,6 +244,11 @@ class AnalysisConfig:
             labels = [p.label for p in self.periods]
             if len(set(labels)) != len(labels):
                 add("periods", "period labels must be unique")
+            for i, label in enumerate(labels):
+                plain = isinstance(label, str) and _LABEL_SPECIALS.isdisjoint(label)
+                if not plain or label in ("", ".", ".."):
+                    why = 'must name one directory and hold no / \\ , " CR or LF'
+                    add(f"periods[{i}]", f"label {label!r} {why}")
             for a, b in overlapping_periods(self.periods):
                 add("periods", f"periods {a.label!r} and {b.label!r} overlap")
         for name, (kind, rule, message) in _SCALAR_RULES.items():
@@ -253,6 +264,8 @@ class AnalysisConfig:
             for i, pair in enumerate(self.bilateral_pairs):
                 if not (_is_tuple_of(pair, str) and len(pair) == 2 and all(pair)):
                     add(f"bilateral_pairs[{i}]", f"expected two entity codes, got {pair!r}")
+                elif any(not CSV_SPECIALS.isdisjoint(code) for code in pair):
+                    add(f"bilateral_pairs[{i}]", f"codes {pair!r} must hold no , \" CR or LF")
         return diags
 
 
@@ -324,12 +337,12 @@ def _analyze_cell(
     table: CountTable,
     period_years: dict[int, CountTable],
     stage: str,
-) -> tuple[dict[str, str], IcdSeries, dict]:
+) -> tuple[dict[str, str], IcdResult, dict]:
     """Compute one (discipline, period) cell from its count table.
 
     ``period_years`` holds the one-year tables of the period's years, which
     feed the yearly series. Returns artifact texts keyed by path relative
-    to the out dir, the cell's IcdSeries, and a manifest stanza. Pure
+    to the out dir, the cell's ICD result, and a manifest stanza. Pure
     function of its inputs.
     """
     discipline, period = table.discipline_id, table.period
@@ -344,7 +357,6 @@ def _analyze_cell(
     h0 = "auto" if config.h0_mode == "auto" else 1.0
     result = icd(dend, h0)
     curve = kde(result.rescaled) if len(result.rescaled) >= 2 else None
-    cell = IcdSeries(discipline, period, result)
 
     prefix = f"{discipline}/{period.label}"
     outputs: dict[str, str] = {}
@@ -353,7 +365,7 @@ def _analyze_cell(
         outputs[f"{prefix}/dendrogram.newick"] = to_newick(dend)
         outputs[f"{prefix}/merges.json"] = merges_to_json(dend)
         outputs[f"{prefix}/chord.csv"] = chord_to_csv(chord_data(table, config.top_n))
-        outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(cell)
+        outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(discipline, period, result)
         if curve is not None:
             outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
         outputs[f"{prefix}/series.csv"] = series_to_csv(
@@ -383,7 +395,7 @@ def _analyze_cell(
         "n_clusters": cut.n_clusters,
         "icd_mean": result.mean,
     }
-    return outputs, cell, info
+    return outputs, result, info
 
 
 def run(
@@ -451,24 +463,20 @@ def run(
         for period in config.periods:
             period_years = {year: yearly[year] for year in period.years()}
             table = merge_tables(list(period_years.values()), period)
-            cell_outputs, icd_cell, info = _analyze_cell(
+            cell_outputs, result, info = _analyze_cell(
                 config, table, period_years, stage
             )
             outputs.update(cell_outputs)
-            icd_cells.append(icd_cell)
+            icd_cells.append((period, result))
             cells_info[f"{discipline}/{period.label}"] = info
 
         if stage in ("analyze", "all"):
-            outputs[f"{discipline}/icd_series.csv"] = icd_series_to_csv(icd_cells)
-            lines = ["discipline,year,unknown_count,total_count,rate"]
-            for year, table in yearly.items():
-                if table.total_count == 0:
-                    continue
-                lines.append(
-                    f"{discipline},{year},{table.unknown_count},"
-                    f"{table.total_count},{'%.6g' % unknown_rate(table)}"
-                )
-            outputs[f"{discipline}/unknown_rate.csv"] = "\n".join(lines) + "\n"
+            outputs[f"{discipline}/icd_series.csv"] = icd_series_to_csv(
+                discipline, icd_cells
+            )
+            outputs[f"{discipline}/unknown_rate.csv"] = unknown_rate_to_csv(
+                discipline, yearly
+            )
 
     manifest = {
         "schema": 1,

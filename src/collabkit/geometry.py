@@ -5,7 +5,6 @@ log-rescaled integration measure derived from merge heights.
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ EMBED_CLAMP_REL = 1e-9
 # Auto ceiling for the log rescaling: just above the tallest merge.
 H0_AUTO_REL = 1e-6
 H0_AUTO_ABS = 1e-9
-
-_FMT = "%.6g"
 
 
 def affinity(n_x: int, n_y: int, n_xy: int) -> float:
@@ -382,61 +379,6 @@ def icd(dendrogram: Dendrogram, h0: float | str = "auto") -> IcdResult:
         mean=statistics.fmean(rescaled),
         median=statistics.median(rescaled),
     )
-
-
-def to_newick(dendrogram: Dendrogram) -> str:
-    """Serialize the tree in Newick format with branch lengths.
-
-    A child's branch length is its parent's height minus its own height
-    (leaves sit at height zero), so path lengths reproduce merge heights.
-    """
-    n = dendrogram.n_leaves
-    # node id -> its subtree's text and height; merge order is bottom-up,
-    # so no recursion limits the tree's depth
-    text = list(dendrogram.entities)
-    height = [0.0] * n
-    for m in dendrogram.merges:
-        left, right = (
-            f"{text[c]}:{_FMT % (m.height - height[c])}" for c in (m.left, m.right)
-        )
-        text[m.left] = text[m.right] = ""  # each subtree is used once
-        text.append(f"({left},{right})")
-        height.append(m.height)
-    return text[-1] + ";"
-
-
-def merges_to_json(dendrogram: Dendrogram) -> str:
-    """JSON document of the merge list, suitable for replotting elsewhere."""
-    doc = {
-        "schema": 1,
-        "leaves": list(dendrogram.entities),
-        "merges": [
-            {
-                "left": m.left,
-                "right": m.right,
-                "height": float(_FMT % m.height),
-                "size": m.size,
-            }
-            for m in dendrogram.merges
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
-    """Lower-triangle CSV of a distance matrix, one row per pair.
-
-    Each distinct distance is formatted once; most pairs of a large
-    selection never co-publish and share the distance 1.
-    """
-    text = {value: _FMT % value for value in np.unique(dm.values).tolist()}
-    ents = dm.entities
-    lines = ["entity_a,entity_b,distance"]
-    for i in range(1, dm.size):
-        head = ents[i] + ","
-        row = dm.values[i, :i].tolist()  # one row of floats at a time, not n^2
-        lines.extend([f"{head}{b},{text[value]}" for b, value in zip(ents, row)])
-    return "\n".join(lines) + "\n"
 
 
 def rescaled_distance(distance: float) -> float:

@@ -13,9 +13,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Period, gather
+from .corpus import CountTable, gather
 from .errors import EmptyEntityYear, TooFewValues
-from .geometry import IcdResult, affinity, rescaled_distance
+from .geometry import affinity, rescaled_distance
 
 REASON_BELOW_MIN_VOLUME = "below_min_volume"
 REASON_DEGENERATE = "degenerate_distance"
@@ -168,15 +168,6 @@ def volume_series_block(
     return _series(discipline_id, entities, years, values, unary, reasons)
 
 
-def volume_series(
-    tables_by_year: Mapping[int, CountTable],
-    discipline_id: str,
-    entity: str,
-) -> YearSeries:
-    """Yearly production volume (unary count) for one entity."""
-    return volume_series_block(tables_by_year, discipline_id, [entity])[0]
-
-
 def bilateral_distance_series(
     tables_by_year: Mapping[int, CountTable],
     discipline_id: str,
@@ -230,16 +221,6 @@ def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:
         for p, hit in zip(series.points, below.tolist())
     )
     return replace(series, points=points)
-
-
-@dataclass(frozen=True, eq=False)
-class IcdSeries:
-    """Integration measure of one discipline/period: the rescaled merge
-    heights with their summary statistics."""
-
-    discipline_id: str
-    period: "Period"
-    result: "IcdResult"
 
 
 @dataclass(frozen=True, eq=False)

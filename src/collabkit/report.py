@@ -1,25 +1,29 @@
-"""Plot-ready artifacts: chord flow data, circular dendrogram SVGs, and
-bit-stable CSV series exports.
+"""Every output format: chord flow data, circular dendrogram SVGs, the
+Newick and merge-JSON trees, and bit-stable CSV exports.
 
 Styling is deliberately minimal; these files feed external plotting, so
-data fidelity and byte-for-byte determinism are the contract.
+data fidelity and byte-for-byte determinism are the contract. Every CSV
+goes through ``_csv`` and every float through ``_fmt``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Period, top_indices
-from .geometry import ClusterCut, Dendrogram
-from .metrics import IcdSeries, KdeCurve, YearSeries
+from .corpus import CountTable, Period, top_indices, unknown_rate
+from .geometry import ClusterCut, Dendrogram, DistanceMatrix, IcdResult
+from .metrics import KdeCurve, YearSeries
 
 _FMT = "%.6g"
 _COORD = "%.6f"
+# ``_csv`` writes fields unquoted, so no field may hold one of these.
+CSV_SPECIALS = frozenset(',"\r\n')
 
 # Fixed cluster palette, cycled by 1-based cluster label.
 PALETTE = (
@@ -40,6 +44,11 @@ OTHER_LABEL = "__other__"
 
 def _fmt(value: float) -> str:
     return _FMT % value
+
+
+def _csv(header: str, rows: Iterable[str]) -> str:
+    """The header and each row on a line of their own, newline-terminated."""
+    return "\n".join([header, *rows, ""])
 
 
 @dataclass(frozen=True)
@@ -102,17 +111,13 @@ def chord_to_csv(chord: ChordData) -> str:
     A self-pair row carries the solo count; a row targeting __other__
     carries co-production with non-displayed entities.
     """
-    rows: list[tuple[str, str, int]] = []
-    for (a, b), count in chord.flows.items():
-        rows.append((a, b, count))
+    flows = [(a, b, count) for (a, b), count in chord.flows.items()]
     for entity in chord.entities:
-        rows.append((entity, entity, chord.solo[entity]))
+        flows.append((entity, entity, chord.solo[entity]))
         if chord.other[entity]:
-            rows.append((entity, OTHER_LABEL, chord.other[entity]))
-    lines = ["source,target,value"]
-    for a, b, count in sorted(rows):
-        lines.append(f"{a},{b},{count}")
-    return "\n".join(lines) + "\n"
+            flows.append((entity, OTHER_LABEL, chord.other[entity]))
+    rows = (f"{a},{b},{count}" for a, b, count in sorted(flows))
+    return _csv("source,target,value", rows)
 
 
 def render_circular_dendrogram(
@@ -274,6 +279,62 @@ def render_circular_dendrogram(
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
 
 
+def to_newick(dendrogram: Dendrogram) -> str:
+    """Serialize the tree in Newick format with branch lengths.
+
+    A child's branch length is its parent's height minus its own height
+    (leaves sit at height zero), so path lengths reproduce merge heights.
+    """
+    n = dendrogram.n_leaves
+    # node id -> its subtree's text and height; merge order is bottom-up,
+    # so no recursion limits the tree's depth
+    text = list(dendrogram.entities)
+    height = [0.0] * n
+    for m in dendrogram.merges:
+        left, right = (
+            f"{text[c]}:{_fmt(m.height - height[c])}" for c in (m.left, m.right)
+        )
+        text[m.left] = text[m.right] = ""  # each subtree is used once
+        text.append(f"({left},{right})")
+        height.append(m.height)
+    return text[-1] + ";"
+
+
+def merges_to_json(dendrogram: Dendrogram) -> str:
+    """JSON document of the merge list, suitable for replotting elsewhere."""
+    doc = {
+        "schema": 1,
+        "leaves": list(dendrogram.entities),
+        "merges": [
+            {
+                "left": m.left,
+                "right": m.right,
+                "height": float(_fmt(m.height)),
+                "size": m.size,
+            }
+            for m in dendrogram.merges
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
+    """Lower-triangle CSV of a distance matrix, one row per pair.
+
+    Each distinct distance is formatted once; most pairs of a large
+    selection never co-publish and share the distance 1. Rows are read
+    one matrix row of floats at a time, not n^2 at once.
+    """
+    text = {value: _fmt(value) for value in np.unique(dm.values).tolist()}
+    ents = dm.entities
+    rows = (
+        f"{a},{b},{text[value]}"
+        for i, a in enumerate(ents)
+        for b, value in zip(ents, dm.values[i, :i].tolist())
+    )
+    return _csv("entity_a,entity_b,distance", rows)
+
+
 def series_to_csv(collection: Sequence[YearSeries]) -> str:
     """CSV rows discipline,entity,year,value,volume,masked.
 
@@ -288,7 +349,7 @@ def series_to_csv(collection: Sequence[YearSeries]) -> str:
     if has_pair:
         columns.append("entity_b")
     columns += ["year", "value", "volume", "masked"]
-    lines = [",".join(columns)]
+    rows = []
     for series in collection:
         for p in series.points:
             val = "" if p.masked else _fmt(p.value)
@@ -296,50 +357,43 @@ def series_to_csv(collection: Sequence[YearSeries]) -> str:
             if has_pair:
                 fields.append(series.entity_b or "")
             fields += [str(p.year), val, str(p.volume), str(p.masked).lower()]
-            lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+            rows.append(",".join(fields))
+    return _csv(",".join(columns), rows)
 
 
-def icd_series_to_csv(collection: Sequence[IcdSeries]) -> str:
-    """Trend rows discipline,period,h0,mean,median, one per period."""
-    if not collection:
+def icd_series_to_csv(
+    discipline_id: str, cells: Sequence[tuple[Period, IcdResult]]
+) -> str:
+    """Trend rows discipline,period,h0,mean,median, one per (period, result)."""
+    if not cells:
         raise ValueError("nothing to export")
-    lines = ["discipline,period,h0,mean,median"]
-    for item in collection:
-        lines.append(
-            ",".join(
-                [
-                    item.discipline_id,
-                    item.period.label,
-                    _fmt(item.result.h0),
-                    _fmt(item.result.mean),
-                    _fmt(item.result.median),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        f"{discipline_id},{period.label},{_fmt(r.h0)},{_fmt(r.mean)},{_fmt(r.median)}"
+        for period, r in cells
+    )
+    return _csv("discipline,period,h0,mean,median", rows)
 
 
-def icd_detail_to_csv(item: IcdSeries) -> str:
+def icd_detail_to_csv(discipline_id: str, period: Period, result: IcdResult) -> str:
     """Per-merge rescaled heights: discipline,period,h0,merge_index,rescaled."""
-    lines = ["discipline,period,h0,merge_index,rescaled"]
-    for k, value in enumerate(item.result.rescaled):
-        lines.append(
-            ",".join(
-                [
-                    item.discipline_id,
-                    item.period.label,
-                    _fmt(item.result.h0),
-                    str(k),
-                    _fmt(value),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    head = f"{discipline_id},{period.label},{_fmt(result.h0)}"
+    rows = (f"{head},{k},{_fmt(value)}" for k, value in enumerate(result.rescaled))
+    return _csv("discipline,period,h0,merge_index,rescaled", rows)
 
 
 def kde_to_csv(discipline_id: str, period: Period, curve: KdeCurve) -> str:
-    lines = ["discipline,period,x,density"]
-    for x, d in zip(curve.x, curve.density):
-        lines.append(f"{discipline_id},{period.label},{_fmt(x)},{_fmt(d)}")
-    return "\n".join(lines) + "\n"
+    head = f"{discipline_id},{period.label}"
+    rows = (f"{head},{_fmt(x)},{_fmt(d)}" for x, d in zip(curve.x, curve.density))
+    return _csv("discipline,period,x,density", rows)
+
+
+def unknown_rate_to_csv(discipline_id: str, yearly: Mapping[int, CountTable]) -> str:
+    """Rows discipline,year,unknown_count,total_count,rate for each year
+    of ``yearly`` that has works, in its order."""
+    rows = (
+        f"{discipline_id},{year},{table.unknown_count},"
+        f"{table.total_count},{_fmt(unknown_rate(table))}"
+        for year, table in yearly.items()
+        if table.total_count
+    )
+    return _csv("discipline,year,unknown_count,total_count,rate", rows)

@@ -3,8 +3,10 @@ over the bundled offline corpus, manifests, and exit codes."""
 
 from __future__ import annotations
 
+import csv
 import gc
 import hashlib
+import io
 import json
 import re
 import shutil
@@ -287,6 +289,26 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"bilateral_pairs\[0\]: "):
             _config(bilateral_pairs=(("US", ""),))
 
+    @pytest.mark.parametrize(
+        "label", ["", ".", "..", "../x", "a/b", "a\\b", "a,b", 'a"b', "a\rb", "a\nb"]
+    )
+    def test_label_must_be_a_plain_name(self, label):
+        periods = [
+            {"label": "early", "year_from": 1971, "year_to": 1990},
+            {"label": label, "year_from": 1991, "year_to": 2020},
+        ]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"disciplines": ["C1"], "periods": periods})
+        assert str(info.value).startswith("bad config value: periods[1]: label ")
+        assert "periods[0]" not in str(info.value)
+
+    @pytest.mark.parametrize("code", ["C,N", 'C"N', "C\rN", "C\nN"])
+    def test_pair_code_fits_a_csv_field(self, code):
+        pairs = [["US", "JP"], ["US", code]]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({"disciplines": ["C1"], "bilateral_pairs": pairs})
+        assert str(info.value).startswith("bad config value: bilateral_pairs[1]: ")
+
     def test_catalog_check(self, fixture_cache_dir):
         cache = PageCache(fixture_cache_dir)
         good = validate(_config(disciplines=("C100",)), cache)
@@ -441,6 +463,17 @@ class TestRun:
         _, _, out = fixtures_run
         text = (out / "C100" / "1991-2000" / "series.csv").read_text()
         assert text.startswith("discipline,entity,year,value,volume,masked\n")
+
+    def test_every_csv_is_rectangular(self, fixtures_run):
+        _, _, out = fixtures_run
+        paths = sorted(out.rglob("*.csv"))
+        assert len(paths) == 2 + 7 * len(PAPER4_LABELS)
+        for path in paths:
+            text = path.read_bytes().decode("utf-8")
+            assert text.endswith("\n") and not text.endswith("\n\n"), path
+            header, *rows = csv.reader(io.StringIO(text, newline=""))
+            assert rows, path
+            assert {len(row) for row in rows} == {len(header)}, path
 
     def test_harvest_stage_writes_nothing(self, fixture_config, tmp_path, monkeypatch):
         config = replace(
@@ -741,6 +774,32 @@ class TestMain:
         assert main(["all", "--config", path, "--offline"]) == EXIT_CONFIG
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "duplicate" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            (
+                {
+                    "periods": [
+                        {"label": "../../escaped", "year_from": 1971, "year_to": 1990},
+                        {"label": "a,b", "year_from": 1991, "year_to": 2020},
+                    ]
+                },
+                "periods[0]",
+            ),
+            ({"bilateral_pairs": [["US", "C,N"]]}, "bilateral_pairs[0]"),
+        ],
+        ids=["labels", "pair-code"],
+    )
+    def test_unsafe_label_or_code_writes_nothing(
+        self, tmp_path, fixture_cache_dir, capsys, overrides, field
+    ):
+        out = tmp_path / "out" / "run"
+        path = _write_config(tmp_path, fixture_cache_dir, out_dir=str(out), **overrides)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_CONFIG
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and f"{field}: " in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_url_discipline_ids_write_bare_paths(

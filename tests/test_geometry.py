@@ -22,15 +22,13 @@ from collabkit.geometry import (
     affinity,
     cut_clusters,
     distance_matrix,
-    distance_matrix_to_csv,
     euclidean_embedding,
     icd,
     is_embeddable,
-    merges_to_json,
     rescaled_distance,
-    to_newick,
     ward_cluster,
 )
+from collabkit.report import distance_matrix_to_csv, merges_to_json, to_newick
 from util import (
     POOL6,
     all_ties_chain,

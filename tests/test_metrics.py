@@ -24,7 +24,7 @@ from collabkit.metrics import (
     intl_collab_rate,
     kde,
     silverman_bandwidth,
-    volume_series,
+    volume_series_block,
 )
 from util import POOL6, table_from_sets
 
@@ -96,7 +96,7 @@ class TestSeriesConstruction:
 
     def test_volume_series(self):
         tables = _tables_by_year({2000: [{"US"}, {"US"}], 2001: [{"CN"}]})
-        series = volume_series(tables, "D1", "US")
+        series = volume_series_block(tables, "D1", ["US"])[0]
         assert [(p.year, p.value, p.volume) for p in series.points] == [
             (2000, 2.0, 2),
             (2001, 0.0, 0),

@@ -1,5 +1,5 @@
 """Package surface: the exported names, the documented config example and
-the bundled fixture cache's generator."""
+output layout, and the bundled fixture cache's generator."""
 
 from __future__ import annotations
 
@@ -8,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import collabkit
-from collabkit.cli import config_from_dict, validate
+from collabkit.cli import config_from_dict, run, validate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +33,41 @@ def test_config_example_is_valid(doc):
     assert len(blocks) == 1
     config = config_from_dict(json.loads(blocks[0]))
     assert validate(config) == []
+
+
+def _readme_layout() -> dict[int, set[str]]:
+    """Names in README's output layout block by depth: 1 for the out dir,
+    2 for a discipline directory, 3 for a cell directory."""
+    section = (ROOT / "README.md").read_text().split("## Output layout", 1)[1]
+    block = re.search(r"```\n(out/\n.*?)```", section, re.DOTALL).group(1)
+    levels: dict[int, set[str]] = {}
+    for line in block.splitlines()[1:]:
+        text = line.lstrip(" ")
+        indent = len(line) - len(text)
+        if indent in (2, 4, 6):  # deeper lines continue a description
+            levels.setdefault(indent // 2, set()).add(text.split()[0])
+    return levels
+
+
+def test_readme_output_layout_is_the_run_layout(fixture_config, tmp_path):
+    config = replace(fixture_config, disciplines=("C100",), out_dir=str(tmp_path))
+    run(config, mode="fixtures", stage="all")
+
+    def files(directory: Path) -> set[str]:
+        return {p.name for p in directory.iterdir() if p.is_file()}
+
+    def dirs(directory: Path) -> list[Path]:
+        return sorted(p for p in directory.iterdir() if p.is_dir())
+
+    layout = _readme_layout()
+    assert layout[1] == files(tmp_path) | {"<discipline>/"}
+    assert [d.name for d in dirs(tmp_path)] == ["C100"]
+    for discipline in dirs(tmp_path):
+        assert layout[2] == files(discipline) | {"<period>/"}
+        cells = dirs(discipline)
+        assert len(cells) == len(config.periods)
+        for cell in cells:
+            assert layout[3] == files(cell), cell.name
 
 
 def test_fixture_cache_matches_generator(tmp_path):

@@ -17,7 +17,7 @@ from collabkit.geometry import (
     euclidean_embedding,
     ward_cluster,
 )
-from collabkit.metrics import IcdSeries, SeriesPoint, YearSeries, kde
+from collabkit.metrics import SeriesPoint, YearSeries, kde
 from collabkit.report import (
     OTHER_LABEL,
     PALETTE,
@@ -279,7 +279,7 @@ class TestSeriesExports:
         with pytest.raises(ValueError):
             series_to_csv([])
         with pytest.raises(ValueError):
-            icd_series_to_csv([])
+            icd_series_to_csv("C1", [])
 
     def test_round_trip_via_parser(self):
         expected = (
@@ -302,19 +302,13 @@ def _icd_series(labels):
         result = IcdResult(
             h0=1.1, rescaled=(2.0 + i, 2.5 + i), mean=2.25 + i, median=2.25 + i
         )
-        out.append(
-            IcdSeries(
-                discipline_id="C1",
-                period=Period(label, start, start + 4),
-                result=result,
-            )
-        )
+        out.append((Period(label, start, start + 4), result))
     return out
 
 
 class TestIcdExports:
     def test_csv_frozen(self):
-        rows = icd_series_to_csv(_icd_series(["1971-1975", "1976-1980"]))
+        rows = icd_series_to_csv("C1", _icd_series(["1971-1975", "1976-1980"]))
         expected = (
             "discipline,period,h0,mean,median\n"
             "C1,1971-1975,1.1,2.25,2.25\n"
@@ -324,13 +318,13 @@ class TestIcdExports:
 
     def test_ten_period_labels(self):
         labels = [f"{y}-{y + 4}" for y in range(1971, 2020, 5)]
-        csv_text = icd_series_to_csv(_icd_series(labels))
+        csv_text = icd_series_to_csv("C1", _icd_series(labels))
         lines = csv_text.strip().split("\n")[1:]
         assert [ln.split(",")[1] for ln in lines] == labels
         assert len(lines) == 10
 
     def test_detail_csv(self):
-        text = icd_detail_to_csv(_icd_series(["1971-1975"])[0])
+        text = icd_detail_to_csv("C1", *_icd_series(["1971-1975"])[0])
         assert text == (
             "discipline,period,h0,merge_index,rescaled\n"
             "C1,1971-1975,1.1,0,2\n"
