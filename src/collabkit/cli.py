@@ -56,12 +56,7 @@ from .ingest import (
     harvest,
     normalize_concept_id,
 )
-from .metrics import (
-    bilateral_distance_series,
-    collab_rate_series_block,
-    kde,
-    volume_series_block,
-)
+from .metrics import bilateral_distance_series, kde, yearly_series
 from .report import (
     CSV_SPECIALS,
     chord_data,
@@ -107,7 +102,8 @@ def resolve_periods(spec) -> tuple[Period, ...]:
     if isinstance(spec, str):
         if spec not in PERIOD_PRESETS:
             raise ConfigError(
-                f"unknown period preset {spec!r}; choose from {sorted(PERIOD_PRESETS)}"
+                f"bad config value: periods: unknown preset {spec!r}; "
+                f"choose from {sorted(PERIOD_PRESETS)}"
             )
         return tuple(Period(label, lo, hi) for label, lo, hi in PERIOD_PRESETS[spec])
     if not isinstance(spec, list):
@@ -364,16 +360,17 @@ def _analyze_cell(
         outputs[f"{prefix}/distances.csv"] = distance_matrix_to_csv(dm)
         outputs[f"{prefix}/dendrogram.newick"] = to_newick(dend)
         outputs[f"{prefix}/merges.json"] = merges_to_json(dend)
-        outputs[f"{prefix}/chord.csv"] = chord_to_csv(chord_data(table, config.top_n))
+        outputs[f"{prefix}/chord.csv"] = chord_to_csv(chord_data(table, top))
         outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(discipline, period, result)
         if curve is not None:
             outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
-        outputs[f"{prefix}/series.csv"] = series_to_csv(
-            collab_rate_series_block(period_years, discipline, top, config.min_volume)
+        # the rate and volume series are formatted and dropped here, not
+        # kept alive through the rest of the cell
+        rates_csv, volumes_csv = map(
+            series_to_csv, yearly_series(period_years, discipline, top, config.min_volume)
         )
-        outputs[f"{prefix}/volumes.csv"] = series_to_csv(
-            volume_series_block(period_years, discipline, top)
-        )
+        outputs[f"{prefix}/series.csv"] = rates_csv
+        outputs[f"{prefix}/volumes.csv"] = volumes_csv
         pairs = config.bilateral_pairs or ((top[0], top[1]),)
         bilateral = [
             bilateral_distance_series(
@@ -499,15 +496,24 @@ def run(
         "cells": dict(sorted(cells_info.items())),
     }
     for rel in sorted(outputs):
-        text = outputs[rel]
-        write_text_atomic(out_root / rel, text)
-        manifest["outputs"][rel] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        manifest["outputs"][rel] = write_text_atomic(out_root / rel, outputs[rel])
     if stage != "harvest":
         write_text_atomic(
             out_root / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         )
     return EXIT_OK, manifest
+
+
+def _number(text: str):
+    """A numeric flag's value as an int or a float where it reads as one;
+    any other text is passed on as given, for the config rules to judge."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -530,16 +536,12 @@ def _build_parser() -> argparse.ArgumentParser:
             type=lambda text: text.split(","),
             help="comma-separated root concept ids",
         )
-        cmd.add_argument(
-            "--periods",
-            help="period preset name (paper-4 or paper-10)",
-            choices=sorted(PERIOD_PRESETS),
-        )
-        cmd.add_argument("--key", choices=list(VALID_KEYS))
-        cmd.add_argument("--top-n", type=int, dest="top_n")
-        cmd.add_argument("--h-star", type=float, dest="h_star")
-        cmd.add_argument("--h0", choices=["auto", "1.0"])
-        cmd.add_argument("--min-volume", type=int, dest="min_volume")
+        cmd.add_argument("--periods", help="period preset name (paper-4 or paper-10)")
+        cmd.add_argument("--key", help="country or institution")
+        cmd.add_argument("--top-n", type=_number, dest="top_n")
+        cmd.add_argument("--h-star", type=_number, dest="h_star")
+        cmd.add_argument("--h0", help="auto or 1.0")
+        cmd.add_argument("--min-volume", type=_number, dest="min_volume")
         cmd.add_argument(
             "--journal-only", action="store_true", default=None, dest="journal_only"
         )
@@ -560,7 +562,7 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         if name in _CONFIG_KEYS and value is not None:
             doc[name] = value
     if args.h0 is not None:
-        doc["h0_mode"] = "auto" if args.h0 == "auto" else "strict-1.0"
+        doc["h0_mode"] = {"1.0": "strict-1.0"}.get(args.h0, args.h0)
     return config_from_dict(doc)
 
 

@@ -376,18 +376,13 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
     )
 
 
-def top_indices(table: CountTable, n: int) -> np.ndarray:
-    """Indices in ``table.names`` of the n entities with the highest unary
-    counts, ties broken by name; entities with no works are never chosen."""
+def top_entities(table: CountTable, n: int) -> list[str]:
+    """The n entities with the highest unary counts, ties broken by name;
+    entities with no works are never chosen."""
     present = np.flatnonzero(table.unary_counts)
     # index order is name order, so a stable sort on -count breaks ties by name
     ranked = present[np.argsort(-table.unary_counts[present], kind="stable")]
-    return ranked[:n]
-
-
-def top_entities(table: CountTable, n: int) -> list[str]:
-    """The n entities with the highest unary counts, ties broken by name."""
-    return [table.names[i] for i in top_indices(table, n)]
+    return [table.names[i] for i in ranked[:n].tolist()]
 
 
 def unknown_rate(table: CountTable) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -11,9 +12,10 @@ _FILE_MODE = 0o666
 _CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
-def write_bytes_atomic(path: Path, payload: bytes) -> None:
+def write_bytes_atomic(path: Path, payload: bytes) -> str:
     """Write via a sibling temp file and rename, so readers never see a
-    half-written file. The file gets mode 0o666 less the umask."""
+    half-written file; returns the sha256 hex digest of the bytes written.
+    The file gets mode 0o666 less the umask."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
     fd = os.open(tmp, _CREATE, _FILE_MODE)
@@ -27,7 +29,9 @@ def write_bytes_atomic(path: Path, payload: bytes) -> None:
         except OSError:
             pass
         raise
+    return hashlib.sha256(payload).hexdigest()
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
+def write_text_atomic(path: Path, text: str) -> str:
+    """``write_bytes_atomic`` of the text's UTF-8 bytes."""
+    return write_bytes_atomic(path, text.encode("utf-8"))

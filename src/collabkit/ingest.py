@@ -169,13 +169,12 @@ class PageCache:
 
     def put(self, fp: str, payload: bytes, endpoint: str, params: Mapping[str, str]) -> str:
         """Store a page and its sidecar; returns the sha256 recorded there."""
-        digest = hashlib.sha256(payload).hexdigest()
+        digest = write_bytes_atomic(self.path_for(fp), payload)
         meta = {
             "endpoint": endpoint,
             "params": {k: v for k, v in sorted(params.items()) if k != "mailto"},
             "sha256": digest,
         }
-        write_bytes_atomic(self.path_for(fp), payload)
         write_bytes_atomic(
             self.root / f"{fp}.meta.json",
             (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"),

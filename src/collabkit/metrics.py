@@ -97,12 +97,13 @@ def _series(
     values: np.ndarray,
     volumes: np.ndarray,
     reasons: np.ndarray,
+    entity_b: str | None = None,
 ) -> list[YearSeries]:
     """One YearSeries per column of the (years x entities) blocks; a point
     is masked where its reason is not None."""
     masked = np.not_equal(reasons, None)
     return [
-        YearSeries(discipline_id, entity, tuple(map(SeriesPoint, years, *columns)))
+        YearSeries(discipline_id, entity, tuple(map(SeriesPoint, years, *columns)), entity_b)
         for entity, *columns in zip(
             entities,
             values.T.tolist(),
@@ -127,24 +128,29 @@ def intl_collab_rate(table: CountTable, entity: str) -> float:
     return float(_rates(gather(table.multi_counts, idx), unary)[0])
 
 
-def collab_rate_series_block(
+def yearly_series(
     tables_by_year: Mapping[int, CountTable],
     discipline_id: str,
     entities: Sequence[str],
     min_volume: int = 0,
-) -> list[YearSeries]:
-    """Yearly international collaboration rate of each entity, as from
-    ``collab_rate_series`` then ``apply_min_volume_mask(..., min_volume)``.
+) -> tuple[list[YearSeries], list[YearSeries]]:
+    """Yearly international collaboration rate and production volume of
+    each entity, from one gather of the counts.
 
-    A year without the entity's works is masked as missing, with no value
-    and volume 0; the rate's volume is the entity's unary count.
+    The rates are as from ``collab_rate_series`` then
+    ``apply_min_volume_mask(..., min_volume)``: a year without the entity's
+    works is masked as missing, with no value and volume 0, and a rate's
+    volume is the entity's unary count. The volumes carry that unary count
+    as their value and are never masked.
     """
     years, unary, multi = _year_counts(tables_by_year, entities)
     present = unary > 0
     values = np.where(present, _rates(multi, np.maximum(unary, 1)), None)
     reasons = np.where(present, None, REASON_MISSING)
     reasons[_below_min_volume(unary, ~present, min_volume)] = REASON_BELOW_MIN_VOLUME
-    return _series(discipline_id, entities, years, values, unary, reasons)
+    unmasked = np.full(unary.shape, None, dtype=object)
+    rates = _series(discipline_id, entities, years, values, unary, reasons)
+    return rates, _series(discipline_id, entities, years, unary.astype(float), unary, unmasked)
 
 
 def collab_rate_series(
@@ -153,19 +159,7 @@ def collab_rate_series(
     entity: str,
 ) -> YearSeries:
     """Yearly international collaboration rate for one entity."""
-    return collab_rate_series_block(tables_by_year, discipline_id, [entity])[0]
-
-
-def volume_series_block(
-    tables_by_year: Mapping[int, CountTable],
-    discipline_id: str,
-    entities: Sequence[str],
-) -> list[YearSeries]:
-    """Yearly production volume (unary count) of each entity."""
-    years, unary, _ = _year_counts(tables_by_year, entities)
-    values = unary.astype(float)
-    reasons = np.full(unary.shape, None, dtype=object)
-    return _series(discipline_id, entities, years, values, unary, reasons)
+    return yearly_series(tables_by_year, discipline_id, [entity])[0][0]
 
 
 def bilateral_distance_series(
@@ -180,29 +174,22 @@ def bilateral_distance_series(
     D is the Jaccard distance from that year's counts; the point's volume
     is the pair's joint count. D = 1 (no joint works) maps to infinity and
     is emitted masked with no value instead of crashing; years where either
-    entity is absent are masked as missing. The series is symmetric in its
-    two entities.
+    entity is absent are masked as missing, and points below ``min_volume``
+    as ``apply_min_volume_mask`` would. The series is symmetric in its two
+    entities.
     """
     years, unary, _ = _year_counts(tables_by_year, (entity_a, entity_b))
-    points = []
-    for year, (n_a, n_b) in zip(years, unary.tolist()):
-        if n_a == 0 or n_b == 0:
-            points.append(
-                SeriesPoint(year, None, 0, masked=True, reason=REASON_MISSING)
-            )
-            continue
-        joint = tables_by_year[year].pair_count(entity_a, entity_b)
-        aff = affinity(n_a, n_b, joint)
-        if aff == 0.0:
-            points.append(
-                SeriesPoint(year, None, joint, masked=True, reason=REASON_DEGENERATE)
-            )
-            continue
-        points.append(SeriesPoint(year, rescaled_distance(1.0 - aff), joint))
-    series = YearSeries(
-        discipline_id, entity_a, tuple(points), entity_b=entity_b
-    )
-    return apply_min_volume_mask(series, min_volume)
+    joint = np.array([tables_by_year[y].pair_count(entity_a, entity_b) for y in years], np.int64)
+    degenerate = np.where(joint == 0, REASON_DEGENERATE, None)
+    reasons = np.where(unary.min(axis=1) == 0, REASON_MISSING, degenerate)
+    values = [
+        None if reason else rescaled_distance(1.0 - affinity(n_a, n_b, n_ab))
+        for reason, (n_a, n_b), n_ab in zip(reasons.tolist(), unary.tolist(), joint.tolist())
+    ]
+    below = _below_min_volume(joint, np.not_equal(reasons, None), min_volume)
+    reasons[below] = REASON_BELOW_MIN_VOLUME
+    block = (np.array(values, dtype=object)[:, None], joint[:, None], reasons[:, None])
+    return _series(discipline_id, [entity_a], years, *block, entity_b=entity_b)[0]
 
 
 def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CountTable, Period, top_indices, unknown_rate
+from .corpus import CountTable, Period, unknown_rate
 from .geometry import ClusterCut, Dendrogram, DistanceMatrix, IcdResult
 from .metrics import KdeCurve, YearSeries
 
@@ -69,16 +69,19 @@ class ChordData:
     other: dict[str, int]
 
 
-def chord_data(table: CountTable, n: int) -> ChordData:
-    """Restrict a count table to its top-N entities for chord plotting.
+def chord_data(table: CountTable, entities: Sequence[str]) -> ChordData:
+    """Restrict a count table to the displayed entities, in their given
+    order, for chord plotting.
 
     One pass over the table's pair codes splits each pair into a flow
     (both ends displayed), an ``other`` count of its displayed end, or
     nothing.
     """
-    if n < 2:
+    if len(entities) < 2:
         raise ValueError("chord data needs at least 2 displayed entities")
-    top = top_indices(table, n)
+    top = table.indices(entities)
+    if np.any(top < 0):
+        raise ValueError("every displayed entity must be in the count table")
     names = table.names
     shown = np.zeros(len(names), dtype=bool)
     shown[top] = True
@@ -95,7 +98,7 @@ def chord_data(table: CountTable, n: int) -> ChordData:
     for end, alone in ((lo, lo_shown & ~hi_shown), (hi, hi_shown & ~lo_shown)):
         np.add.at(other, end[alone], table.pair_counts[alone])
     solo = table.unary_counts - table.multi_counts
-    displayed = tuple(names[i] for i in top)
+    displayed = tuple(entities)
     return ChordData(
         period=table.period,
         entities=displayed,

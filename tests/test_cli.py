@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabkit import cli
+from collabkit import cli, metrics
 from collabkit.cli import (
     EXIT_ANALYSIS,
     EXIT_CONFIG,
@@ -641,6 +641,19 @@ def test_run_never_builds_name_keyed_views(fixture_config, tmp_path, monkeypatch
     assert built == []
 
 
+def test_run_never_remasks_series(fixture_config, tmp_path, monkeypatch):
+    # every series is masked as it is built; rebuilding a series point by
+    # point through apply_min_volume_mask is the library caller's path
+    def boom(*args, **kwargs):
+        raise AssertionError("run() reached apply_min_volume_mask")
+
+    monkeypatch.setattr(metrics, "apply_min_volume_mask", boom)
+    code, manifest = run(
+        replace(fixture_config, out_dir=str(tmp_path)), mode="fixtures", stage="all"
+    )
+    assert code == EXIT_OK and len(manifest["outputs"]) == 84
+
+
 def test_no_record_outlives_its_count(fixture_config, tmp_path, monkeypatch):
     alive = {}
 
@@ -764,6 +777,33 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and "top_n" in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [
+            ("--key", "foo", "key"),
+            ("--periods", "paper-3", "periods"),
+            ("--h0", "2", "h0_mode"),
+            ("--top-n", "1.5", "top_n"),
+            ("--h-star", "x", "h_star"),
+            ("--min-volume", "x", "min_volume"),
+        ],
+    )
+    def test_bad_flag_value_is_a_config_error(self, capsys, flag, value, field):
+        # judged by the config rules, as the same value in a config file is
+        code = main(["validate", "--disciplines", "C1", flag, value])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        err = json.loads(lines[0])
+        assert err["error"] == "ConfigError" and err["exit_code"] == EXIT_CONFIG
+        assert f"{field}: " in err["message"]
+
+    def test_unknown_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--disciplines", "C1", "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_duplicate_discipline_writes_nothing(
         self, tmp_path, fixture_cache_dir, capsys

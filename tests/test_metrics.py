@@ -24,12 +24,16 @@ from collabkit.metrics import (
     intl_collab_rate,
     kde,
     silverman_bandwidth,
-    volume_series_block,
+    yearly_series,
 )
 from util import POOL6, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL6), max_size=4)
 corpora = st.lists(nationality_sets, min_size=1, max_size=50)
+# a year may hold no works at all, so every entity can be missing
+yearly_corpora = st.dictionaries(
+    st.integers(2000, 2009), st.lists(nationality_sets, max_size=20), min_size=1
+)
 
 
 def _tables_by_year(sets_by_year):
@@ -96,11 +100,103 @@ class TestSeriesConstruction:
 
     def test_volume_series(self):
         tables = _tables_by_year({2000: [{"US"}, {"US"}], 2001: [{"CN"}]})
-        series = volume_series_block(tables, "D1", ["US"])[0]
+        _, (series,) = yearly_series(tables, "D1", ["US"])
         assert [(p.year, p.value, p.volume) for p in series.points] == [
             (2000, 2.0, 2),
             (2001, 0.0, 0),
         ]
+
+
+def _point_tuples(series):
+    return [(p.year, p.value, p.volume, p.masked, p.reason) for p in series.points]
+
+
+class TestYearlySeries:
+    @given(yearly_corpora, st.integers(0, 6))
+    def test_rates_match_masked_single_series(self, sets_by_year, min_volume):
+        # the pipeline's rate path against the acceptance-bound one
+        tables = _tables_by_year(sets_by_year)
+        entities = [*POOL6, "ZZ"]  # ZZ never has works
+        rates, volumes = yearly_series(tables, "D1", entities, min_volume)
+        for entity, rate, volume in zip(entities, rates, volumes):
+            expected = apply_min_volume_mask(
+                collab_rate_series(tables, "D1", entity), min_volume
+            )
+            assert rate == expected  # every point field, reasons included
+            assert (volume.discipline_id, volume.entity) == ("D1", entity)
+            assert [(p.year, p.value, p.volume, p.masked) for p in volume.points] == [
+                (year, float(n), n, False)
+                for year, n in (
+                    (y, sum(entity in s for s in sets_by_year[y]))
+                    for y in sorted(sets_by_year)
+                )
+            ]
+
+
+def _bilateral_oracle(sets_by_year, a, b, min_volume):
+    """Each year's point from the work sets; the value's arithmetic is
+    spelled out as ``affinity`` then ``rescaled_distance`` do it, so the
+    comparison is exact."""
+    points = []
+    for year in sorted(sets_by_year):
+        sets = sets_by_year[year]
+        n_a = sum(a in s for s in sets)
+        n_b = sum(b in s for s in sets)
+        n_ab = sum(a in s and b in s for s in sets)
+        if n_a == 0 or n_b == 0:
+            points.append((year, None, 0, True, REASON_MISSING))
+        elif n_ab == 0:
+            points.append((year, None, 0, True, REASON_DEGENERATE))
+        else:
+            value = -math.log1p(-(1.0 - n_ab / (n_a + n_b - n_ab)))
+            low = n_ab < min_volume
+            points.append((year, value, n_ab, low, REASON_BELOW_MIN_VOLUME if low else None))
+    return points
+
+
+class TestBilateralOracle:
+    SETS_BY_YEAR = {
+        2000: [{"AT"}, {"AT", "CH"}],  # BE missing
+        2001: [{"AT"}, {"BE"}],  # degenerate
+        2002: [{"AT", "BE"}] * 3 + [{"AT"}],  # three joint works
+        2003: [{"AT", "BE", "CH"}] * 6 + [{"BE"}] * 2,  # six joint works
+        2004: [],  # no works at all
+    }
+
+    @pytest.mark.parametrize("min_volume", [0, 4, 100])
+    @pytest.mark.parametrize("pair", [("AT", "BE"), ("BE", "AT"), ("AT", "AT"), ("CH", "DK")])
+    def test_every_case(self, pair, min_volume):
+        tables = _tables_by_year(self.SETS_BY_YEAR)
+        series = bilateral_distance_series(tables, "D1", *pair, min_volume=min_volume)
+        assert (series.entity, series.entity_b) == pair
+        assert _point_tuples(series) == _bilateral_oracle(self.SETS_BY_YEAR, *pair, min_volume)
+
+    def test_cases_covered(self):
+        tables = _tables_by_year(self.SETS_BY_YEAR)
+        reasons = {
+            p.reason
+            for pair in (("AT", "BE"), ("AT", "AT"))
+            for p in bilateral_distance_series(tables, "D1", *pair, min_volume=4).points
+        }
+        assert reasons == {
+            None,
+            REASON_MISSING,
+            REASON_DEGENERATE,
+            REASON_BELOW_MIN_VOLUME,
+        }
+
+    @given(
+        yearly_corpora,
+        st.sampled_from(POOL6),
+        st.sampled_from(POOL6),
+        st.integers(0, 6),
+    )
+    def test_random_corpora(self, sets_by_year, a, b, min_volume):
+        tables = _tables_by_year(sets_by_year)
+        oracle = _bilateral_oracle(sets_by_year, a, b, min_volume)
+        for pair in ((a, b), (b, a)):
+            series = bilateral_distance_series(tables, "D1", *pair, min_volume=min_volume)
+            assert _point_tuples(series) == oracle
 
 
 class TestMasking:

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from collabkit.corpus import Period, build_count_table
+from collabkit.corpus import Period, build_count_table, top_entities
 from collabkit.geometry import (
     IcdResult,
     cut_clusters,
@@ -53,7 +53,7 @@ def _tags(root, suffix):
 class TestChordData:
     def test_two_entity_flow(self):
         table = table_from_sets([{"US", "CN"}] * 5 + [{"US"}] * 3)
-        chord = chord_data(table, 2)
+        chord = chord_data(table, top_entities(table, 2))
         assert chord.entities == ("US", "CN")  # count order: US 8, CN 5
         assert chord.flows == {("CN", "US"): 5}
         assert chord.solo == {"US": 3, "CN": 0}
@@ -61,26 +61,31 @@ class TestChordData:
 
     def test_three_work_example(self):
         table = table_from_sets([{"US"}, {"CN", "US"}, set()])
-        chord = chord_data(table, 2)
+        chord = chord_data(table, top_entities(table, 2))
         assert chord.flows == {("CN", "US"): 1}
         assert chord.solo == {"US": 1, "CN": 0}
 
     def test_other_arc(self):
         # US co-produces with CN (kept) and once with BR (dropped at n=2)
         table = table_from_sets([{"US", "CN"}] * 3 + [{"US", "BR"}] + [{"CN"}])
-        chord = chord_data(table, 2)
+        chord = chord_data(table, top_entities(table, 2))
         assert chord.entities == ("CN", "US")  # tie at 4, lexicographic
         assert chord.other == {"US": 1, "CN": 0}
 
     def test_n_larger_than_entity_count(self):
         table = table_from_sets([{"US", "CN"}])
-        chord = chord_data(table, 10)
+        chord = chord_data(table, top_entities(table, 10))
         assert chord.entities == ("CN", "US")  # tie on count, lexicographic
 
     def test_n_below_two(self):
         table = table_from_sets([{"US", "CN"}])
         with pytest.raises(ValueError):
-            chord_data(table, 1)
+            chord_data(table, top_entities(table, 1))
+
+    def test_entity_not_in_table(self):
+        table = table_from_sets([{"US", "CN"}])
+        with pytest.raises(ValueError):
+            chord_data(table, ["US", "JP"])
 
     def test_csv_frozen(self):
         chord = ChordData(
@@ -104,7 +109,7 @@ class TestChordData:
         table = table_from_sets(
             [{"US", "CN"}] * 4 + [{"US", "JP"}] * 2 + [{"CN", "JP"}] + [{"US"}] * 3
         )
-        chord = chord_data(table, 3)
+        chord = chord_data(table, top_entities(table, 3))
         for ent in chord.entities:
             crossing = sum(
                 v for (a, b), v in chord.flows.items() if ent in (a, b)
