@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import platform
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -72,16 +73,14 @@ from .report import (
     unknown_rate_to_csv,
 )
 
-PERIOD_PRESETS: dict[str, tuple[tuple[str, int, int], ...]] = {
+PERIOD_PRESETS: dict[str, tuple[Period, ...]] = {
     "paper-4": (
-        ("1971-1990", 1971, 1990),
-        ("1991-2000", 1991, 2000),
-        ("2001-2010", 2001, 2010),
-        ("2011-2020", 2011, 2020),
+        Period("1971-1990", 1971, 1990),
+        Period("1991-2000", 1991, 2000),
+        Period("2001-2010", 2001, 2010),
+        Period("2011-2020", 2011, 2020),
     ),
-    "paper-10": tuple(
-        (f"{y}-{y + 4}", y, y + 4) for y in range(1971, 2020, 5)
-    ),
+    "paper-10": tuple(Period(f"{y}-{y + 4}", y, y + 4) for y in range(1971, 2020, 5)),
 }
 
 H0_MODES = ("auto", "strict-1.0")
@@ -95,40 +94,6 @@ EXIT_ANALYSIS = 3
 
 _CONFIG_ERRORS = (ConfigError, WrongLevel)
 _TRANSPORT_ERRORS = (TransportError, ParseError)  # includes RateLimited, MissingFixtures
-
-
-def resolve_periods(spec) -> tuple[Period, ...]:
-    """Turn a preset name or an explicit list into Period objects."""
-    if isinstance(spec, str):
-        if spec not in PERIOD_PRESETS:
-            raise ConfigError(
-                f"bad config value: periods: unknown preset {spec!r}; "
-                f"choose from {sorted(PERIOD_PRESETS)}"
-            )
-        return tuple(Period(label, lo, hi) for label, lo, hi in PERIOD_PRESETS[spec])
-    if not isinstance(spec, list):
-        raise ConfigError(
-            f"bad config value: periods must be a preset name or a list, got {spec!r}"
-        )
-    periods = []
-    for item in spec:
-        if not (
-            isinstance(item, dict)
-            and _is_json(item.get("label"), str)
-            and _is_json(item.get("year_from"), int)
-            and _is_json(item.get("year_to"), int)
-        ):
-            raise ConfigError(
-                "bad config value: periods entries need a string label and "
-                f"int year_from/year_to, got {item!r}"
-            )
-        try:
-            periods.append(Period(item["label"], item["year_from"], item["year_to"]))
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad config value: periods entry {item!r}: {exc}"
-            ) from exc
-    return tuple(periods)
 
 
 @dataclass(frozen=True)
@@ -150,27 +115,52 @@ def _is_json(value, kind) -> bool:
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
-def _is_tuple_of(value, kind) -> bool:
-    return isinstance(value, tuple) and all(_is_json(v, kind) for v in value)
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_json(v, kind) for v in value)
 
 
-# Pair codes and period labels fill CSV fields; a label also names a
-# directory under out_dir.
-_LABEL_SPECIALS = CSV_SPECIALS | frozenset("/\\")
+# A bare discipline id and a period label each name a directory under
+# out_dir and fill CSV fields.
+_NAME_SPECIALS = CSV_SPECIALS | frozenset("/\\")
+_PLAIN_NAME = 'must name one directory and hold no / \\ , " CR or LF'
+
+
+def _is_plain_name(name) -> bool:
+    plain = isinstance(name, str) and _NAME_SPECIALS.isdisjoint(name)
+    return plain and name not in ("", ".", "..")
+
+
+def _period(entry) -> Period | str:
+    """A period entry, an object or a Period, as a Period, or what is wrong with it."""
+    if isinstance(entry, Period):
+        entry = asdict(entry)
+    if not (
+        isinstance(entry, dict)
+        and _is_json(entry.get("label"), str)
+        and _is_json(entry.get("year_from"), int)
+        and _is_json(entry.get("year_to"), int)
+    ):
+        return f"needs a string label and int year_from/year_to, got {entry!r}"
+    try:
+        return Period(entry["label"], entry["year_from"], entry["year_to"])
+    except ValueError as exc:
+        return str(exc)
 
 
 # field -> (JSON type, rule a value of that type must keep, what the rule says)
 _SCALAR_RULES = {
     "key": (str, lambda v: v in VALID_KEYS, f"must be one of {VALID_KEYS}"),
     "top_n": (int, lambda v: v >= 2, "need at least 2 entities to compare"),
-    "h_star": (_NUMBER, lambda v: v > 0, "threshold must be positive"),
+    "h_star": (
+        _NUMBER, lambda v: 0 < v < math.inf, "threshold must be positive and finite"
+    ),
     "h0_mode": (str, lambda v: v in H0_MODES, f"must be one of {H0_MODES}"),
     "min_volume": (int, lambda v: v >= 0, "must be non-negative"),
     "journal_only": (bool, None, None),
     "expansion": (
         str, lambda v: v in EXPANSION_MODES, f"must be one of {EXPANSION_MODES}"
     ),
-    "rate_limit": (_NUMBER, lambda v: v > 0, "must be positive"),
+    "rate_limit": (_NUMBER, lambda v: 0 < v < math.inf, "must be positive and finite"),
     "cache_dir": (str, None, None),
     "out_dir": (str, None, None),
 }
@@ -180,17 +170,20 @@ _SCALAR_RULES = {
 class AnalysisConfig:
     """Declarative description of one full analysis run.
 
-    Every rule is checked when the config is built, by ``config_from_dict``,
-    ``dataclasses.replace`` or a direct call, and a config that breaks any
-    raises one ConfigError naming each ``field: message``. No value is
-    coerced: a bool is not an int, and ``int(30.9)`` would change the run
-    without a word. Discipline ids are stored bare (``C100``, not its
-    OpenAlex URL) and must be distinct once bare; ``h_star`` and
-    ``rate_limit`` are stored as floats.
+    Each field takes its JSON shape: a list or a tuple, and for
+    ``periods`` a preset name or a list of ``{label, year_from, year_to}``
+    entries (or Periods). Every rule is checked when the config is built,
+    by ``config_from_dict``, ``dataclasses.replace`` or a direct call, and
+    a config that breaks any raises one ConfigError naming each
+    ``field: message``. No value is coerced: a bool is not an int, and
+    ``int(30.9)`` would change the run without a word. A valid config is
+    stored in one canonical form: tuples, Periods, discipline ids bare
+    (``C100``, not its OpenAlex URL) and distinct, and ``h_star`` and
+    ``rate_limit`` as floats.
     """
 
     disciplines: tuple[str, ...] = ()
-    periods: tuple[Period, ...] = resolve_periods("paper-4")
+    periods: tuple[Period, ...] = "paper-4"  # resolved in __post_init__
     key: str = COUNTRY_KEY
     top_n: int = 30
     h_star: float = 1.005
@@ -204,49 +197,58 @@ class AnalysisConfig:
     out_dir: str = "out"
 
     def __post_init__(self) -> None:
-        diags = self._findings()
+        diags = self._settle()
         if diags:
             raise ConfigError("bad config value: " + "; ".join(map(str, diags)))
-        bare = tuple(normalize_concept_id(d) for d in self.disciplines)
-        object.__setattr__(self, "disciplines", bare)
-        object.__setattr__(self, "h_star", float(self.h_star))
-        object.__setattr__(self, "rate_limit", float(self.rate_limit))
 
-    def _findings(self) -> list[Diagnostic]:
+    def _settle(self) -> list[Diagnostic]:
+        """Store each readable field in its canonical form; return the findings."""
         diags: list[Diagnostic] = []
 
         def add(field: str, message: str) -> None:
             diags.append(Diagnostic(field, message))
 
-        if not _is_tuple_of(self.disciplines, str):
+        def store(field: str, value) -> None:
+            object.__setattr__(self, field, value)
+
+        if not _is_list_of(self.disciplines, str):
             add("disciplines", f"must be a list of strings, got {self.disciplines!r}")
         elif not self.disciplines:
             add("disciplines", "at least one root concept id required")
         else:
+            store("disciplines", tuple(map(normalize_concept_id, self.disciplines)))
             first: dict[str, int] = {}  # bare id -> index it first appears at
-            for i, d in enumerate(self.disciplines):
-                bare = normalize_concept_id(d)
-                if not bare:
-                    add(f"disciplines[{i}]", "empty concept id")
+            for i, bare in enumerate(self.disciplines):
+                if not _is_plain_name(bare):
+                    add(f"disciplines[{i}]", f"id {bare!r} {_PLAIN_NAME}")
                 elif bare in first:
                     add(f"disciplines[{i}]", f"duplicate of disciplines[{first[bare]}]")
                 else:
                     first[bare] = i
-        if not _is_tuple_of(self.periods, Period):
-            add("periods", f"must be a list of periods, got {self.periods!r}")
-        elif not self.periods:
+
+        spec = self.periods
+        if isinstance(spec, str):
+            spec = PERIOD_PRESETS.get(spec, spec)
+        if isinstance(spec, str):
+            add("periods", f"unknown preset {spec!r}, not one of {sorted(PERIOD_PRESETS)}")
+        elif not isinstance(spec, (list, tuple)):
+            add("periods", f"must be a preset name or a list of periods, got {spec!r}")
+        elif not spec:
             add("periods", "at least one period required")
         else:
+            entries = list(map(_period, spec))
+            for i, entry in enumerate(entries):
+                if isinstance(entry, str):
+                    add(f"periods[{i}]", entry)
+                elif not _is_plain_name(entry.label):
+                    add(f"periods[{i}]", f"label {entry.label!r} {_PLAIN_NAME}")
+            store("periods", tuple(p for p in entries if isinstance(p, Period)))
             labels = [p.label for p in self.periods]
             if len(set(labels)) != len(labels):
                 add("periods", "period labels must be unique")
-            for i, label in enumerate(labels):
-                plain = isinstance(label, str) and _LABEL_SPECIALS.isdisjoint(label)
-                if not plain or label in ("", ".", ".."):
-                    why = 'must name one directory and hold no / \\ , " CR or LF'
-                    add(f"periods[{i}]", f"label {label!r} {why}")
             for a, b in overlapping_periods(self.periods):
                 add("periods", f"periods {a.label!r} and {b.label!r} overlap")
+
         for name, (kind, rule, message) in _SCALAR_RULES.items():
             value = getattr(self, name)
             if not _is_json(value, kind):
@@ -254,34 +256,33 @@ class AnalysisConfig:
                 add(name, f"must be {what}, got {value!r}")
             elif rule is not None and not rule(value):
                 add(name, message)
-        if not isinstance(self.bilateral_pairs, tuple):
+            elif kind is _NUMBER:
+                store(name, float(value))
+
+        if not isinstance(self.bilateral_pairs, (list, tuple)):
             add("bilateral_pairs", f"must be a list of pairs, got {self.bilateral_pairs!r}")
         else:
+            pairs = []
             for i, pair in enumerate(self.bilateral_pairs):
-                if not (_is_tuple_of(pair, str) and len(pair) == 2 and all(pair)):
+                if not (_is_list_of(pair, str) and len(pair) == 2 and all(pair)):
                     add(f"bilateral_pairs[{i}]", f"expected two entity codes, got {pair!r}")
                 elif any(not CSV_SPECIALS.isdisjoint(code) for code in pair):
                     add(f"bilateral_pairs[{i}]", f"codes {pair!r} must hold no , \" CR or LF")
+                else:
+                    pairs.append(tuple(pair))
+            store("bilateral_pairs", tuple(pairs))
         return diags
 
 
 _CONFIG_KEYS = frozenset(f.name for f in fields(AnalysisConfig))
 
 
-def _as_tuples(value):
-    """A JSON value with every list, at any depth, made a tuple."""
-    return tuple(map(_as_tuples, value)) if isinstance(value, list) else value
-
-
 def config_from_dict(doc: dict) -> AnalysisConfig:
-    """Build a config from its JSON document; ``periods`` may name a preset."""
+    """Build a config from its JSON document; unknown keys are refused."""
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    values = {name: _as_tuples(value) for name, value in doc.items()}
-    if "periods" in doc:
-        values["periods"] = resolve_periods(doc["periods"])
-    return AnalysisConfig(**values)
+    return AnalysisConfig(**doc)
 
 
 def _read_config(path: str | Path) -> dict:
@@ -587,10 +588,7 @@ def main(argv: list[str] | None = None) -> int:
     except _TRANSPORT_ERRORS as exc:
         _report_error(exc, EXIT_TRANSPORT)
         return EXIT_TRANSPORT
-    except CollabKitError as exc:
-        _report_error(exc, EXIT_ANALYSIS)
-        return EXIT_ANALYSIS
-    except Exception as exc:  # anything unexpected still reports machine-readably
+    except Exception as exc:  # analysis errors, and anything unexpected, report alike
         _report_error(exc, EXIT_ANALYSIS)
         return EXIT_ANALYSIS
 

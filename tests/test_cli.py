@@ -8,6 +8,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import re
 import shutil
 import weakref
@@ -32,7 +33,6 @@ from collabkit.cli import (
     config_hash,
     load_config,
     main,
-    resolve_periods,
     run,
     validate,
 )
@@ -55,6 +55,9 @@ FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9b
 
 PAPER4_LABELS = ["1971-1990", "1991-2000", "2001-2010", "2011-2020"]
 
+# names that would not name one directory under out_dir or fit a CSV field
+NOT_PLAIN_NAMES = ["", ".", "..", "../x", "a/b", "a\\b", "a,b", 'a"b', "a\rb", "a\nb"]
+
 CELL_FILES = [
     "distances.csv",
     "dendrogram.newick",
@@ -69,15 +72,19 @@ CELL_FILES = [
 ]
 
 
+def _periods(spec) -> tuple[Period, ...]:
+    return config_from_dict({"disciplines": ["C1"], "periods": spec}).periods
+
+
 class TestPeriods:
     def test_paper4_preset(self):
-        periods = resolve_periods("paper-4")
+        periods = _periods("paper-4")
         assert [p.label for p in periods] == PAPER4_LABELS
         assert periods[0].year_from == 1971 and periods[0].year_to == 1990
         assert periods[-1].year_to == 2020
 
     def test_paper10_preset(self):
-        periods = resolve_periods("paper-10")
+        periods = _periods("paper-10")
         assert len(periods) == 10
         assert [p.label for p in periods] == [
             f"{y}-{y + 4}" for y in range(1971, 2020, 5)
@@ -85,18 +92,16 @@ class TestPeriods:
         assert all(p.year_to - p.year_from == 4 for p in periods)
 
     def test_explicit_list(self):
-        periods = resolve_periods(
-            [{"label": "90s", "year_from": 1990, "year_to": 1999}]
-        )
+        periods = _periods([{"label": "90s", "year_from": 1990, "year_to": 1999}])
         assert periods == (Period("90s", 1990, 1999),)
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
-            resolve_periods("paper-99")
+            _periods("paper-99")
 
     def test_bad_entry(self):
         with pytest.raises(ConfigError):
-            resolve_periods([{"label": "x"}])
+            _periods([{"label": "x"}])
 
 
 class TestConfig:
@@ -141,6 +146,7 @@ class TestConfig:
             ("bilateral_pairs", [["US", 1]]),
             ("cache_dir", 5),
             ("out_dir", 5),
+            ("periods", (Period("90s", 1990.7, 1999),)),
         ],
     )
     def test_mistyped_values_not_coerced(self, field, value):
@@ -154,26 +160,59 @@ class TestConfig:
                 build()
 
     def test_every_bad_field_named_at_once(self):
-        with pytest.raises(ConfigError) as caught:
-            config_from_dict(
-                {
-                    "disciplines": ["C1", ""],
-                    "top_n": 1,
-                    "h_star": True,
-                    "key": "continent",
-                    "bilateral_pairs": [["US", "CN"], ["US"]],
-                }
-            )
-        message = str(caught.value)
-        for named in (
-            "disciplines[1]: ",
-            "top_n: ",
-            "h_star: ",
-            "key: ",
-            "bilateral_pairs[1]: ",
+        # period findings sit beside every other field's: an unknown preset,
+        # a malformed entry and an empty year range hide nothing
+        bad_entries = [
+            {"label": "early", "year_from": 1971, "year_to": 1990},
+            {"label": "x"},
+            {"label": "late", "year_from": 2000, "year_to": 1991},
+        ]
+        for periods, period_findings in (
+            ("paper-3", ["periods: unknown preset 'paper-3'"]),
+            (bad_entries, ["periods[1]: ", "periods[2]: "]),
         ):
-            assert named in message
-        assert message.count("; ") == 4
+            with pytest.raises(ConfigError) as caught:
+                config_from_dict(
+                    {
+                        "disciplines": ["C1", ""],
+                        "periods": periods,
+                        "top_n": 1,
+                        "h_star": True,
+                        "key": "continent",
+                        "bilateral_pairs": [["US", "CN"], ["US"]],
+                    }
+                )
+            message = str(caught.value)
+            named = [
+                "disciplines[1]: ",
+                *period_findings,
+                "top_n: ",
+                "h_star: ",
+                "key: ",
+                "bilateral_pairs[1]: ",
+            ]
+            for finding in named:
+                assert finding in message
+            assert message.count("; ") == len(named) - 1
+
+    def test_json_shapes_build_the_canonical_config(self):
+        # lists and a preset name, given in Python, settle to what the
+        # same JSON document gives: equal, and hashing alike
+        doc = {
+            "disciplines": ["C1", "https://openalex.org/C2"],
+            "periods": "paper-10",
+            "bilateral_pairs": [["US", "CN"]],
+        }
+        from_doc = config_from_dict(doc)
+        for config in (
+            AnalysisConfig(**doc),
+            replace(config_from_dict({"disciplines": ["C9"]}), **doc),
+        ):
+            assert config == from_doc and hash(config) == hash(from_doc)
+            assert config_hash(config) == config_hash(from_doc)
+        assert from_doc.disciplines == ("C1", "C2")
+        assert from_doc.bilateral_pairs == (("US", "CN"),)
+        assert from_doc.periods == cli.PERIOD_PRESETS["paper-10"]
 
     @pytest.mark.parametrize(
         "doc,digest",
@@ -271,6 +310,8 @@ class TestValidate:
             ("min_volume", {"min_volume": -1}),
             ("expansion", {"expansion": "all"}),
             ("rate_limit", {"rate_limit": 0.0}),
+            ("h_star", {"h_star": math.inf}),
+            ("rate_limit", {"rate_limit": math.inf}),
         ],
     )
     def test_field_diagnostics(self, field, overrides):
@@ -289,9 +330,7 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"bilateral_pairs\[0\]: "):
             _config(bilateral_pairs=(("US", ""),))
 
-    @pytest.mark.parametrize(
-        "label", ["", ".", "..", "../x", "a/b", "a\\b", "a,b", 'a"b', "a\rb", "a\nb"]
-    )
+    @pytest.mark.parametrize("label", NOT_PLAIN_NAMES)
     def test_label_must_be_a_plain_name(self, label):
         periods = [
             {"label": "early", "year_from": 1971, "year_to": 1990},
@@ -301,6 +340,22 @@ class TestValidate:
             config_from_dict({"disciplines": ["C1"], "periods": periods})
         assert str(info.value).startswith("bad config value: periods[1]: label ")
         assert "periods[0]" not in str(info.value)
+
+    @pytest.mark.parametrize("name", NOT_PLAIN_NAMES)
+    def test_discipline_id_must_be_a_plain_name(self, name):
+        # the bare id names a directory under out_dir and fills CSV fields,
+        # as a label does; a "/" ends an id's URL part, so "../x" and "a/b"
+        # are read as the plain ids x and b
+        doc = {"disciplines": ["C1", name]}
+        if "/" in name:
+            assert config_from_dict(doc).disciplines == ("C1", name.rsplit("/", 1)[1])
+            return
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(doc)
+        assert str(info.value) == (
+            f"bad config value: disciplines[1]: id {name!r} must name one "
+            'directory and hold no / \\ , " CR or LF'
+        )
 
     @pytest.mark.parametrize("code", ["C,N", 'C"N', "C\rN", "C\nN"])
     def test_pair_code_fits_a_csv_field(self, code):
@@ -368,6 +423,10 @@ def fixtures_run(fixture_config, tmp_path_factory):
     return config, manifest, out
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestRun:
     def test_all_cell_files_written(self, fixtures_run):
         _, _, out = fixtures_run
@@ -396,7 +455,9 @@ class TestRun:
         assert manifest["mode"] == "fixtures"
         assert manifest["config_sha256"] == config_hash(config)
         assert set(manifest["versions"]) == {"collabkit", "python", "numpy"}
-        on_disk = json.loads((out / "manifest.json").read_text())
+        on_disk = json.loads(
+            (out / "manifest.json").read_text(), parse_constant=_refuse_constant
+        )
         assert on_disk == manifest
 
     def test_manifest_inputs_are_page_hashes(self, fixtures_run):
@@ -787,6 +848,7 @@ class TestMain:
             ("--top-n", "1.5", "top_n"),
             ("--h-star", "x", "h_star"),
             ("--min-volume", "x", "min_volume"),
+            ("--h-star", "1e999", "h_star"),
         ],
     )
     def test_bad_flag_value_is_a_config_error(self, capsys, flag, value, field):
