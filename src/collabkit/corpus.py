@@ -26,13 +26,14 @@ _JOURNAL_TYPES = ("journal-article", "article")
 
 @dataclass(frozen=True)
 class WorkRecord:
-    """One published work reduced to what the counting pipeline needs."""
+    """One published work reduced to what the counting pipeline needs; a
+    record built for one aggregation key holds None for the other's set."""
 
     work_id: str
     year: int
     discipline_id: str
-    nationalities: frozenset[str]
-    institutions: frozenset[str]
+    nationalities: frozenset[str] | None
+    institutions: frozenset[str] | None
     is_journal_article: bool
 
 
@@ -61,15 +62,21 @@ def overlapping_periods(periods: Sequence[Period]) -> list[tuple[Period, Period]
     return clashes
 
 
-def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
+def work_from_metadata(
+    raw: Mapping, discipline_id: str, key: str = COUNTRY_KEY
+) -> WorkRecord:
     """Build a WorkRecord from one raw works-endpoint item.
 
     One walk over every contributor's institutions collects the upper-cased
     country codes and the bare ROR ids (the https://ror.org/ prefix
     dropped); each counts once however often it appears. An empty country
-    set means the nationality is unknown. Raises ValueError when the item
-    is not a work object of the expected shape.
+    set means the nationality is unknown. Only ``key``'s set is collected;
+    the other field is None. Raises ValueError for a key outside
+    VALID_KEYS, and when the item is not a work object of the expected
+    shape, whatever the key.
     """
+    if key not in VALID_KEYS:
+        raise ValueError(f"unknown aggregation key {key!r}")
     if not isinstance(raw, dict):
         raise ValueError(f"work item is not an object: {raw!r}")
     work_id = raw.get("id")
@@ -81,15 +88,16 @@ def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
     wtype = raw.get("type") or ""
     if not isinstance(wtype, str):
         raise ValueError(f"work {work_id}: type must be a string, got {wtype!r}")
-    countries: set[str] = set()
-    rors: set[str] = set()
+    countries: set[str] | None = set() if key == COUNTRY_KEY else None
+    rors: set[str] | None = None if countries is not None else set()
     try:
         for authorship in raw.get("authorships") or ():
             for inst in authorship.get("institutions") or ():
-                code, ror = inst.get("country_code"), inst.get("ror")
-                if code:
+                # each wanted set reads its own field; either read fails
+                # alike on an entry that is not an object
+                if countries is not None and (code := inst.get("country_code")):
                     countries.add(str(code).upper())
-                if ror:
+                if rors is not None and (ror := inst.get("ror")):
                     rors.add(str(ror).rsplit("/", 1)[-1])
     except (AttributeError, TypeError) as exc:
         # an authorship or institution entry that is not an object
@@ -98,8 +106,8 @@ def work_from_metadata(raw: Mapping, discipline_id: str) -> WorkRecord:
         work_id=str(work_id),
         year=year,
         discipline_id=discipline_id,
-        nationalities=frozenset(countries),
-        institutions=frozenset(rors),
+        nationalities=None if countries is None else frozenset(countries),
+        institutions=None if rors is None else frozenset(rors),
         is_journal_article=wtype.lower() in _JOURNAL_TYPES,
     )
 
@@ -239,8 +247,9 @@ def count_years(
     """One-year count tables for ``years``, from one pass over ``records``.
 
     Records of another discipline or from a year outside ``years`` are
-    skipped, and no record is kept once it is counted. Every work raises
-    an entity's unary count at most once; pairwise counts cover each
+    skipped, and no record is kept once it is counted; a counted record
+    built for the other key raises ValueError. Every work raises an
+    entity's unary count at most once; pairwise counts cover each
     unordered entity pair present on the work.
 
     Entity names are interned as the records stream past; each year keeps
@@ -263,8 +272,11 @@ def count_years(
         year = rec.year
         if rec.discipline_id != discipline_id or year not in total:
             continue
+        entities = rec.nationalities if by_country else rec.institutions
+        if entities is None:
+            raise ValueError(f"work {rec.work_id}: record holds no {key} set")
         total[year] += 1
-        work = sorted(map(ids.__getitem__, rec.nationalities if by_country else rec.institutions))
+        work = sorted(map(ids.__getitem__, entities))
         if not work:
             unknown[year] += 1
             continue

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
 
-from .corpus import WorkRecord, work_from_metadata
+from .corpus import COUNTRY_KEY, VALID_KEYS, WorkRecord, work_from_metadata
 from .errors import (
     MissingFixtures,
     ParseError,
@@ -181,17 +181,26 @@ class PageCache:
         )
         return digest
 
+    def _page_names(self) -> Iterator[str]:
+        """Fingerprints of the stored pages, in directory order: every
+        ``*.json`` but the ``.meta.json`` sidecars. A missing or unreadable
+        root holds none."""
+        try:
+            entries = os.scandir(self.root)
+        except OSError:
+            return
+        with entries:
+            for entry in entries:
+                name = entry.name
+                if name.endswith(".json") and not name.endswith(".meta.json"):
+                    yield name[: -len(".json")]
+
     def fingerprints(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            p.name[: -len(".json")]
-            for p in self.root.glob("*.json")
-            if not p.name.endswith(".meta.json")
-        )
+        return sorted(self._page_names())
 
     def is_empty(self) -> bool:
-        return not self.fingerprints()
+        """Whether the cache holds no page; reads only up to the first one."""
+        return next(self._page_names(), None) is None
 
 
 class TokenBucket:
@@ -324,6 +333,8 @@ class OpenAlexClient:
         self.pages_from_cache = 0  # pages read from the cache
         self.pages_fetched = 0  # pages downloaded, then cached
         self.network_calls = 0  # transport requests, retries included
+        self.duplicate_ids_dropped = 0  # work items harvest dropped as repeats
+        self.malformed_items_skipped = 0  # work items harvest could not read
         self.consumed: dict[str, str] = {}
 
     def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
@@ -408,13 +419,20 @@ def harvest(
     year_from: int,
     year_to: int,
     journal_only: bool = False,
+    key: str = COUNTRY_KEY,
 ) -> Iterator[WorkRecord]:
     """Stream deduplicated WorkRecords for a discipline's concept set.
 
-    Works are deduplicated by id (first occurrence wins). An empty year
-    range yields nothing. Items that cannot be turned into a record are
-    skipped with a warning rather than aborting the stream.
+    Each record is built by ``work_from_metadata`` with ``key``, so it
+    holds only that key's entity set. Works are deduplicated by id (first
+    occurrence wins). An empty year range yields nothing. Items that
+    cannot be turned into a record are skipped with a warning rather than
+    aborting the stream. The client counts the duplicates dropped and the
+    items skipped. A key outside VALID_KEYS raises ValueError before any
+    page is read.
     """
+    if key not in VALID_KEYS:  # else every item would be skipped as malformed
+        raise ValueError(f"unknown aggregation key {key!r}")
     if year_from > year_to:
         return
     query = WorksQuery(
@@ -424,11 +442,13 @@ def harvest(
     for page in client.pages(query):
         for raw in page.works:
             try:
-                record = work_from_metadata(raw, discipline_id)
+                record = work_from_metadata(raw, discipline_id, key)
             except ValueError as exc:
                 log.warning("skipping malformed work item: %s", exc)
+                client.malformed_items_skipped += 1
                 continue
             if record.work_id in seen:
+                client.duplicate_ids_dropped += 1
                 continue
             seen.add(record.work_id)
             if journal_only and not record.is_journal_article:

@@ -31,7 +31,8 @@ def fixture_config(fixture_cache_dir):
 
 @pytest.fixture(scope="session")
 def offline_records(fixture_cache_dir):
-    """WorkRecords for both bundled disciplines, decoded from the cache."""
+    """Country-key WorkRecords for both bundled disciplines, decoded from
+    the cache."""
     client = OpenAlexClient(PageCache(fixture_cache_dir), transport=None)
     records = {}
     for root in ("C100", "C200"):

@@ -45,8 +45,8 @@ from collabkit.corpus import (
     count_years,
     merge_tables,
 )
-from collabkit.errors import ConfigError, MissingFixtures
-from collabkit.ingest import PageCache
+from collabkit.errors import ConfigError, MissingFixtures, ParseError
+from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
 from util import POOL6
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
@@ -468,12 +468,15 @@ class TestRun:
             int(fp, 16) and int(digest, 16)
 
     def test_manifest_ingest_replay_is_all_cache(self, fixtures_run):
-        # an offline replay reads every page from the cache, each once
+        # an offline replay reads every page from the cache, each once; the
+        # bundled corpus repeats one work in every seventh year, 7 in C100
         _, manifest, _ = fixtures_run
         assert manifest["ingest"] == {
             "pages_from_cache": len(manifest["inputs"]),
             "pages_fetched": 0,
             "network_calls": 0,
+            "duplicate_ids_dropped": 7,
+            "malformed_items_skipped": 0,
         }
 
     def test_manifest_output_hashes_match_files(self, fixtures_run):
@@ -734,6 +737,116 @@ def test_no_record_outlives_its_count(fixture_config, tmp_path, monkeypatch):
     for kept, harvested in alive.values():
         # the consumer's loop variable may still hold the last record
         assert harvested > 1000 and kept <= 2
+
+
+def test_run_builds_only_the_counted_set(fixture_config, tmp_path, monkeypatch):
+    harvested = []
+
+    def recording_harvest(*args, **kwargs):
+        for rec in real_harvest(*args, **kwargs):
+            harvested.append((rec.nationalities is None, rec.institutions is None))
+            yield rec
+
+    real_harvest = cli.harvest
+    monkeypatch.setattr(cli, "harvest", recording_harvest)
+    assert fixture_config.key == "country"
+    _, manifest = run(
+        replace(fixture_config, out_dir=str(tmp_path)), mode="fixtures", stage="all"
+    )
+    assert len(harvested) > 2000 and set(harvested) == {(False, True)}
+    # 7 repeated works in each of the two disciplines
+    assert manifest["ingest"]["duplicate_ids_dropped"] == 14
+    assert manifest["ingest"]["malformed_items_skipped"] == 0
+
+
+@pytest.mark.parametrize("key", VALID_KEYS)
+def test_counting_the_stream_makes_no_cycles(fixture_cache_dir, key):
+    # run() pauses the cycle collector while it counts; that pays only
+    # because an offline record stream leaves no cyclic garbage behind
+    client = OpenAlexClient(PageCache(fixture_cache_dir), transport=None)
+    concepts = sorted(expand_concept("C100", client.fetch_concept))
+    years = range(1971, 2021)
+    gc.collect()
+    gc.disable()
+    try:
+        yearly = count_years(
+            harvest(client, "C100", concepts, 1971, 2020, key=key), "C100", years, key
+        )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sum(table.total_count for table in yearly.values()) > 1000
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("damage", [None, "flipped-byte"], ids=["clean", "flipped-byte"])
+def test_run_restores_the_collectors_state(
+    fixture_config, fixture_cache_dir, tmp_path, monkeypatch, enabled, damage
+):
+    # the collector is paused while records are counted, not while the
+    # harvest stage drains them, and run() leaves it as it found it
+    cache = fixture_cache_dir
+    if damage:
+        cache = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache)
+        fp = next(
+            p.name[: -len(".meta.json")]
+            for p in sorted(cache.glob("*.meta.json"))
+            if json.loads(p.read_text())["endpoint"] == "works"
+        )
+        page = cache / f"{fp}.json"
+        page.write_bytes(page.read_bytes().replace(b"US", b"UT", 1))
+    collecting = {}
+
+    def recording_harvest(*args, **kwargs):
+        for rec in real_harvest(*args, **kwargs):
+            collecting.setdefault(stage, set()).add(gc.isenabled())
+            yield rec
+
+    real_harvest = cli.harvest
+    monkeypatch.setattr(cli, "harvest", recording_harvest)
+    config = replace(fixture_config, cache_dir=str(cache), out_dir=str(tmp_path / "out"))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for stage in ("harvest", "all"):
+            if damage:
+                with pytest.raises(ParseError, match=fp):
+                    run(config, mode="fixtures", stage=stage)
+            else:
+                run(config, mode="fixtures", stage=stage)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    if not damage:
+        assert collecting == {"harvest": {enabled}, "all": {False}}
+
+
+def test_online_counting_keeps_the_collector(fixture_config, tmp_path, monkeypatch):
+    # only an offline stream is known to make no cycles; an online run
+    # counts with the collector on, even when every page is cached
+    class NoNetwork:
+        def get(self, *args, **kwargs):
+            raise AssertionError("every page is cached")
+
+    collecting = set()
+
+    def recording_harvest(*args, **kwargs):
+        for rec in real_harvest(*args, **kwargs):
+            collecting.add(gc.isenabled())
+            yield rec
+
+    real_harvest = cli.harvest
+    monkeypatch.setattr(cli, "harvest", recording_harvest)
+    assert gc.isenabled()
+    code, manifest = run(
+        replace(fixture_config, out_dir=str(tmp_path)),
+        mode="online",
+        stage="all",
+        transport=NoNetwork(),
+    )
+    assert code == EXIT_OK and manifest["ingest"]["network_calls"] == 0
+    assert collecting == {True} and gc.isenabled()
 
 
 class TestArgs:

@@ -4,6 +4,7 @@ serialization."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -11,9 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from collabkit.corpus import (
+    COUNTRY_KEY,
+    INSTITUTION_KEY,
+    VALID_KEYS,
     CountTable,
     Period,
     build_count_table,
+    count_years,
     merge_tables,
     overlapping_periods,
     top_entities,
@@ -49,6 +54,40 @@ raw_authorships = st.fixed_dictionaries(
     },
 )
 
+# any raw item, well-formed or not: a non-object, an object whose id, year
+# or type may be missing or of the wrong type, or a work whose authorships
+# and institutions may be of any shape
+_not_an_object = st.sampled_from(["x", 5, None, [], True])
+_authorship = st.fixed_dictionaries(
+    {},
+    optional={
+        "institutions": st.none()
+        | _not_an_object
+        | st.lists(_institutions | _not_an_object, max_size=3)
+    },
+)
+_work_type = st.sampled_from(["article", "Journal-Article", "preprint", "", None, 5])
+raw_items = (
+    _not_an_object
+    | st.fixed_dictionaries(
+        {},
+        optional={
+            "id": st.sampled_from(["W1", "", None]),
+            "publication_year": st.sampled_from([2000, None, True, "2000"]),
+            "type": _work_type,
+        },
+    )
+    | st.fixed_dictionaries(
+        {"id": st.just("https://openalex.org/W2"), "publication_year": st.just(1971)},
+        optional={
+            "type": _work_type,
+            "authorships": st.none()
+            | _not_an_object
+            | st.lists(_authorship | _not_an_object, max_size=4),
+        },
+    )
+)
+
 
 def _raw_work(countries_per_author, work_id="https://openalex.org/W1", year=2000,
               wtype="journal-article"):
@@ -76,9 +115,13 @@ def _raw_work(countries_per_author, work_id="https://openalex.org/W1", year=2000
 
 def _sets(raw):
     """(nationalities, institutions) of one item, as work_from_metadata
-    builds them; the item gets an id and a year unless it has them."""
-    rec = work_from_metadata({"id": "W1", "publication_year": 2000, **raw}, "C1")
-    return rec.nationalities, rec.institutions
+    builds them for each key; the item gets an id and a year unless it
+    has them."""
+    raw = {"id": "W1", "publication_year": 2000, **raw}
+    return (
+        work_from_metadata(raw, "C1", COUNTRY_KEY).nationalities,
+        work_from_metadata(raw, "C1", INSTITUTION_KEY).institutions,
+    )
 
 
 def _authorships(*insts_per_author):
@@ -172,6 +215,39 @@ class TestWorkFromMetadata:
         raw["publication_year"] = None
         with pytest.raises(ValueError):
             work_from_metadata(raw, "C1")
+
+
+class TestKeyAwareRecords:
+    @given(raw=raw_items)
+    def test_the_key_picks_the_set_not_the_shape(self, raw):
+        # whether an item is malformed never depends on the key; each key's
+        # record holds that key's set, the other field None, and the rest
+        # of the two records agree
+        try:
+            by_country = work_from_metadata(raw, "C1", COUNTRY_KEY)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as by_institution:
+                work_from_metadata(raw, "C1", INSTITUTION_KEY)
+            assert str(by_institution.value) == str(exc)
+            return
+        by_institution = work_from_metadata(raw, "C1", INSTITUTION_KEY)
+        assert by_country.institutions is None and by_institution.nationalities is None
+        assert (by_country.nationalities, by_institution.institutions) == brute_work_sets(raw)
+        assert replace(by_country, nationalities=None) == replace(
+            by_institution, institutions=None
+        )
+        assert work_from_metadata(raw, "C1") == by_country
+
+    def test_unknown_key_is_refused(self):
+        with pytest.raises(ValueError, match="'Country'"):
+            work_from_metadata(_raw_work([["US"]]), "C1", "Country")
+
+    @pytest.mark.parametrize("key", VALID_KEYS)
+    def test_count_years_refuses_the_other_keys_record(self, key):
+        other = INSTITUTION_KEY if key == COUNTRY_KEY else COUNTRY_KEY
+        rec = work_from_metadata(_raw_work([["US"], ["CN"]]), "C1", other)
+        with pytest.raises(ValueError, match=f"no {key} set"):
+            count_years([rec], "C1", range(2000, 2001), key)
 
 
 class TestPeriod:

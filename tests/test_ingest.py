@@ -198,6 +198,15 @@ class TestPageCache(object):
         assert not cache.is_empty()
         assert cache.fingerprints() == ["ab" * 32]
 
+    def test_sidecar_alone_is_empty(self, tmp_path):
+        cache = PageCache(tmp_path)
+        (tmp_path / ("ab" * 32 + ".meta.json")).write_text("{}")
+        (tmp_path / "notes.txt").write_text("")
+        assert cache.is_empty() and cache.fingerprints() == []
+        (tmp_path / ("ab" * 32 + ".json")).write_text("{}")
+        assert not cache.is_empty()
+        assert PageCache(tmp_path / "notes.txt").is_empty()
+
     def test_meta_sidecar(self, tmp_path):
         cache = PageCache(tmp_path)
         cache.put("cd" * 32, b"{}", "works", {"cursor": "*", "mailto": "p@q.r"})
@@ -505,6 +514,14 @@ class TestHarvest:
         assert list(harvest(client, "C1", ["C1"], 2000, 1999)) == []
         assert transport.calls == 0
 
+    def test_unknown_key_is_refused(self, tmp_path):
+        # not every item skipped as malformed
+        transport = ScriptedTransport([])
+        client = _client(transport, tmp_path)
+        with pytest.raises(ValueError, match="'Country'"):
+            list(harvest(client, "C1", ["C1"], 1990, 1990, key="Country"))
+        assert transport.calls == 0
+
     def test_malformed_items_skipped(self, tmp_path):
         works = [
             {"id": "W1", "publication_year": 1990, "type": "article", "authorships": []},
@@ -527,6 +544,21 @@ class TestHarvest:
         client = _client(transport, tmp_path)
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
         assert [r.work_id for r in records] == ["W1", "W3"]
+
+    def test_client_counts_dropped_items(self, tmp_path):
+        works = [
+            {"id": "W1", "publication_year": 1990, "authorships": []},
+            {"id": "W2", "publication_year": 1990, "authorships": ["x"]},
+            {"id": "W1", "publication_year": 1991, "authorships": []},
+            {"id": "W3", "publication_year": 1990, "authorships": []},
+        ]
+        transport = ScriptedTransport(
+            [_ok({"meta": {"next_cursor": None}, "results": works})]
+        )
+        client = _client(transport, tmp_path)
+        records = list(harvest(client, "C1", ["C1"], 1990, 1991))
+        assert [r.work_id for r in records] == ["W1", "W3"]
+        assert (client.duplicate_ids_dropped, client.malformed_items_skipped) == (1, 1)
 
     def test_deterministic_replay_from_cache(self, tmp_path):
         transport = SyntheticOpenAlexTransport()
