@@ -16,6 +16,7 @@ import json
 import math
 import platform
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -356,6 +357,13 @@ def _analyze_cell(
     result = icd(dend, h0)
     curve = kde(result.rescaled) if len(result.rescaled) >= 2 else None
 
+    info = {
+        "entities": len(top),
+        "works": table.total_count,
+        "embeddable": is_embeddable(dm),
+        "n_clusters": cut.n_clusters,
+        "icd_mean": result.mean,
+    }
     prefix = f"{discipline}/{period.label}"
     outputs: dict[str, str] = {}
     if stage in ("analyze", "all"):
@@ -366,13 +374,9 @@ def _analyze_cell(
         outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(discipline, period, result)
         if curve is not None:
             outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
-        # the rate and volume series are formatted and dropped here, not
-        # kept alive through the rest of the cell
-        rates_csv, volumes_csv = map(
-            series_to_csv, yearly_series(period_years, discipline, top, config.min_volume)
-        )
-        outputs[f"{prefix}/series.csv"] = rates_csv
-        outputs[f"{prefix}/volumes.csv"] = volumes_csv
+        rates, yearly_volumes = yearly_series(period_years, discipline, top, config.min_volume)
+        outputs[f"{prefix}/series.csv"] = series_to_csv(rates)
+        outputs[f"{prefix}/volumes.csv"] = series_to_csv(yearly_volumes)
         pairs = config.bilateral_pairs or ((top[0], top[1]),)
         bilateral = [
             bilateral_distance_series(
@@ -381,19 +385,15 @@ def _analyze_cell(
             for a, b in pairs
         ]
         outputs[f"{prefix}/bilateral.csv"] = series_to_csv(bilateral)
+        # the masked points of series.csv and bilateral.csv; volumes.csv has none
+        masked = Counter(np.concatenate([s.reasons for s in rates + bilateral]).tolist())
+        del masked[None]
+        info["masked_points"] = dict(masked)
     if stage in ("report", "all"):
         volumes = dict(zip(top, gather(table.unary_counts, table.indices(top)).tolist()))
         outputs[f"{prefix}/dendrogram.svg"] = render_circular_dendrogram(
             dend, cut, volumes
         )
-
-    info = {
-        "entities": len(top),
-        "works": table.total_count,
-        "embeddable": is_embeddable(dm),
-        "n_clusters": cut.n_clusters,
-        "icd_mean": result.mean,
-    }
     return outputs, result, info
 
 

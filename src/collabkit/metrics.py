@@ -39,34 +39,52 @@ class SeriesPoint:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YearSeries:
-    """One yearly indicator for an entity (or an entity pair).
+    """One yearly indicator for an entity (or an entity pair), as columns
+    with one entry per year.
 
-    Which indicator the values carry is decided by the producing function
-    and by the file a series is exported into; the container itself is
-    indicator-agnostic.
+    ``values`` is float64, NaN where a point has no value; ``volumes`` is
+    int64; ``reasons`` holds each point's mask reason, ``None`` where it is
+    unmasked. Which indicator the values carry is decided by the producing
+    function and by the file a series is exported into. The series of one
+    ``yearly_series`` call share their blocks, so no column is written to.
     """
 
     discipline_id: str
     entity: str
-    points: tuple[SeriesPoint, ...]
+    years: tuple[int, ...]
+    values: np.ndarray
+    volumes: np.ndarray
+    reasons: np.ndarray
     entity_b: str | None = None
 
     def __post_init__(self) -> None:
-        years = [p.year for p in self.points]
-        if any(b <= a for a, b in zip(years, years[1:])):
-            raise ValueError("points must be in strictly increasing year order")
+        if any(b <= a for a, b in zip(self.years, self.years[1:])):
+            raise ValueError("years must be strictly increasing")
+        if any(len(col) != len(self.years) for col in (self.values, self.volumes, self.reasons)):
+            raise ValueError("every column must have one entry per year")
+
+    @property
+    def masked(self) -> np.ndarray:
+        return np.not_equal(self.reasons, None)
+
+    @property
+    def points(self) -> tuple[SeriesPoint, ...]:
+        """The series point by point, built on each read; NaN reads as None."""
+        values = [None if math.isnan(v) else v for v in self.values.tolist()]
+        columns = (self.volumes.tolist(), self.masked.tolist(), self.reasons.tolist())
+        return tuple(map(SeriesPoint, self.years, values, *columns))
 
 
 def _year_counts(
     tables_by_year: Mapping[int, CountTable], entities: Sequence[str]
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The years in ascending order, with the (years x entities) blocks of
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """The years in ascending order, and the (years x entities) blocks of
     unary and multi counts; an entity a year's table lacks counts 0 there.
     Entity indices are looked up once per distinct ``names`` tuple, and
     the one-year tables of one ``count_years`` call share theirs."""
-    years = sorted(tables_by_year)
+    years = tuple(sorted(tables_by_year))
     unary = np.zeros((len(years), len(entities)), dtype=np.int64)
     multi = np.zeros_like(unary)
     names, idx = None, None
@@ -88,30 +106,6 @@ def _rates(multi: np.ndarray, unary: np.ndarray) -> np.ndarray:
 def _below_min_volume(volumes: np.ndarray, masked: np.ndarray, threshold: int) -> np.ndarray:
     """Points the min-volume rule masks: not masked yet, volume below threshold."""
     return ~masked & (volumes < threshold)
-
-
-def _series(
-    discipline_id: str,
-    entities: Sequence[str],
-    years: list[int],
-    values: np.ndarray,
-    volumes: np.ndarray,
-    reasons: np.ndarray,
-    entity_b: str | None = None,
-) -> list[YearSeries]:
-    """One YearSeries per column of the (years x entities) blocks; a point
-    is masked where its reason is not None."""
-    masked = np.not_equal(reasons, None)
-    return [
-        YearSeries(discipline_id, entity, tuple(map(SeriesPoint, years, *columns)), entity_b)
-        for entity, *columns in zip(
-            entities,
-            values.T.tolist(),
-            volumes.T.tolist(),
-            masked.T.tolist(),
-            reasons.T.tolist(),
-        )
-    ]
 
 
 def intl_collab_rate(table: CountTable, entity: str) -> float:
@@ -141,16 +135,22 @@ def yearly_series(
     ``apply_min_volume_mask(..., min_volume)``: a year without the entity's
     works is masked as missing, with no value and volume 0, and a rate's
     volume is the entity's unary count. The volumes carry that unary count
-    as their value and are never masked.
+    as their value and are never masked. Each series' columns are column
+    slices of the blocks this call gathers.
     """
     years, unary, multi = _year_counts(tables_by_year, entities)
     present = unary > 0
-    values = np.where(present, _rates(multi, np.maximum(unary, 1)), None)
+    rates = np.where(present, _rates(multi, np.maximum(unary, 1)), np.nan)
     reasons = np.where(present, None, REASON_MISSING)
     reasons[_below_min_volume(unary, ~present, min_volume)] = REASON_BELOW_MIN_VOLUME
     unmasked = np.full(unary.shape, None, dtype=object)
-    rates = _series(discipline_id, entities, years, values, unary, reasons)
-    return rates, _series(discipline_id, entities, years, unary.astype(float), unary, unmasked)
+    return tuple(
+        [
+            YearSeries(discipline_id, entity, years, values[:, j], unary[:, j], why[:, j])
+            for j, entity in enumerate(entities)
+        ]
+        for values, why in ((rates, reasons), (unary.astype(float), unmasked))
+    )
 
 
 def collab_rate_series(
@@ -182,14 +182,16 @@ def bilateral_distance_series(
     joint = np.array([tables_by_year[y].pair_count(entity_a, entity_b) for y in years], np.int64)
     degenerate = np.where(joint == 0, REASON_DEGENERATE, None)
     reasons = np.where(unary.min(axis=1) == 0, REASON_MISSING, degenerate)
-    values = [
-        None if reason else rescaled_distance(1.0 - affinity(n_a, n_b, n_ab))
-        for reason, (n_a, n_b), n_ab in zip(reasons.tolist(), unary.tolist(), joint.tolist())
-    ]
+    values = np.array(
+        [
+            math.nan if reason else rescaled_distance(1.0 - affinity(n_a, n_b, n_ab))
+            for reason, (n_a, n_b), n_ab in zip(reasons.tolist(), unary.tolist(), joint.tolist())
+        ],
+        dtype=float,
+    )
     below = _below_min_volume(joint, np.not_equal(reasons, None), min_volume)
     reasons[below] = REASON_BELOW_MIN_VOLUME
-    block = (np.array(values, dtype=object)[:, None], joint[:, None], reasons[:, None])
-    return _series(discipline_id, [entity_a], years, *block, entity_b=entity_b)[0]
+    return YearSeries(discipline_id, entity_a, years, values, joint, reasons, entity_b)
 
 
 def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:
@@ -198,16 +200,9 @@ def apply_min_volume_mask(series: YearSeries, threshold: int) -> YearSeries:
     Values are kept; only the mask flag and reason change. A threshold of
     zero masks nothing new.
     """
-    below = _below_min_volume(
-        np.array([p.volume for p in series.points], dtype=np.int64),
-        np.array([p.masked for p in series.points], dtype=bool),
-        threshold,
-    )
-    points = tuple(
-        replace(p, masked=True, reason=REASON_BELOW_MIN_VOLUME) if hit else p
-        for p, hit in zip(series.points, below.tolist())
-    )
-    return replace(series, points=points)
+    reasons = series.reasons.copy()  # the input's block may be shared
+    reasons[_below_min_volume(series.volumes, series.masked, threshold)] = REASON_BELOW_MIN_VOLUME
+    return replace(series, reasons=reasons)
 
 
 @dataclass(frozen=True, eq=False)

@@ -343,25 +343,29 @@ def series_to_csv(collection: Sequence[YearSeries]) -> str:
 
     Pair series add an entity_b column after entity; the column appears
     only when the collection holds at least one pair series. Masked
-    points keep their volume but emit an empty value field.
+    points keep their volume but emit an empty value field. Each distinct
+    unmasked value is formatted once, keyed by its bit pattern so that
+    -0.0 keeps its own text.
     """
     if not collection:
         raise ValueError("nothing to export")
     has_pair = any(series.entity_b for series in collection)
-    columns = ["discipline", "entity"]
-    if has_pair:
-        columns.append("entity_b")
-    columns += ["year", "value", "volume", "masked"]
-    rows = []
-    for series in collection:
-        for p in series.points:
-            val = "" if p.masked else _fmt(p.value)
-            fields = [series.discipline_id, series.entity]
-            if has_pair:
-                fields.append(series.entity_b or "")
-            fields += [str(p.year), val, str(p.volume), str(p.masked).lower()]
-            rows.append(",".join(fields))
-    return _csv(",".join(columns), rows)
+    masked = [series.masked for series in collection]
+    bits = [series.values.view(np.int64) for series in collection]
+    shown = np.unique(np.concatenate([b[~m] for b, m in zip(bits, masked)]))
+    text = dict(zip(shown.tolist(), map(_fmt, shown.view(np.float64).tolist())))
+    rows: list[str] = []
+    for series, hidden, keys in zip(collection, masked, bits):
+        pair = [series.entity_b or ""] if has_pair else []
+        head = ",".join([series.discipline_id, series.entity, *pair])
+        rows += (
+            f"{head},{year},{'' if hide else text[key]},{volume},{'true' if hide else 'false'}"
+            for year, key, volume, hide in zip(
+                series.years, keys.tolist(), series.volumes.tolist(), hidden.tolist()
+            )
+        )
+    header = "discipline,entity,entity_b," if has_pair else "discipline,entity,"
+    return _csv(header + "year,value,volume,masked", rows)
 
 
 def icd_series_to_csv(

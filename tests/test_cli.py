@@ -46,6 +46,7 @@ from collabkit.corpus import (
     merge_tables,
 )
 from collabkit.errors import ConfigError, MissingFixtures, ParseError
+from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
 from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
 from util import POOL6
 
@@ -496,10 +497,25 @@ class TestRun:
                 "embeddable",
                 "n_clusters",
                 "icd_mean",
+                "masked_points",
             }
             assert isinstance(info["embeddable"], bool)
             assert info["entities"] >= 2
             assert info["n_clusters"] >= 1
+
+    def test_masked_points_count_the_masked_rows(self, fixtures_run):
+        _, manifest, out = fixtures_run
+        reasons = set()
+        for cell, info in manifest["cells"].items():
+            flags = [
+                row["masked"]
+                for name in ("series.csv", "bilateral.csv", "volumes.csv")
+                for row in csv.DictReader(io.StringIO((out / cell / name).read_text()))
+            ]
+            assert sum(info["masked_points"].values()) == flags.count("true"), cell
+            assert all(n > 0 for n in info["masked_points"].values())
+            reasons.update(info["masked_points"])
+        assert reasons == {REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING}
 
     def test_icd_series_rows(self, fixtures_run):
         _, _, out = fixtures_run
@@ -568,6 +584,7 @@ class TestRun:
         _, manifest = run(config, mode="fixtures", stage="report")
         names = {rel.rsplit("/", 1)[-1] for rel in manifest["outputs"]}
         assert names == {"dendrogram.svg"}
+        assert not any("masked_points" in info for info in manifest["cells"].values())
 
     def test_fixture_outputs_digest(self, fixture_config, tmp_path):
         # the byte contract for refactors: the bundled config, both
@@ -705,9 +722,22 @@ def test_run_never_builds_name_keyed_views(fixture_config, tmp_path, monkeypatch
     assert built == []
 
 
+def test_run_never_builds_series_points(fixture_config, tmp_path, monkeypatch):
+    # the pipeline reads the series columns only; SeriesPoint is the
+    # library callers' view
+    def boom(*args, **kwargs):
+        raise AssertionError("run() built a SeriesPoint")
+
+    monkeypatch.setattr(metrics, "SeriesPoint", boom)
+    code, manifest = run(
+        replace(fixture_config, out_dir=str(tmp_path)), mode="fixtures", stage="all"
+    )
+    assert code == EXIT_OK and len(manifest["outputs"]) == 84
+
+
 def test_run_never_remasks_series(fixture_config, tmp_path, monkeypatch):
-    # every series is masked as it is built; rebuilding a series point by
-    # point through apply_min_volume_mask is the library caller's path
+    # every series is masked as it is built; masking it again through
+    # apply_min_volume_mask is the library caller's path
     def boom(*args, **kwargs):
         raise AssertionError("run() reached apply_min_volume_mask")
 

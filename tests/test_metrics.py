@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from collabkit.metrics import (
     REASON_BELOW_MIN_VOLUME,
     REASON_DEGENERATE,
     REASON_MISSING,
-    SeriesPoint,
     YearSeries,
     apply_min_volume_mask,
     bilateral_distance_series,
@@ -38,6 +38,18 @@ yearly_corpora = st.dictionaries(
 
 def _tables_by_year(sets_by_year):
     return {year: table_from_sets(sets, year=year) for year, sets in sets_by_year.items()}
+
+
+def _series(values, volumes, reasons=None, years=None):
+    """A D1/US series from plain lists; years default to 2000, 2001, ..."""
+    return YearSeries(
+        "D1",
+        "US",
+        tuple(years or range(2000, 2000 + len(volumes))),
+        np.array(values, dtype=float),
+        np.array(volumes, dtype=np.int64),
+        np.array(reasons or [None] * len(volumes), dtype=object),
+    )
 
 
 class TestCollabRate:
@@ -76,12 +88,22 @@ class TestCollabRate:
 
 class TestSeriesConstruction:
     def test_years_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            YearSeries(
-                "D1",
-                "US",
-                (SeriesPoint(2000, 1.0, 5), SeriesPoint(2000, 1.0, 5)),
-            )
+        with pytest.raises(ValueError, match="increasing"):
+            _series([1.0, 1.0], [5, 5], years=(2000, 2000))
+
+    @pytest.mark.parametrize("column", ["values", "volumes", "reasons"])
+    def test_column_length_must_match_years(self, column):
+        series = _series([1.0, 1.0], [5, 5])
+        with pytest.raises(ValueError, match="one entry per year"):
+            replace(series, **{column: getattr(series, column)[:1]})
+
+    def test_points_view(self):
+        series = _series([0.5, math.nan], [7, 0], [REASON_BELOW_MIN_VOLUME, REASON_MISSING])
+        assert series.masked.tolist() == [True, True]
+        assert [(p.year, p.value, p.volume, p.reason) for p in series.points] == [
+            (2000, 0.5, 7, REASON_BELOW_MIN_VOLUME),
+            (2001, None, 0, REASON_MISSING),
+        ]
 
     def test_collab_rate_series(self):
         tables = _tables_by_year(
@@ -122,7 +144,8 @@ class TestYearlySeries:
             expected = apply_min_volume_mask(
                 collab_rate_series(tables, "D1", entity), min_volume
             )
-            assert rate == expected  # every point field, reasons included
+            assert (rate.discipline_id, rate.entity, rate.entity_b) == ("D1", entity, None)
+            assert rate.points == expected.points  # every point field, reasons included
             assert (volume.discipline_id, volume.entity) == ("D1", entity)
             assert [(p.year, p.value, p.volume, p.masked) for p in volume.points] == [
                 (year, float(n), n, False)
@@ -201,10 +224,7 @@ class TestBilateralOracle:
 
 class TestMasking:
     def _series(self, volumes):
-        points = tuple(
-            SeriesPoint(2000 + i, 0.5, v) for i, v in enumerate(volumes)
-        )
-        return YearSeries("D1", "US", points)
+        return _series([0.5] * len(volumes), volumes)
 
     def test_paper_example(self):
         masked = apply_min_volume_mask(self._series([90, 150]), 100)
@@ -224,10 +244,19 @@ class TestMasking:
         assert masked.points[0].value == 0.5
 
     def test_existing_mask_reason_kept(self):
-        points = (SeriesPoint(2000, None, 0, masked=True, reason=REASON_MISSING),)
-        series = YearSeries("D1", "US", points)
+        series = _series([math.nan], [0], [REASON_MISSING])
         masked = apply_min_volume_mask(series, 10)
         assert masked.points[0].reason == REASON_MISSING
+
+    def test_shared_blocks_left_alone(self):
+        # the series of one yearly_series call are column slices of one block
+        tables = _tables_by_year({2000: [{"US"}, {"US", "CN"}], 2001: [{"CN"}] * 3})
+        rates, volumes = yearly_series(tables, "D1", ["US", "CN"])
+        assert rates[0].reasons.base is rates[1].reasons.base is not None
+        before = [s.reasons.tolist() for s in rates + volumes]
+        masked = apply_min_volume_mask(rates[0], 10)
+        assert masked.reasons.tolist() == [REASON_BELOW_MIN_VOLUME, REASON_MISSING]
+        assert [s.reasons.tolist() for s in rates + volumes] == before
 
 
 class TestBilateral:

@@ -7,7 +7,10 @@ import math
 import random
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from collabkit.corpus import Period, build_count_table, top_entities
 from collabkit.geometry import (
@@ -17,7 +20,13 @@ from collabkit.geometry import (
     euclidean_embedding,
     ward_cluster,
 )
-from collabkit.metrics import SeriesPoint, YearSeries, kde
+from collabkit.metrics import (
+    REASON_BELOW_MIN_VOLUME,
+    REASON_DEGENERATE,
+    REASON_MISSING,
+    YearSeries,
+    kde,
+)
 from collabkit.report import (
     OTHER_LABEL,
     PALETTE,
@@ -36,6 +45,7 @@ from tests.util import (
     brute_leaf_sets,
     random_dendrogram,
     records_from_sets,
+    series_to_csv_reference,
     table_from_sets,
 )
 
@@ -244,18 +254,51 @@ class TestDendrogramSvg:
 SERIES = YearSeries(
     discipline_id="C1",
     entity="US",
-    points=(
-        SeriesPoint(year=1990, value=0.25, volume=120),
-        SeriesPoint(year=1991, value=None, volume=30, masked=True, reason="below_min_volume"),
-    ),
+    years=(1990, 1991),
+    values=np.array([0.25, np.nan]),
+    volumes=np.array([120, 30]),
+    reasons=np.array([None, REASON_BELOW_MIN_VOLUME], dtype=object),
 )
 
 BILATERAL = YearSeries(
     discipline_id="C1",
     entity="US",
+    years=(1990,),
+    values=np.array([1.6094379124341003]),
+    volumes=np.array([25]),
+    reasons=np.array([None], dtype=object),
     entity_b="CN",
-    points=(SeriesPoint(year=1990, value=1.6094379124341003, volume=25),),
 )
+
+
+@st.composite
+def _year_series(draw):
+    """A single or pair series whose points are unmasked with a value,
+    masked below min volume with their value kept, or masked missing or
+    degenerate with none; some values repeat, -0.0 among them."""
+    years = sorted(draw(st.sets(st.integers(1960, 2030), max_size=6)))
+    reasons = draw(
+        st.lists(
+            st.sampled_from([None, REASON_BELOW_MIN_VOLUME, REASON_MISSING, REASON_DEGENERATE]),
+            min_size=len(years),
+            max_size=len(years),
+        )
+    )
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(allow_nan=False))
+    values = [
+        draw(value) if reason in (None, REASON_BELOW_MIN_VOLUME) else math.nan
+        for reason in reasons
+    ]
+    volumes = draw(st.lists(st.integers(0, 500), min_size=len(years), max_size=len(years)))
+    return YearSeries(
+        draw(st.sampled_from(["C1", "C2"])),
+        draw(st.sampled_from(["US", "CN"])),
+        tuple(years),
+        np.array(values, dtype=float),
+        np.array(volumes, dtype=np.int64),
+        np.array(reasons, dtype=object),
+        draw(st.sampled_from([None, "CN", "JP"])),
+    )
 
 
 class TestSeriesExports:
@@ -298,6 +341,10 @@ class TestSeriesExports:
     def test_byte_determinism(self):
         assert series_to_csv([SERIES]) == series_to_csv([SERIES])
         assert series_to_csv([BILATERAL]) == series_to_csv([BILATERAL])
+
+    @given(st.lists(_year_series(), min_size=1, max_size=5))
+    def test_matches_point_by_point_reference(self, collection):
+        assert series_to_csv(collection) == series_to_csv_reference(collection)
 
 
 def _icd_series(labels):

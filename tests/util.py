@@ -304,3 +304,23 @@ def random_corpus(rng, n_works=50, pool=POOL6, max_team=4, p_unknown=0.1):
             size = rng.randint(1, max_team)
             sets.append(frozenset(rng.sample(pool, min(size, len(pool)))))
     return sets
+
+
+def series_to_csv_reference(collection):
+    """series.csv text written point by point from each series' ``points``
+    view: the loop the columnar exporter replaced, kept as its oracle."""
+    has_pair = any(series.entity_b for series in collection)
+    columns = ["discipline", "entity"]
+    if has_pair:
+        columns.append("entity_b")
+    columns += ["year", "value", "volume", "masked"]
+    rows = []
+    for series in collection:
+        for p in series.points:
+            val = "" if p.masked else "%.6g" % p.value
+            fields = [series.discipline_id, series.entity]
+            if has_pair:
+                fields.append(series.entity_b or "")
+            fields += [str(p.year), val, str(p.volume), str(p.masked).lower()]
+            rows.append(",".join(fields))
+    return "\n".join([",".join(columns), *rows, ""])
