@@ -42,7 +42,7 @@ from .errors import (
     TransportError,
     WrongLevel,
 )
-from .fsio import write_text_atomic
+from .fsio import Blocks, StagedTree, json_text
 from .geometry import (
     IcdResult,
     cut_clusters,
@@ -336,13 +336,13 @@ def _analyze_cell(
     table: CountTable,
     period_years: dict[int, CountTable],
     stage: str,
-) -> tuple[dict[str, str], IcdResult, dict]:
+) -> tuple[dict[str, Blocks], IcdResult, dict]:
     """Compute one (discipline, period) cell from its count table.
 
     ``period_years`` holds the one-year tables of the period's years, which
-    feed the yearly series. Returns artifact texts keyed by path relative
-    to the out dir, the cell's ICD result, and a manifest stanza. Pure
-    function of its inputs.
+    feed the yearly series. Returns each file's text, or the blocks a CSV
+    exporter yields, keyed by path relative to the out dir; the cell's ICD
+    result; and a manifest stanza. Pure function of its inputs.
     """
     discipline, period = table.discipline_id, table.period
     top = top_entities(table, config.top_n)
@@ -365,7 +365,7 @@ def _analyze_cell(
         "icd_mean": result.mean,
     }
     prefix = f"{discipline}/{period.label}"
-    outputs: dict[str, str] = {}
+    outputs: dict[str, Blocks] = {}
     if stage in ("analyze", "all"):
         outputs[f"{prefix}/distances.csv"] = distance_matrix_to_csv(dm)
         outputs[f"{prefix}/dendrogram.newick"] = to_newick(dend)
@@ -411,6 +411,14 @@ def run(
     written. Module errors propagate to the caller (the CLI maps them to
     exit codes).
 
+    Each cell's files are written into a staging directory inside
+    ``out_dir`` as soon as the cell is computed. Once every cell is done,
+    the staged files are moved over their places in ``out_dir`` one at a
+    time, in sorted order, and ``manifest.json`` last. A run that raises
+    before that removes the staging directory, and ``out_dir`` too if the
+    run made it, so ``out_dir`` is left as it was. Files of an earlier run
+    that this run does not write stay.
+
     In fixtures mode an enabled cycle collector is paused while each
     discipline's records are counted and enabled again afterwards, also
     when the stream raises. The pause is process-wide: other threads of
@@ -438,8 +446,47 @@ def run(
         client_kwargs["sleep"] = sleep
     client = OpenAlexClient(cache, transport, **client_kwargs)
 
-    out_root = Path(config.out_dir)
-    outputs: dict[str, str] = {}
+    staged = StagedTree(config.out_dir)
+    try:
+        cells_info = _stage_disciplines(config, client, stage, staged)
+        manifest = {
+            "schema": 1,
+            "stage": stage,
+            "mode": mode,
+            "config": json.loads(json.dumps(asdict(config))),
+            "config_sha256": config_hash(config),
+            "versions": {
+                "collabkit": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+            "inputs": dict(sorted(client.consumed.items())),
+            "ingest": {
+                "pages_from_cache": client.pages_from_cache,
+                "pages_fetched": client.pages_fetched,
+                "network_calls": client.network_calls,
+                "retries_by_status": dict(sorted(client.retries_by_status.items())),
+                "duplicate_ids_dropped": client.duplicate_ids_dropped,
+                "malformed_items_skipped": client.malformed_items_skipped,
+            },
+            "outputs": dict(sorted(staged.digests.items())),
+            "cells": dict(sorted(cells_info.items())),
+        }
+        if stage != "harvest":
+            staged.put(StagedTree.MANIFEST, json_text(manifest) + "\n")
+            staged.commit()
+    except BaseException:
+        staged.discard()
+        raise
+    return EXIT_OK, manifest
+
+
+def _stage_disciplines(
+    config: AnalysisConfig, client: OpenAlexClient, stage: str, staged: StagedTree
+) -> dict[str, dict]:
+    """Harvest, count and analyse each discipline, staging every cell's
+    files as soon as the cell is computed; returns the cells' manifest
+    stanzas keyed by ``discipline/period``."""
     cells_info: dict[str, dict] = {}
     year_lo = min(p.year_from for p in config.periods)
     year_hi = max(p.year_to for p in config.periods)
@@ -461,10 +508,10 @@ def run(
             continue
 
         # An offline record stream makes no reference cycles, so collecting
-        # while it is counted only rescans live objects. A fetched page's
-        # sidecar encoder leaves cyclic garbage, and the transport's has not
-        # been measured, so an online stream is counted with the collector on.
-        pause = transport is None and gc.isenabled()
+        # while it is counted only rescans live objects. What the transport
+        # leaves has not been measured, so an online stream is counted with
+        # the collector on.
+        pause = client.transport is None and gc.isenabled()
         if pause:
             gc.disable()
         try:
@@ -479,51 +526,20 @@ def run(
         for period in config.periods:
             period_years = {year: yearly[year] for year in period.years()}
             table = merge_tables(list(period_years.values()), period)
-            cell_outputs, result, info = _analyze_cell(
-                config, table, period_years, stage
-            )
-            outputs.update(cell_outputs)
+            files, result, info = _analyze_cell(config, table, period_years, stage)
+            while files:  # each text goes as soon as it is written
+                staged.put(*files.popitem())
             icd_cells.append((period, result))
             cells_info[f"{discipline}/{period.label}"] = info
 
         if stage in ("analyze", "all"):
-            outputs[f"{discipline}/icd_series.csv"] = icd_series_to_csv(
-                discipline, icd_cells
+            staged.put(
+                f"{discipline}/icd_series.csv", icd_series_to_csv(discipline, icd_cells)
             )
-            outputs[f"{discipline}/unknown_rate.csv"] = unknown_rate_to_csv(
-                discipline, yearly
+            staged.put(
+                f"{discipline}/unknown_rate.csv", unknown_rate_to_csv(discipline, yearly)
             )
-
-    manifest = {
-        "schema": 1,
-        "stage": stage,
-        "mode": mode,
-        "config": json.loads(json.dumps(asdict(config))),
-        "config_sha256": config_hash(config),
-        "versions": {
-            "collabkit": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "inputs": dict(sorted(client.consumed.items())),
-        "ingest": {
-            "pages_from_cache": client.pages_from_cache,
-            "pages_fetched": client.pages_fetched,
-            "network_calls": client.network_calls,
-            "duplicate_ids_dropped": client.duplicate_ids_dropped,
-            "malformed_items_skipped": client.malformed_items_skipped,
-        },
-        "outputs": {},
-        "cells": dict(sorted(cells_info.items())),
-    }
-    for rel in sorted(outputs):
-        manifest["outputs"][rel] = write_text_atomic(out_root / rel, outputs[rel])
-    if stage != "harvest":
-        write_text_atomic(
-            out_root / "manifest.json",
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-        )
-    return EXIT_OK, manifest
+    return cells_info
 
 
 def _number(text: str):

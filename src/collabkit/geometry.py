@@ -90,7 +90,10 @@ def distance_matrix(table: CountTable, entities: Sequence[str]) -> DistanceMatri
     co-count block C is filled in one pass over the table's pair codes,
     and 1 - C / (n_i + n_j - C) is then computed in floating point: IEEE
     division of exact integers gives the same doubles as ``affinity``,
-    whose guards apply entry by entry.
+    whose guards apply entry by entry. Counts below 2**53 are exact in
+    float64, so C and the union are held as doubles from the start, and
+    every step after them runs in place: no more than two n x n arrays are
+    alive at once.
     """
     ents = tuple(entities)
     n = len(ents)
@@ -101,15 +104,20 @@ def distance_matrix(table: CountTable, entities: Sequence[str]) -> DistanceMatri
     slot[idx[idx >= 0]] = np.flatnonzero(idx >= 0)
     lo, hi = (slot[ends] for ends in table.pair_indices())
     shown = (lo >= 0) & (hi >= 0)
-    joint = np.zeros((n, n), dtype=np.int64)
-    joint[lo[shown], hi[shown]] = joint[hi[shown], lo[shown]] = table.pair_counts[shown]
-    if np.any(joint > np.minimum(unary[:, None], unary[None, :])):
+    lo, hi, counts = lo[shown], hi[shown], table.pair_counts[shown]
+    if np.any(counts > np.minimum(unary[lo], unary[hi])):
         raise ValueError("joint count exceeds a marginal count")
-    union = unary[:, None] + unary[None, :] - joint
-    np.fill_diagonal(union, 1)  # the diagonal is no pair; its distance is 0
-    if np.any(union <= 0):
+    values = np.zeros((n, n))  # C, then C / union, then the distances
+    values[lo, hi] = values[hi, lo] = counts
+    margins = unary.astype(float)
+    union = np.add.outer(margins, margins)
+    union -= values
+    np.fill_diagonal(union, 1.0)  # the diagonal is no pair; its distance is 0
+    if n and union.min() <= 0.0:
         raise EmptyUnion("affinity undefined: no works in the union")
-    values = 1.0 - joint / union
+    values /= union
+    del union
+    np.subtract(1.0, values, out=values)
     np.fill_diagonal(values, 0.0)
     return DistanceMatrix(ents, values)
 
@@ -136,8 +144,14 @@ class Embedding:
 
 
 def _anchored_gram(dm: DistanceMatrix) -> np.ndarray:
-    sq = dm.values**2
-    return (sq[0, :][None, :] + sq[:, 0][:, None] - sq) / 2.0
+    """G_ij = (d(1,j)^2 + d(i,1)^2 - d(i,j)^2) / 2, built with two n x n
+    arrays alive at most."""
+    sq = np.square(dm.values)
+    gram = np.add.outer(sq[:, 0], sq[0])
+    gram -= sq
+    del sq
+    gram /= 2.0
+    return gram
 
 
 def _embeddable(evals: np.ndarray) -> bool:

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
@@ -26,7 +27,7 @@ from .errors import (
     TransportError,
     WrongLevel,
 )
-from .fsio import write_bytes_atomic
+from .fsio import json_text, write_bytes_atomic
 
 log = logging.getLogger(__name__)
 
@@ -148,6 +149,7 @@ class PageCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._root_made = False
 
     def path_for(self, fp: str) -> Path:
         return self.root / f"{fp}.json"
@@ -168,17 +170,18 @@ class PageCache:
         return meta if isinstance(meta, dict) else None
 
     def put(self, fp: str, payload: bytes, endpoint: str, params: Mapping[str, str]) -> str:
-        """Store a page and its sidecar; returns the sha256 recorded there."""
+        """Store a page and its sidecar; returns the sha256 recorded there.
+        The cache directory is made on the first put."""
+        if not self._root_made:
+            self.root.mkdir(parents=True, exist_ok=True)
+            self._root_made = True
         digest = write_bytes_atomic(self.path_for(fp), payload)
         meta = {
             "endpoint": endpoint,
-            "params": {k: v for k, v in sorted(params.items()) if k != "mailto"},
+            "params": {k: v for k, v in params.items() if k != "mailto"},
             "sha256": digest,
         }
-        write_bytes_atomic(
-            self.root / f"{fp}.meta.json",
-            (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        )
+        write_bytes_atomic(self.root / f"{fp}.meta.json", json_text(meta) + "\n")
         return digest
 
     def _page_names(self) -> Iterator[str]:
@@ -335,6 +338,9 @@ class OpenAlexClient:
         self.network_calls = 0  # transport requests, retries included
         self.duplicate_ids_dropped = 0  # work items harvest dropped as repeats
         self.malformed_items_skipped = 0  # work items harvest could not read
+        # failed transport attempts that were retried or ran out of retries:
+        # HTTP status as a string, or "exception" for a raised transport error
+        self.retries_by_status: Counter[str] = Counter()
         self.consumed: dict[str, str] = {}
 
     def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
@@ -370,6 +376,7 @@ class OpenAlexClient:
             try:
                 resp = self.transport.get(url, send_params)
             except Exception as exc:
+                self.retries_by_status["exception"] += 1
                 failure = TransportError(f"{endpoint}: {exc}")
                 continue
             if resp.status == 200:
@@ -379,11 +386,11 @@ class OpenAlexClient:
                 return page
             if resp.status == 429:
                 failure = RateLimited(f"{endpoint}: rate limited (HTTP 429)")
-                continue
-            if 500 <= resp.status < 600:
+            elif 500 <= resp.status < 600:
                 failure = TransportError(f"{endpoint}: HTTP {resp.status}")
-                continue
-            raise TransportError(f"{endpoint}: HTTP {resp.status}")
+            else:
+                raise TransportError(f"{endpoint}: HTTP {resp.status}")
+            self.retries_by_status[str(resp.status)] += 1
         assert failure is not None
         raise failure
 

@@ -3,20 +3,24 @@ Newick and merge-JSON trees, and bit-stable CSV exports.
 
 Styling is deliberately minimal; these files feed external plotting, so
 data fidelity and byte-for-byte determinism are the contract. Every CSV
-goes through ``_csv`` and every float through ``_fmt``.
+goes through ``_csv`` and every float through ``_fmt``. A CSV exporter
+returns the file's text as blocks, drawn as they are written (join them
+for the whole text); the others return one string.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import struct
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import CountTable, Period, unknown_rate
+from .fsio import json_text
 from .geometry import ClusterCut, Dendrogram, DistanceMatrix, IcdResult
 from .metrics import KdeCurve, YearSeries
 
@@ -42,13 +46,36 @@ BAR_COLOR = "#b8b8b8"
 OTHER_LABEL = "__other__"
 
 
+# Rows per text block that ``_csv`` yields.
+CSV_BLOCK_ROWS = 1024
+
+_INT64 = struct.Struct("=q")
+_FLOAT64 = struct.Struct("=d")
+
+
 def _fmt(value: float) -> str:
     return _FMT % value
 
 
-def _csv(header: str, rows: Iterable[str]) -> str:
-    """The header and each row on a line of their own, newline-terminated."""
-    return "\n".join([header, *rows, ""])
+class _FloatTexts(dict):
+    """``_fmt`` texts of float64 values keyed by their bit patterns (as
+    ``view(np.int64)`` gives them), each value formatted on first use, so
+    that -0.0 keeps its own text."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = _fmt(_FLOAT64.unpack(_INT64.pack(bits))[0])
+        return text
+
+
+def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
+    """The header line, then the rows in blocks of up to CSV_BLOCK_ROWS
+    lines; each line, the last too, ends in a newline. Joined, the blocks
+    are the file's text. Rows are drawn one block at a time."""
+    yield header + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, CSV_BLOCK_ROWS)):
+        block.append("")
+        yield "\n".join(block)
 
 
 @dataclass(frozen=True)
@@ -108,7 +135,7 @@ def chord_data(table: CountTable, entities: Sequence[str]) -> ChordData:
     )
 
 
-def chord_to_csv(chord: ChordData) -> str:
+def chord_to_csv(chord: ChordData) -> Iterator[str]:
     """Chord rows as source,target,value.
 
     A self-pair row carries the solo count; a row targeting __other__
@@ -318,27 +345,28 @@ def merges_to_json(dendrogram: Dendrogram) -> str:
             for m in dendrogram.merges
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json_text(doc) + "\n"
 
 
-def distance_matrix_to_csv(dm: DistanceMatrix) -> str:
+def distance_matrix_to_csv(dm: DistanceMatrix) -> Iterator[str]:
     """Lower-triangle CSV of a distance matrix, one row per pair.
 
-    Each distinct distance is formatted once; most pairs of a large
-    selection never co-publish and share the distance 1. Rows are read
-    one matrix row of floats at a time, not n^2 at once.
+    Each distinct distance is formatted once, when first met; most pairs
+    of a large selection never co-publish and share the distance 1. Rows
+    are read one matrix row at a time as the blocks are drawn, so no
+    n^2-sized copy or text is made.
     """
-    text = {value: _fmt(value) for value in np.unique(dm.values).tolist()}
+    text = _FloatTexts()
     ents = dm.entities
     rows = (
-        f"{a},{b},{text[value]}"
+        f"{a},{b},{text[bits]}"
         for i, a in enumerate(ents)
-        for b, value in zip(ents, dm.values[i, :i].tolist())
+        for b, bits in zip(ents, dm.values[i, :i].view(np.int64).tolist())
     )
     return _csv("entity_a,entity_b,distance", rows)
 
 
-def series_to_csv(collection: Sequence[YearSeries]) -> str:
+def series_to_csv(collection: Sequence[YearSeries]) -> Iterator[str]:
     """CSV rows discipline,entity,year,value,volume,masked.
 
     Pair series add an entity_b column after entity; the column appears
@@ -350,27 +378,29 @@ def series_to_csv(collection: Sequence[YearSeries]) -> str:
     if not collection:
         raise ValueError("nothing to export")
     has_pair = any(series.entity_b for series in collection)
-    masked = [series.masked for series in collection]
-    bits = [series.values.view(np.int64) for series in collection]
-    shown = np.unique(np.concatenate([b[~m] for b, m in zip(bits, masked)]))
-    text = dict(zip(shown.tolist(), map(_fmt, shown.view(np.float64).tolist())))
-    rows: list[str] = []
-    for series, hidden, keys in zip(collection, masked, bits):
+    header = "discipline,entity,entity_b," if has_pair else "discipline,entity,"
+    return _csv(header + "year,value,volume,masked", _series_rows(collection, has_pair))
+
+
+def _series_rows(collection: Sequence[YearSeries], has_pair: bool) -> Iterator[str]:
+    text = _FloatTexts()
+    for series in collection:
         pair = [series.entity_b or ""] if has_pair else []
         head = ",".join([series.discipline_id, series.entity, *pair])
-        rows += (
+        yield from (
             f"{head},{year},{'' if hide else text[key]},{volume},{'true' if hide else 'false'}"
             for year, key, volume, hide in zip(
-                series.years, keys.tolist(), series.volumes.tolist(), hidden.tolist()
+                series.years,
+                series.values.view(np.int64).tolist(),
+                series.volumes.tolist(),
+                series.masked.tolist(),
             )
         )
-    header = "discipline,entity,entity_b," if has_pair else "discipline,entity,"
-    return _csv(header + "year,value,volume,masked", rows)
 
 
 def icd_series_to_csv(
     discipline_id: str, cells: Sequence[tuple[Period, IcdResult]]
-) -> str:
+) -> Iterator[str]:
     """Trend rows discipline,period,h0,mean,median, one per (period, result)."""
     if not cells:
         raise ValueError("nothing to export")
@@ -381,20 +411,24 @@ def icd_series_to_csv(
     return _csv("discipline,period,h0,mean,median", rows)
 
 
-def icd_detail_to_csv(discipline_id: str, period: Period, result: IcdResult) -> str:
+def icd_detail_to_csv(
+    discipline_id: str, period: Period, result: IcdResult
+) -> Iterator[str]:
     """Per-merge rescaled heights: discipline,period,h0,merge_index,rescaled."""
     head = f"{discipline_id},{period.label},{_fmt(result.h0)}"
     rows = (f"{head},{k},{_fmt(value)}" for k, value in enumerate(result.rescaled))
     return _csv("discipline,period,h0,merge_index,rescaled", rows)
 
 
-def kde_to_csv(discipline_id: str, period: Period, curve: KdeCurve) -> str:
+def kde_to_csv(discipline_id: str, period: Period, curve: KdeCurve) -> Iterator[str]:
     head = f"{discipline_id},{period.label}"
     rows = (f"{head},{_fmt(x)},{_fmt(d)}" for x, d in zip(curve.x, curve.density))
     return _csv("discipline,period,x,density", rows)
 
 
-def unknown_rate_to_csv(discipline_id: str, yearly: Mapping[int, CountTable]) -> str:
+def unknown_rate_to_csv(
+    discipline_id: str, yearly: Mapping[int, CountTable]
+) -> Iterator[str]:
     """Rows discipline,year,unknown_count,total_count,rate for each year
     of ``yearly`` that has works, in its order."""
     rows = (

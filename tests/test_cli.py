@@ -9,8 +9,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from itertools import combinations
@@ -45,10 +48,11 @@ from collabkit.corpus import (
     count_years,
     merge_tables,
 )
-from collabkit.errors import ConfigError, MissingFixtures, ParseError
+from collabkit.errors import CollabKitError, ConfigError, MissingFixtures, ParseError
+from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
 from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
-from util import POOL6
+from util import POOL6, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
@@ -476,6 +480,7 @@ class TestRun:
             "pages_from_cache": len(manifest["inputs"]),
             "pages_fetched": 0,
             "network_calls": 0,
+            "retries_by_status": {},
             "duplicate_ids_dropped": 7,
             "malformed_items_skipped": 0,
         }
@@ -595,6 +600,94 @@ class TestRun:
         assert len(outputs) == 84
         digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == FIXTURE_OUTPUTS_SHA256
+
+    def test_run_leaves_only_its_files(self, fixtures_run):
+        _, manifest, out = fixtures_run
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == set(manifest["outputs"]) | {"manifest.json"}
+        assert not any(p.name.startswith(STAGING_PREFIX) for p in out.rglob("*"))
+
+    def test_stale_files_stay(self, fixture_config, tmp_path):
+        # a run replaces the files it writes and leaves every other one
+        (tmp_path / "C100").mkdir()
+        (tmp_path / "C100" / "old.csv").write_text("stale")
+        (tmp_path / "notes.txt").write_text("mine")
+        config = replace(fixture_config, disciplines=("C100",), out_dir=str(tmp_path))
+        _, manifest = run(config, mode="fixtures", stage="all")
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == set(manifest["outputs"]) | {"manifest.json", "C100/old.csv", "notes.txt"}
+        assert (tmp_path / "C100" / "old.csv").read_text() == "stale"
+
+    @pytest.mark.parametrize("previous", ["absent", "earlier-tree"])
+    @pytest.mark.parametrize("failure", ["flipped-byte", "analysis-error"])
+    def test_failure_after_first_cell_leaves_out_dir(
+        self, fixture_config, fixture_cache_dir, tmp_path, monkeypatch, failure, previous
+    ):
+        out = tmp_path / "out"
+        config = replace(fixture_config, out_dir=str(out))  # C100, then C200
+        if previous == "earlier-tree":
+            run(config, mode="fixtures", stage="all")
+        before = tree_snapshot(out) if out.exists() else None
+        if failure == "flipped-byte":  # a works page of the second discipline
+            cache = tmp_path / "cache"
+            shutil.copytree(fixture_cache_dir, cache)
+            meta = next(
+                p for p in sorted(cache.glob("*.meta.json"))
+                if json.loads(p.read_text())["params"].get("filter", "").startswith("concepts.id:C200")
+            )
+            page = meta.with_name(meta.name.replace(".meta.json", ".json"))
+            body = page.read_bytes()
+            assert b'"country_code": "US"' in body
+            page.write_bytes(body.replace(b'"country_code": "US"', b'"country_code": "UT"', 1))
+            config = replace(config, cache_dir=str(cache))
+            expected = ParseError
+        else:  # in the third cell
+            calls = []
+            real_ward = cli.ward_cluster
+
+            def ward_cluster(dm):
+                calls.append(dm.size)
+                if len(calls) == 3:
+                    raise CollabKitError("injected analysis error")
+                return real_ward(dm)
+
+            monkeypatch.setattr(cli, "ward_cluster", ward_cluster)
+            expected = CollabKitError
+        staged = []
+        real_put = StagedTree.put
+        monkeypatch.setattr(
+            StagedTree, "put", lambda self, rel, blocks: staged.append(rel) or real_put(self, rel, blocks)
+        )
+        with pytest.raises(expected):
+            run(config, mode="fixtures", stage="all")
+        assert any(rel.startswith("C100/1971-1990/") for rel in staged)
+        if before is None:
+            assert not out.exists()
+        else:
+            assert tree_snapshot(out) == before
+
+    def test_run_leaves_numpy_ma_unimported(self, tmp_path, fixture_cache_dir):
+        # numpy.ma costs about 18 ms to import; np.unique and np.percentile
+        # would load it
+        probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        if loaded.stdout.strip() == "True":
+            pytest.skip("importing numpy loads numpy.ma here")
+        path = _write_config(tmp_path, fixture_cache_dir, disciplines=["C100", "C200"])
+        script = (
+            "import sys\n"
+            "from collabkit.cli import load_config, run\n"
+            f"run(load_config({path!r}), mode='fixtures', stage='all')\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "False"
+        assert (tmp_path / "out" / "manifest.json").is_file()
 
     def test_invalid_config_writes_nothing(self, fixture_config, tmp_path):
         # an invalid config cannot be built, so no run can start from one

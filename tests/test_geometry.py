@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from collabkit.corpus import PAIR_SHIFT, CountTable, Period, count_years
 from collabkit.errors import EmptyUnion, InvalidH0, MissingEntity
 from collabkit.geometry import (
+    _anchored_gram,
     Dendrogram,
     DistanceMatrix,
     Merge,
@@ -32,8 +33,11 @@ from collabkit.report import distance_matrix_to_csv, merges_to_json, to_newick
 from util import (
     POOL6,
     all_ties_chain,
+    anchored_gram_reference,
     brute_cut,
     brute_jaccard_distance,
+    distance_csv_reference,
+    distance_matrix_reference,
     random_corpus,
     random_dendrogram,
     records_from_sets,
@@ -135,6 +139,31 @@ class TestDistanceMatrix:
                 expected = 0.0 if i == j else brute_jaccard_distance(sets, x, y)
                 assert dm.values[i, j] == expected
 
+    @given(st.randoms(use_true_random=False))
+    def test_matches_whole_matrix_reference(self, rng):
+        # the in-place build, its Gram matrix and its CSV against the
+        # whole-matrix expressions, bit for bit; an entity outside the
+        # table has no works, and two of them make an empty union
+        pool = tuple(f"I{i:03d}" for i in range(rng.randint(2, 40)))
+        sets = random_corpus(rng, n_works=rng.randint(1, 200), pool=pool, max_team=6)
+        table = table_from_sets(sets)
+        entities = rng.sample(pool + ("ZZ1", "ZZ2"), rng.randint(1, len(pool) + 2))
+        try:
+            expected = distance_matrix_reference(table, entities)
+        except EmptyUnion:
+            with pytest.raises(EmptyUnion):
+                distance_matrix(table, entities)
+            return
+        dm = distance_matrix(table, entities)
+        assert np.array_equal(dm.values, expected)
+        assert np.array_equal(_anchored_gram(dm), anchored_gram_reference(expected))
+        assert "".join(distance_matrix_to_csv(dm)) == distance_csv_reference(dm)
+
+    def test_csv_formats_negative_zero_apart(self):
+        dm = DistanceMatrix(("A", "B", "C"), np.array([[0, -0.0, 0], [-0.0, 0, 0.5], [0, 0.5, 0]]))
+        assert "".join(distance_matrix_to_csv(dm)) == distance_csv_reference(dm)
+        assert "B,A,-0\n" in distance_csv_reference(dm)
+
     def test_joint_count_above_marginal(self):
         table = CountTable(
             "D1", Period("2000", 2000, 2000), "country", names=("AA", "BB"),
@@ -172,7 +201,7 @@ class TestDistanceMatrix:
             ("A", "B", "C"),
             np.array([[0.0, 0.5, 0.25], [0.5, 0.0, 0.75], [0.25, 0.75, 0.0]]),
         )
-        assert distance_matrix_to_csv(dm) == (
+        assert "".join(distance_matrix_to_csv(dm)) == (
             "entity_a,entity_b,distance\n"
             "B,A,0.5\n"
             "C,A,0.25\n"

@@ -339,6 +339,17 @@ class TestClient:
         client = _client(transport, tmp_path)
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 3
+        assert client.retries_by_status == {"exception": 2}
+
+    def test_retries_counted_by_status(self, tmp_path):
+        transport = ScriptedTransport(
+            [TransportResponse(429, b""), TransportResponse(503, b""), _ok(EMPTY_PAGE)]
+        )
+        client = _client(transport, tmp_path, sleep=lambda s: None)
+        client.fetch_page(WorksQuery(("C1",), 1990, 1991))
+        assert client.retries_by_status == {"429": 1, "503": 1}
+        client.fetch_page(WorksQuery(("C1",), 1990, 1991))  # from the cache now
+        assert client.retries_by_status == {"429": 1, "503": 1}
 
     @pytest.mark.parametrize(
         "fetch, body",

@@ -22,11 +22,12 @@ from collabkit.metrics import (
     bilateral_distance_series,
     collab_rate_series,
     intl_collab_rate,
+    _quartiles,
     kde,
     silverman_bandwidth,
     yearly_series,
 )
-from util import POOL6, table_from_sets
+from util import POOL6, kde_reference, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL6), max_size=4)
 corpora = st.lists(nationality_sets, min_size=1, max_size=50)
@@ -355,6 +356,23 @@ class TestKde:
         assert silverman_bandwidth([0.0, 1.0, 2.0, 3.0, 4.0]) == pytest.approx(
             0.9735846228506357, rel=1e-12
         )
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
+    def test_matches_whole_array_reference(self, values):
+        grid, density, bw = kde_reference(values)
+        curve = kde(values)
+        assert curve.bandwidth == bw
+        assert np.array_equal(curve.x, grid)
+        assert np.array_equal(curve.density, density)
+
+    @given(st.lists(st.floats(), min_size=1, max_size=300))
+    def test_quartiles_are_percentile_bits(self, values):
+        # every float, including -0.0, infinities and NaN, and a lone value
+        x = np.array(values, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf, as in numpy's own steps
+            expected = np.percentile(x, [75.0, 25.0])
+            quartiles = _quartiles(x)
+        assert np.array_equal(quartiles.view(np.int64), expected.view(np.int64))
 
     def test_silverman_degenerate_fallback(self):
         assert silverman_bandwidth([2.0, 2.0, 2.0]) > 0.0

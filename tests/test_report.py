@@ -113,7 +113,7 @@ class TestChordData:
             "US,US,3\n"
             "US,__other__,1\n"
         )
-        assert chord_to_csv(chord) == expected
+        assert "".join(chord_to_csv(chord)) == expected
 
     def test_flow_conservation(self):
         table = table_from_sets(
@@ -308,17 +308,17 @@ class TestSeriesExports:
             "C1,US,1990,0.25,120,false\n"
             "C1,US,1991,,30,true\n"
         )
-        assert series_to_csv([SERIES]) == expected
+        assert "".join(series_to_csv([SERIES])) == expected
 
     def test_bilateral_csv_has_entity_b(self):
         expected = (
             "discipline,entity,entity_b,year,value,volume,masked\n"
             "C1,US,CN,1990,1.60944,25,false\n"
         )
-        assert series_to_csv([BILATERAL]) == expected
+        assert "".join(series_to_csv([BILATERAL])) == expected
 
     def test_mixed_collections_use_pair_header(self):
-        text = series_to_csv([SERIES, BILATERAL])
+        text = "".join(series_to_csv([SERIES, BILATERAL]))
         lines = text.strip().split("\n")
         assert lines[0] == "discipline,entity,entity_b,year,value,volume,masked"
         assert lines[1] == "C1,US,,1990,0.25,120,false"  # unary rows blank the column
@@ -336,15 +336,15 @@ class TestSeriesExports:
             "C1,US,,1991,,30,true\n"
             "C1,US,CN,1990,1.60944,25,false\n"
         )
-        assert series_to_csv([SERIES, BILATERAL]) == expected
+        assert "".join(series_to_csv([SERIES, BILATERAL])) == expected
 
     def test_byte_determinism(self):
-        assert series_to_csv([SERIES]) == series_to_csv([SERIES])
-        assert series_to_csv([BILATERAL]) == series_to_csv([BILATERAL])
+        assert "".join(series_to_csv([SERIES])) == "".join(series_to_csv([SERIES]))
+        assert "".join(series_to_csv([BILATERAL])) == "".join(series_to_csv([BILATERAL]))
 
     @given(st.lists(_year_series(), min_size=1, max_size=5))
     def test_matches_point_by_point_reference(self, collection):
-        assert series_to_csv(collection) == series_to_csv_reference(collection)
+        assert "".join(series_to_csv(collection)) == series_to_csv_reference(collection)
 
 
 def _icd_series(labels):
@@ -360,7 +360,7 @@ def _icd_series(labels):
 
 class TestIcdExports:
     def test_csv_frozen(self):
-        rows = icd_series_to_csv("C1", _icd_series(["1971-1975", "1976-1980"]))
+        rows = "".join(icd_series_to_csv("C1", _icd_series(["1971-1975", "1976-1980"])))
         expected = (
             "discipline,period,h0,mean,median\n"
             "C1,1971-1975,1.1,2.25,2.25\n"
@@ -370,13 +370,13 @@ class TestIcdExports:
 
     def test_ten_period_labels(self):
         labels = [f"{y}-{y + 4}" for y in range(1971, 2020, 5)]
-        csv_text = icd_series_to_csv("C1", _icd_series(labels))
+        csv_text = "".join(icd_series_to_csv("C1", _icd_series(labels)))
         lines = csv_text.strip().split("\n")[1:]
         assert [ln.split(",")[1] for ln in lines] == labels
         assert len(lines) == 10
 
     def test_detail_csv(self):
-        text = icd_detail_to_csv("C1", *_icd_series(["1971-1975"])[0])
+        text = "".join(icd_detail_to_csv("C1", *_icd_series(["1971-1975"])[0]))
         assert text == (
             "discipline,period,h0,merge_index,rescaled\n"
             "C1,1971-1975,1.1,0,2\n"
@@ -387,7 +387,7 @@ class TestIcdExports:
 class TestKdeExport:
     def test_kde_csv_shape(self):
         curve = kde([2.0, 2.1, 2.5, 3.0, 3.2])
-        text = kde_to_csv("C1", PERIOD, curve)
+        text = "".join(kde_to_csv("C1", PERIOD, curve))
         lines = text.strip().split("\n")
         assert lines[0] == "discipline,period,x,density"
         assert len(lines) == 1 + len(curve.x)

@@ -7,8 +7,8 @@ import math
 
 import numpy as np
 
-from collabkit.corpus import Period, WorkRecord, build_count_table
-from collabkit.errors import MissingFixtures
+from collabkit.corpus import Period, WorkRecord, build_count_table, gather
+from collabkit.errors import EmptyUnion, MissingFixtures
 from collabkit.geometry import (
     MERGE_TIE_EPS,
     Dendrogram,
@@ -324,3 +324,70 @@ def series_to_csv_reference(collection):
             fields += [str(p.year), val, str(p.volume), str(p.masked).lower()]
             rows.append(",".join(fields))
     return "\n".join([",".join(columns), *rows, ""])
+
+
+def distance_matrix_reference(table, entities):
+    """``distance_matrix``'s values from whole-matrix expressions: the int64
+    co-count block, its n x n bound check and union, then 1 - C / union.
+    The in-place version is compared against it bit for bit."""
+    ents = tuple(entities)
+    n = len(ents)
+    idx = table.indices(ents)
+    unary = gather(table.unary_counts, idx)
+    slot = np.full(len(table.names), -1, dtype=np.int64)
+    slot[idx[idx >= 0]] = np.flatnonzero(idx >= 0)
+    lo, hi = (slot[ends] for ends in table.pair_indices())
+    shown = (lo >= 0) & (hi >= 0)
+    joint = np.zeros((n, n), dtype=np.int64)
+    joint[lo[shown], hi[shown]] = joint[hi[shown], lo[shown]] = table.pair_counts[shown]
+    if np.any(joint > np.minimum(unary[:, None], unary[None, :])):
+        raise ValueError("joint count exceeds a marginal count")
+    union = unary[:, None] + unary[None, :] - joint
+    np.fill_diagonal(union, 1)
+    if np.any(union <= 0):
+        raise EmptyUnion("affinity undefined: no works in the union")
+    values = 1.0 - joint / union
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+def anchored_gram_reference(values):
+    """The anchored Gram matrix of a distance matrix's values, from one
+    broadcast expression."""
+    sq = values**2
+    return (sq[0, :][None, :] + sq[:, 0][:, None] - sq) / 2.0
+
+
+def kde_reference(values):
+    """(grid, density, bandwidth) of ``kde`` from whole-array expressions,
+    with Silverman's bandwidth taken from ``np.percentile``."""
+    x = np.asarray(values, dtype=float)
+    sd = float(x.std(ddof=1))
+    q75, q25 = np.percentile(x, [75.0, 25.0])
+    iqr = float(q75 - q25)
+    candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
+    bw = 0.9 * (min(candidates) if candidates else 0.0) * x.size ** (-0.2)
+    if bw <= 0.0:
+        bw = max(1.0, float(np.abs(x).max())) * 1e-9
+    grid = np.linspace(float(x.min()) - 5.0 * bw, float(x.max()) + 5.0 * bw, 512)
+    z = (grid[:, None] - x[None, :]) / bw
+    density = np.exp(-0.5 * z**2).sum(axis=1) / (x.size * bw * math.sqrt(2.0 * math.pi))
+    return grid, density, bw
+
+
+def distance_csv_reference(dm):
+    """distances.csv text formatted pair by pair, every value on its own."""
+    rows = [
+        f"{a},{b},{'%.6g' % dm.values[i, j]}"
+        for i, a in enumerate(dm.entities)
+        for j, b in enumerate(dm.entities[:i])
+    ]
+    return "\n".join(["entity_a,entity_b,distance", *rows, ""])
+
+
+def tree_snapshot(root):
+    """Every entry under ``root``: a file's bytes, or None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+        for p in sorted(root.rglob("*"))
+    }
