@@ -73,6 +73,7 @@ from .report import (
     series_to_csv,
     to_newick,
     unknown_rate_to_csv,
+    writable_name,
 )
 
 PERIOD_PRESETS: dict[str, tuple[Period, ...]] = {
@@ -350,6 +351,13 @@ def _analyze_cell(
         raise CollabKitError(
             f"{discipline} {period.label}: fewer than 2 entities with works"
         )
+    for name in top:
+        if not writable_name(name):
+            raise CollabKitError(
+                f"{discipline} {period.label}: entity {name!r} holds a comma, quote,"
+                " Newick metacharacter or whitespace, which the CSV and Newick"
+                " outputs cannot carry"
+            )
     dm = distance_matrix(table, top)
     dend = ward_cluster(dm)
     cut = cut_clusters(dend, config.h_star)

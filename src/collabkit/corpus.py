@@ -24,10 +24,21 @@ VALID_KEYS = (COUNTRY_KEY, INSTITUTION_KEY)
 _JOURNAL_TYPES = ("journal-article", "article")
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorkRecord:
     """One published work reduced to what the counting pipeline needs; a
-    record built for one aggregation key holds None for the other's set."""
+    record built for one aggregation key holds None for the other's set.
+
+    A record has slots and no ``__dict__``, which makes it cheap to build.
+    It compares by value but is not hashable, and nothing mutates one.
+    The slots are declared by hand because ``dataclass(slots=True)`` drops
+    weak references unless given ``weakref_slot``, which Python 3.10 lacks.
+    """
+
+    __slots__ = (
+        "work_id", "year", "discipline_id", "nationalities", "institutions",
+        "is_journal_article", "__weakref__",
+    )
 
     work_id: str
     year: int
@@ -252,66 +263,107 @@ def count_years(
     entity's unary count at most once; pairwise counts cover each
     unordered entity pair present on the work.
 
-    Entity names are interned as the records stream past; each year keeps
-    flat int64 arrays of the entity ids and pair codes it saw. Once the
-    stream ends the ids are renumbered in name order and each year's
-    arrays are reduced to counts, so every table shares one ``names``.
+    The pass only appends each counted work's year, its team size (the
+    number of entities on it) and its interned entity ids to flat
+    buffers. Once the stream ends, the ids are renumbered in name order,
+    so every table shares one ``names``, and numpy reduces the buffers one
+    team size at a time: the works of one size, in year order, form one
+    block of works x size entity indices, which adds its (year, entity)
+    cells to the unary counts and, for teams of two or more, to the multi
+    counts, and whose row-sorted columns give every pair's code. Each
+    year's codes from all sizes are then sorted and counted on their own,
+    so no sort key holds a year. A table's unary and multi counts are
+    rows of two (year, entity) blocks that all the years share; every
+    array of every table is read-only.
     """
     from array import array  # a C extension; importing it here keeps it off start-up
 
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
     ids = _Interner()
-    entity_ids = {year: array("q") for year in years}  # one entry per work and entity
-    multi_ids = {year: array("q") for year in years}
-    pair_codes = {year: array("q") for year in years}
-    unknown = dict.fromkeys(years, 0)
-    total = dict.fromkeys(years, 0)
+    intern = ids.__getitem__
+    work_years = array("q")  # one entry per counted work
+    team_sizes = array("i")
+    entity_ids = array("i")  # one entry per work and entity, work after work
     by_country = key == COUNTRY_KEY
     for rec in records:
         year = rec.year
-        if rec.discipline_id != discipline_id or year not in total:
+        if rec.discipline_id != discipline_id or year not in years:
             continue
         entities = rec.nationalities if by_country else rec.institutions
         if entities is None:
             raise ValueError(f"work {rec.work_id}: record holds no {key} set")
-        total[year] += 1
-        work = sorted(map(ids.__getitem__, entities))
-        if not work:
-            unknown[year] += 1
-            continue
-        entity_ids[year].extend(work)
-        if len(work) >= 2:
-            multi_ids[year].extend(work)
-            pair_codes[year].extend([(a << PAIR_SHIFT) | b for a, b in combinations(work, 2)])
+        work_years.append(year)
+        team_sizes.append(len(entities))
+        entity_ids.extend(map(intern, entities))
 
     names = tuple(sorted(ids))
-    k = len(names)
-    by_rank = np.fromiter((ids[name] for name in names), dtype=np.int64, count=k)
-    rank = np.empty(k, dtype=np.int64)
-    rank[by_rank] = np.arange(k)
+    k, n_years = len(names), len(years)
+    rank = np.empty(k, dtype=np.int32)
+    rank[np.fromiter(map(intern, names), dtype=np.int64, count=k)] = np.arange(k)
+    # each buffer is released as soon as it is reduced
+    slot = np.frombuffer(work_years, dtype=np.int64) - years.start
+    slot //= years.step  # each work's index in ``years``
+    del work_years
+    size = np.frombuffer(team_sizes, dtype=np.int32)
+    entity = rank[np.frombuffer(entity_ids, dtype=np.int32)]  # name index per work and entity
+    del entity_ids, rank
+    first_entity = np.cumsum(size, dtype=np.int64)
+    first_entity -= size
+    totals = np.bincount(slot, minlength=n_years).tolist()
+    unknown = np.bincount(slot[size == 0], minlength=n_years).tolist()
+
+    # ``by_size`` keeps each team size's pair codes, its works in year
+    # order, and where each year's codes begin
+    unary = np.zeros(n_years * k, dtype=np.int64)
+    multi = np.zeros(n_years * k, dtype=np.int64)
+    by_size = []
+    year_edges = np.arange(n_years + 1)
+    team_works = np.bincount(size).tolist()  # works per team size
+    for s in range(1, len(team_works)):
+        if not team_works[s]:
+            continue
+        works = np.flatnonzero(size == s)
+        works = works[np.argsort(slot[works], kind="stable")]
+        work_slot = slot[works]
+        block = entity[first_entity[works, None] + np.arange(s)].astype(np.int64)
+        cells = work_slot[:, None] * k + block
+        np.add.at(unary, cells, 1)
+        if s == 1:
+            continue
+        np.add.at(multi, cells, 1)
+        block.sort(axis=1)  # distinct entities, so each pair is lo < hi
+        lo, hi = np.triu_indices(s, 1)
+        codes = (block[:, lo] << PAIR_SHIFT) | block[:, hi]
+        starts = np.searchsorted(work_slot, year_edges) * len(lo)
+        by_size.append((codes.ravel(), starts.tolist()))
+    del entity, size, first_entity, slot, team_sizes
+    unary, multi = unary.reshape(n_years, k), multi.reshape(n_years, k)
+    unary.flags.writeable = multi.flags.writeable = False
+
     tables = {}
-    for year in years:
-        codes = np.frombuffer(pair_codes[year], dtype=np.int64)
-        a, b = rank[codes >> PAIR_SHIFT], rank[codes & PAIR_MASK]
-        codes, counts = np.unique(
-            (np.minimum(a, b) << PAIR_SHIFT) | np.maximum(a, b), return_counts=True
+    for y, year in enumerate(years):
+        # the year's pairs from every team size, each run of one code a count
+        codes = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [pairs[starts[y]:starts[y + 1]] for pairs, starts in by_size]
         )
+        codes.sort()
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        pair_counts = np.diff(first, append=len(codes))
+        codes = codes[first]
+        codes.flags.writeable = pair_counts.flags.writeable = False
         tables[year] = CountTable(
             discipline_id=discipline_id,
             period=Period(str(year), year, year),
             key=key,
             names=names,
-            unary_counts=np.bincount(
-                np.frombuffer(entity_ids[year], dtype=np.int64), minlength=k
-            )[by_rank],
-            multi_counts=np.bincount(
-                np.frombuffer(multi_ids[year], dtype=np.int64), minlength=k
-            )[by_rank],
+            unary_counts=unary[y],
+            multi_counts=multi[y],
             pair_codes=codes,
-            pair_counts=counts,
-            unknown_count=unknown[year],
-            total_count=total[year],
+            pair_counts=pair_counts,
+            unknown_count=unknown[y],
+            total_count=totals[y],
         )
     return tables
 

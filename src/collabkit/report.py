@@ -28,6 +28,9 @@ _FMT = "%.6g"
 _COORD = "%.6f"
 # ``_csv`` writes fields unquoted, so no field may hold one of these.
 CSV_SPECIALS = frozenset(',"\r\n')
+# ``to_newick`` writes leaf labels unquoted, so no label may hold one of
+# Newick's punctuation, quote or comment characters, nor whitespace.
+_NEWICK_SPECIALS = frozenset("(),:;'[]")
 
 # Fixed cluster palette, cycled by 1-based cluster label.
 PALETTE = (
@@ -51,6 +54,15 @@ CSV_BLOCK_ROWS = 1024
 
 _INT64 = struct.Struct("=q")
 _FLOAT64 = struct.Struct("=d")
+
+
+def writable_name(name: str) -> bool:
+    """Whether an entity name can be written unquoted both as a CSV field
+    and as a Newick label: it holds no CSV_SPECIALS, no _NEWICK_SPECIALS
+    and no whitespace."""
+    return not any(
+        c in CSV_SPECIALS or c in _NEWICK_SPECIALS or c.isspace() for c in name
+    )
 
 
 def _fmt(value: float) -> str:

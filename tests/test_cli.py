@@ -52,7 +52,7 @@ from collabkit.errors import CollabKitError, ConfigError, MissingFixtures, Parse
 from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
 from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
-from util import POOL6, tree_snapshot
+from util import POOL12, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
@@ -718,7 +718,7 @@ class TestRun:
             run(fixture_config, mode="dry-run", stage="all")
 
 
-_ENTITIES = st.frozensets(st.sampled_from(POOL6), max_size=4)
+_ENTITIES = st.frozensets(st.sampled_from(POOL12), max_size=10)
 _RECORDS = st.lists(
     st.builds(
         WorkRecord,
@@ -752,10 +752,10 @@ def _brute_year_table(records, year, key):
     return unary, pairwise, multi, sum(not s for s in sets), len(sets)
 
 
-@given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
-def test_count_years_match_full_scan(records, key):
-    # records arrive in any year order, some outside the run's 1990-1999
-    # and some of another discipline; the pass takes a one-shot iterator
+def _assert_full_scan(records, key):
+    """count_years over 1990-1999 for D1 against the brute-force tables,
+    year by year and summed into two periods; returns the yearly tables."""
+    # the pass takes a one-shot iterator
     yearly = count_years(iter(records), "D1", range(1990, 2000), key)
     assert list(yearly) == list(range(1990, 2000))
     for year, table in yearly.items():
@@ -771,6 +771,53 @@ def test_count_years_match_full_scan(records, key):
         assert merge_tables(
             [yearly[y] for y in period.years()], period
         ) == build_count_table(records, "D1", period, key)
+    return yearly
+
+
+@given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
+def test_count_years_match_full_scan(records, key):
+    # records arrive in any year order, some outside the run's 1990-1999
+    # and some of another discipline
+    _assert_full_scan(records, key)
+
+
+@pytest.mark.parametrize("key", VALID_KEYS)
+def test_count_years_match_full_scan_across_team_sizes(key):
+    # a 40-entity work; works of every size from 0 to 6 in one year, given
+    # twice, with a work of size 2 from an earlier year between them; a year
+    # of unknown works only; and works the pass skips
+    def works(year, sets, discipline="D1"):
+        return [WorkRecord("W", year, discipline, s, s, True) for s in sets]
+
+    every_size = [frozenset(POOL12[:n]) for n in range(7)]
+    records = (
+        works(1992, every_size)
+        + works(1990, [frozenset(f"E{i:02d}" for i in range(40)), frozenset({"AT", "E07"})])
+        + works(1995, [frozenset()] * 3)
+        + works(1992, every_size[::-1])
+        + works(1992, every_size, discipline="D2")
+        + works(2005, every_size)
+    )
+    yearly = _assert_full_scan(records, key)
+    assert yearly[1990].pairwise[("AT", "E07")] == 1 and len(yearly[1990].pairwise) == 781
+    assert yearly[1992].total_count == 14 and yearly[1992].unknown_count == 2
+    assert yearly[1995].total_count == yearly[1995].unknown_count == 3
+    assert not yearly[1995].unary and not yearly[1995].pairwise
+    # the years' unary and multi counts are rows of shared blocks, so no
+    # table's array may be written through
+    for table in yearly.values():
+        for array in (
+            table.unary_counts, table.multi_counts, table.pair_codes, table.pair_counts
+        ):
+            assert not array.flags.writeable
+
+
+def test_count_years_of_an_empty_stream():
+    yearly = count_years(iter(()), "D1", range(1990, 1993))
+    assert list(yearly) == [1990, 1991, 1992]
+    for table in yearly.values():
+        assert table.names == () and table.total_count == 0
+        assert table.unary_counts.shape == (0,) and table.pair_codes.shape == (0,)
 
 
 def test_each_record_counted_once(fixture_config, tmp_path, monkeypatch):
@@ -1139,6 +1186,37 @@ class TestMain:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError" and f"{field}: " in err["message"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize(
+        "code", ["a,b", 'u"s', "fr(x):1;", "u s", "u\ts", "u\ns", "u\rs", "[us]", "u's"]
+    )
+    def test_unwritable_entity_name_is_refused(
+        self, tmp_path, fixture_cache_dir, capsys, code
+    ):
+        # a cached works page whose country code the CSV and Newick writers
+        # would split; its sidecar digest is rewritten so the page verifies
+        cache = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache)
+        rewritten = 0
+        for meta_path in sorted(cache.glob("*.meta.json")):
+            page = meta_path.with_name(meta_path.name.replace(".meta.json", ".json"))
+            body = page.read_bytes()
+            new_body = body.replace(
+                b'"country_code": "US"', b'"country_code": ' + json.dumps(code).encode()
+            )
+            if new_body != body:
+                page.write_bytes(new_body)
+                meta = json.loads(meta_path.read_text())
+                meta["sha256"] = hashlib.sha256(new_body).hexdigest()
+                meta_path.write_text(json.dumps(meta))
+                rewritten += 1
+        assert rewritten
+        path = _write_config(tmp_path, cache)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_ANALYSIS
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CollabKitError" and err["exit_code"] == EXIT_ANALYSIS
+        assert repr(code.upper()) in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_url_discipline_ids_write_bare_paths(
         self, tmp_path, fixture_cache_dir, capsys

@@ -4,6 +4,7 @@ serialization."""
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import replace
 from itertools import combinations
 
@@ -26,9 +27,9 @@ from collabkit.corpus import (
     work_from_metadata,
 )
 from collabkit.errors import EmptySlice
-from util import POOL6, brute_work_sets, records_from_sets, table_from_sets
+from util import POOL6, POOL12, brute_work_sets, records_from_sets, table_from_sets
 
-nationality_sets = st.frozensets(st.sampled_from(POOL6), max_size=4)
+nationality_sets = st.frozensets(st.sampled_from(POOL12), max_size=10)
 corpora = st.lists(nationality_sets, min_size=0, max_size=50)
 
 # one institution entry: any mix of a country code (any case, or none) and
@@ -246,8 +247,26 @@ class TestKeyAwareRecords:
     def test_count_years_refuses_the_other_keys_record(self, key):
         other = INSTITUTION_KEY if key == COUNTRY_KEY else COUNTRY_KEY
         rec = work_from_metadata(_raw_work([["US"], ["CN"]]), "C1", other)
-        with pytest.raises(ValueError, match=f"no {key} set"):
+        with pytest.raises(ValueError, match=f"W1: record holds no {key} set"):
             count_years([rec], "C1", range(2000, 2001), key)
+
+
+class TestRecordShape:
+    def test_weak_references_and_no_dict(self):
+        rec = work_from_metadata(_raw_work([["US"]]), "C1")
+        assert weakref.ref(rec)() is rec
+        assert not hasattr(rec, "__dict__")
+        with pytest.raises(AttributeError):
+            rec.note = "x"
+
+    def test_replace_and_equality(self):
+        rec = work_from_metadata(_raw_work([["US"], ["CN"]]), "C1")
+        moved = replace(rec, year=2001)
+        assert moved.year == 2001 and rec.year == 2000
+        assert moved != rec and replace(moved, year=2000) == rec
+        assert (moved.work_id, moved.nationalities) == (rec.work_id, rec.nationalities)
+        assert rec == work_from_metadata(_raw_work([["CN"], ["US"]]), "C1")
+        assert rec != replace(rec, institutions=frozenset())
 
 
 class TestPeriod:

@@ -3,6 +3,7 @@ output layout, and the bundled fixture cache's generator."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -25,6 +26,15 @@ def test_all_names_resolve():
     namespace: dict = {}
     exec("from collabkit import *", namespace)
     assert set(collabkit.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "collabkit").glob("*.py")), ids=lambda p: p.name
+)
+def test_source_parses_as_python_3_10(path):
+    # pyproject promises Python 3.10, but the suite runs on whichever
+    # interpreter has numpy; this checks the 3.10 grammar on any of them
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])

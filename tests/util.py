@@ -19,6 +19,7 @@ from collabkit.geometry import (
 from collabkit.ingest import normalize_concept_id, parse_concept_page
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
+POOL12 = POOL6 + ("GR", "HU", "IE", "JP", "KR", "LU")
 
 WARD_TIE_EPS = 1e-12
 
