@@ -354,9 +354,9 @@ def _analyze_cell(
     for name in top:
         if not writable_name(name):
             raise CollabKitError(
-                f"{discipline} {period.label}: entity {name!r} holds a comma, quote,"
-                " Newick metacharacter or whitespace, which the CSV and Newick"
-                " outputs cannot carry"
+                f"{discipline} {period.label}: entity {name!r} is empty or holds a"
+                " comma, quote, Newick metacharacter or whitespace, which the CSV"
+                " and Newick outputs cannot carry"
             )
     dm = distance_matrix(table, top)
     dend = ward_cluster(dm)

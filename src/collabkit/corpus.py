@@ -80,11 +80,13 @@ def work_from_metadata(
 
     One walk over every contributor's institutions collects the upper-cased
     country codes and the bare ROR ids (the https://ror.org/ prefix
-    dropped); each counts once however often it appears. An empty country
-    set means the nationality is unknown. Only ``key``'s set is collected;
-    the other field is None. Raises ValueError for a key outside
-    VALID_KEYS, and when the item is not a work object of the expected
-    shape, whatever the key.
+    dropped); each counts once however often it appears. A code that is
+    empty or whitespace once normalised (``"https://ror.org/"``, ``" "``)
+    names no entity and adds nothing. An empty country set means the
+    nationality is unknown. Only ``key``'s set is collected; the other
+    field is None. Raises ValueError for a key outside VALID_KEYS, and
+    when the item is not a work object of the expected shape, whatever
+    the key.
     """
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -107,9 +109,11 @@ def work_from_metadata(
                 # each wanted set reads its own field; either read fails
                 # alike on an entry that is not an object
                 if countries is not None and (code := inst.get("country_code")):
-                    countries.add(str(code).upper())
+                    if (code := str(code).upper()).strip():
+                        countries.add(code)
                 if rors is not None and (ror := inst.get("ror")):
-                    rors.add(str(ror).rsplit("/", 1)[-1])
+                    if (ror := str(ror).rsplit("/", 1)[-1]).strip():
+                        rors.add(ror)
     except (AttributeError, TypeError) as exc:
         # an authorship or institution entry that is not an object
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc

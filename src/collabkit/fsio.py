@@ -12,11 +12,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
 
-# os.open applies the process umask to this mode, as creating a file with
-# open() does; tempfile.mkstemp would force 0600 whatever the umask.
-_FILE_MODE = 0o666
-_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-
 STAGING_PREFIX = ".collabkit-staging-"
 
 Blocks = str | bytes | Iterable[str | bytes]
@@ -32,9 +27,9 @@ def write_new(path: Path, blocks: Blocks) -> str:
     if isinstance(blocks, (str, bytes)):
         blocks = (blocks,)
     digest = hashlib.sha256()
-    fd = os.open(path, _CREATE, _FILE_MODE)
+    fh = open(path, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             for block in blocks:
                 if isinstance(block, str):
                     block = block.encode("utf-8")

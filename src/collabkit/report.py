@@ -2,17 +2,19 @@
 Newick and merge-JSON trees, and bit-stable CSV exports.
 
 Styling is deliberately minimal; these files feed external plotting, so
-data fidelity and byte-for-byte determinism are the contract. Every CSV
-goes through ``_csv`` and every float through ``_fmt``. A CSV exporter
-returns the file's text as blocks, drawn as they are written (join them
-for the whole text); the others return one string.
+data fidelity and byte-for-byte determinism are the contract. Every file
+is written as text: every CSV goes through ``_csv`` and every float
+through ``_fmt``, and the SVG is joined from fixed markup templates with
+its coordinates through ``_COORD`` and its entity names escaped by
+ElementTree's rules. A CSV exporter returns the file's text as blocks,
+drawn as they are written (join them for the whole text); the others
+return one string.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -31,6 +33,13 @@ CSV_SPECIALS = frozenset(',"\r\n')
 # ``to_newick`` writes leaf labels unquoted, so no label may hold one of
 # Newick's punctuation, quote or comment characters, nor whitespace.
 _NEWICK_SPECIALS = frozenset("(),:;'[]")
+# ElementTree's escapes, which the SVG's entity names go through: one
+# table for an attribute value and one for element text.
+_ATTR_ESCAPES = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+     "\r": "&#13;", "\n": "&#10;", "\t": "&#09;"}
+)
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 # Fixed cluster palette, cycled by 1-based cluster label.
 PALETTE = (
@@ -58,9 +67,9 @@ _FLOAT64 = struct.Struct("=d")
 
 def writable_name(name: str) -> bool:
     """Whether an entity name can be written unquoted both as a CSV field
-    and as a Newick label: it holds no CSV_SPECIALS, no _NEWICK_SPECIALS
-    and no whitespace."""
-    return not any(
+    and as a Newick label: it is not empty and holds no CSV_SPECIALS, no
+    _NEWICK_SPECIALS and no whitespace."""
+    return name != "" and not any(
         c in CSV_SPECIALS or c in _NEWICK_SPECIALS or c.isspace() for c in name
     )
 
@@ -217,22 +226,14 @@ def render_circular_dendrogram(
         label = common[node]
         return PALETTE[(label - 1) % len(PALETTE)] if label else TRUNK_COLOR
 
-    svg = ET.Element(
-        "svg",
-        {
-            "xmlns": "http://www.w3.org/2000/svg",
-            "width": "%d" % int(size),
-            "height": "%d" % int(size),
-            "viewBox": "0 0 %d %d" % (int(size), int(size)),
-        },
-    )
-    ET.SubElement(
-        svg,
-        "rect",
-        {"x": "0", "y": "0", "width": "%d" % int(size), "height": "%d" % int(size), "fill": "#ffffff"},
-    )
-
-    links = ET.SubElement(svg, "g", {"class": "links", "fill": "none"})
+    side = "%d" % int(size)
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
+        f' viewBox="0 0 {side} {side}">'
+        f'<rect x="0" y="0" width="{side}" height="{side}" fill="#ffffff" />'
+        '<g class="links" fill="none">'
+    ]
     for k, m in enumerate(dendrogram.merges):
         node = n + k
         r = radius_of[node]
@@ -245,80 +246,55 @@ def render_circular_dendrogram(
             f"M {_COORD % x1} {_COORD % y1} "
             f"A {_COORD % r} {_COORD % r} 0 {large} 1 {_COORD % x2} {_COORD % y2}"
         )
-        ET.SubElement(links, "path", {"d": arc, "stroke": color, "stroke-width": "1.4"})
+        parts.append(f'<path d="{arc}" stroke="{color}" stroke-width="1.4" />')
         for child in (m.left, m.right):
             cx, cy = point(child)
             px, py = point(child, r)
-            ET.SubElement(
-                links,
-                "path",
-                {
-                    "d": f"M {_COORD % cx} {_COORD % cy} L {_COORD % px} {_COORD % py}",
-                    "stroke": node_color(child),
-                    "stroke-width": "1.4",
-                },
+            parts.append(
+                f'<path d="M {_COORD % cx} {_COORD % cy} L {_COORD % px} {_COORD % py}"'
+                f' stroke="{node_color(child)}" stroke-width="1.4" />'
             )
+    parts.append("</g>")
 
     vol_max = max((volumes[e] for e in entities), default=0)
     bar_width = max(1.0, min(12.0, 2.0 * math.pi * r_bar / n * 0.5))
-    bars = ET.SubElement(svg, "g", {"class": "bars"})
-    for leaf, entity in enumerate(entities):
-        if vol_max <= 0:
-            continue
-        length = bar_len_max * volumes[entity] / vol_max
-        x1, y1 = point(leaf, r_bar)
-        x2, y2 = point(leaf, r_bar + length)
-        ET.SubElement(
-            bars,
-            "path",
-            {
-                "d": f"M {_COORD % x1} {_COORD % y1} L {_COORD % x2} {_COORD % y2}",
-                "stroke": BAR_COLOR,
-                "stroke-width": _COORD % bar_width,
-                "class": "bar",
-                "data-entity": entity,
-                "data-volume": str(volumes[entity]),
-            },
-        )
+    if vol_max > 0:
+        parts.append('<g class="bars">')
+        for leaf, entity in enumerate(entities):
+            length = bar_len_max * volumes[entity] / vol_max
+            x1, y1 = point(leaf, r_bar)
+            x2, y2 = point(leaf, r_bar + length)
+            parts.append(
+                f'<path d="M {_COORD % x1} {_COORD % y1} L {_COORD % x2} {_COORD % y2}"'
+                f' stroke="{BAR_COLOR}" stroke-width="{_COORD % bar_width}" class="bar"'
+                f' data-entity="{entity.translate(_ATTR_ESCAPES)}"'
+                f' data-volume="{volumes[entity]}" />'
+            )
+        parts.append("</g>")
+    else:
+        parts.append('<g class="bars" />')
 
-    leaves_group = ET.SubElement(svg, "g", {"class": "leaves"})
+    parts.append('<g class="leaves">')
     for leaf, entity in enumerate(entities):
         x, y = point(leaf)
         color = PALETTE[(labels[leaf] - 1) % len(PALETTE)]
-        ET.SubElement(
-            leaves_group,
-            "circle",
-            {
-                "class": "leaf",
-                "cx": _COORD % x,
-                "cy": _COORD % y,
-                "r": "3.5",
-                "fill": color,
-                "data-entity": entity,
-                "data-cluster": str(labels[leaf]),
-            },
+        parts.append(
+            f'<circle class="leaf" cx="{_COORD % x}" cy="{_COORD % y}" r="3.5"'
+            f' fill="{color}" data-entity="{entity.translate(_ATTR_ESCAPES)}"'
+            f' data-cluster="{labels[leaf]}" />'
         )
         deg = math.degrees(angle_of[leaf])
         flip = 90.0 < deg % 360.0 < 270.0
         tx, ty = point(leaf, r_label)
         transform = f"rotate({_COORD % (deg + (180.0 if flip else 0.0))} {_COORD % tx} {_COORD % ty})"
-        ET.SubElement(
-            leaves_group,
-            "text",
-            {
-                "class": "leaf-label",
-                "x": _COORD % tx,
-                "y": _COORD % ty,
-                "font-family": "sans-serif",
-                "font-size": "10",
-                "dominant-baseline": "middle",
-                "text-anchor": "end" if flip else "start",
-                "transform": transform,
-            },
-        ).text = entity
-
-    body = ET.tostring(svg, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+        parts.append(
+            f'<text class="leaf-label" x="{_COORD % tx}" y="{_COORD % ty}"'
+            ' font-family="sans-serif" font-size="10" dominant-baseline="middle"'
+            f' text-anchor="{"end" if flip else "start"}" transform="{transform}">'
+            f"{entity.translate(_TEXT_ESCAPES)}</text>"
+        )
+    parts.append("</g></svg>\n")
+    return "".join(parts)
 
 
 def to_newick(dendrogram: Dendrogram) -> str:

@@ -52,7 +52,7 @@ from collabkit.errors import CollabKitError, ConfigError, MissingFixtures, Parse
 from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
 from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
-from util import POOL12, tree_snapshot
+from util import POOL12, table_from_sets, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
@@ -668,26 +668,30 @@ class TestRun:
 
     def test_run_leaves_numpy_ma_unimported(self, tmp_path, fixture_cache_dir):
         # numpy.ma costs about 18 ms to import; np.unique and np.percentile
-        # would load it
+        # would load it. No xml module is loaded either: the SVG is
+        # written as text.
         probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         loaded = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
-        if loaded.stdout.strip() == "True":
-            pytest.skip("importing numpy loads numpy.ma here")
         path = _write_config(tmp_path, fixture_cache_dir, disciplines=["C100", "C200"])
         script = (
             "import sys\n"
             "from collabkit.cli import load_config, run\n"
             f"run(load_config({path!r}), mode='fixtures', stage='all')\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'xml'))\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
-        assert done.stdout.strip() == "False"
+        xml_modules, ma_loaded = done.stdout.splitlines()
+        assert xml_modules == "[]"
         assert (tmp_path / "out" / "manifest.json").is_file()
+        if loaded.stdout.strip() == "True":
+            pytest.skip("importing numpy loads numpy.ma here")
+        assert ma_loaded == "False"
 
     def test_invalid_config_writes_nothing(self, fixture_config, tmp_path):
         # an invalid config cannot be built, so no run can start from one
@@ -1217,6 +1221,13 @@ class TestMain:
         assert err["error"] == "CollabKitError" and err["exit_code"] == EXIT_ANALYSIS
         assert repr(code.upper()) in err["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_empty_entity_name_is_refused(self, fixture_config):
+        # records never hold a blank code, so the name "" reaches a cell
+        # only through a table built some other way
+        table = table_from_sets([{"", "US"}] * 2 + [{"US"}])
+        with pytest.raises(CollabKitError, match="entity '' is empty or holds a comma"):
+            cli._analyze_cell(fixture_config, table, {}, "all")
 
     def test_url_discipline_ids_write_bare_paths(
         self, tmp_path, fixture_cache_dir, capsys

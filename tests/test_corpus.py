@@ -32,15 +32,18 @@ from util import POOL6, POOL12, brute_work_sets, records_from_sets, table_from_s
 nationality_sets = st.frozensets(st.sampled_from(POOL12), max_size=10)
 corpora = st.lists(nationality_sets, min_size=0, max_size=50)
 
-# one institution entry: any mix of a country code (any case, or none) and
-# a ROR id (bare, URL form, or none), with absent and null keys both drawn
+# one institution entry: any mix of a country code (any case, blank, or
+# none) and a ROR id (bare, URL form, blank, or none), with absent and null
+# keys both drawn
 _institutions = st.fixed_dictionaries(
     {},
     optional={
-        "country_code": st.none() | st.just("") | st.sampled_from(POOL6 + ("at", "fi")),
-        "ror": st.none() | st.just("") | st.sampled_from(
-            ("01aaa", "02bbb", "https://ror.org/01aaa", "https://ror.org/03ccc")
-        ),
+        "country_code": st.none()
+        | st.sampled_from(("", " ", "\t"))
+        | st.sampled_from(POOL6 + ("at", "fi")),
+        "ror": st.none()
+        | st.sampled_from(("", " ", "https://ror.org/", "https://ror.org/ "))
+        | st.sampled_from(("01aaa", "02bbb", "https://ror.org/01aaa", "https://ror.org/03ccc")),
     },
 )
 raw_authorships = st.fixed_dictionaries(
@@ -178,6 +181,27 @@ class TestInstitutions:
     @given(raw_authorships)
     def test_matches_brute_force(self, raw):
         assert _sets(raw) == brute_work_sets(raw)
+
+    def test_blank_codes_name_no_entity(self):
+        blank = {"country_code": " ", "ror": "https://ror.org/"}
+        assert _sets(_authorships([blank])) == (frozenset(), frozenset())
+        known = {"country_code": "US", "ror": "https://ror.org/01aaa"}
+        assert _sets(_authorships([blank], [known])) == ({"US"}, {"01aaa"})
+
+    @pytest.mark.parametrize("key,entity", [(COUNTRY_KEY, "US"), (INSTITUTION_KEY, "01aaa")])
+    def test_blank_codes_count_as_unknown(self, key, entity):
+        blank = {"country_code": " ", "ror": "https://ror.org/"}
+        known = {"country_code": "US", "ror": "https://ror.org/01aaa"}
+        raws = [
+            {"id": f"W{i}", "publication_year": 2000, **authorships}
+            for i, authorships in enumerate(
+                [_authorships([blank]), _authorships([blank], [known])]
+            )
+        ]
+        records = [work_from_metadata(raw, "C1", key) for raw in raws]
+        table = count_years(records, "C1", range(2000, 2001), key)[2000]
+        assert (table.unknown_count, table.total_count) == (1, 2)
+        assert table.unary == {entity: 1} and table.multi == {}
 
 
 class TestWorkFromMetadata:

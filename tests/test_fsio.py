@@ -94,6 +94,17 @@ class TestWriteNew:
             write_new(tmp_path / "f", blocks())
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])
+    def test_staged_file_mode_is_0o666_less_the_umask(self, tmp_path, umask):
+        staged = StagedTree(tmp_path / "out")
+        old = os.umask(umask)
+        try:
+            staged.put("a/x.csv", "x")
+        finally:
+            os.umask(old)
+        mode = (staged.staging / "a" / "x.csv").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+
 
 class TestStagedTree:
     def test_nothing_made_before_the_first_put(self, tmp_path):

@@ -37,6 +37,28 @@ def test_source_parses_as_python_3_10(path):
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
+def test_imports_are_declared_dependencies():
+    # every top-level module a source file imports is relative, in the
+    # standard library, or one of pyproject's [project] dependencies
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    undeclared = set()
+    for path in sorted((ROOT / "src" / "collabkit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in sys.stdlib_module_names and top.lower() not in declared:
+                    undeclared.add(f"{path.name}: {name}")
+    assert undeclared == set()
+
+
 @pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
 def test_config_example_is_valid(doc):
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / doc).read_text(), re.DOTALL)

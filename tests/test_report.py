@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from collabkit.corpus import Period, build_count_table, top_entities
 from collabkit.geometry import (
+    Dendrogram,
     IcdResult,
     cut_clusters,
     distance_matrix,
@@ -39,6 +40,7 @@ from collabkit.report import (
     kde_to_csv,
     render_circular_dendrogram,
     series_to_csv,
+    writable_name,
 )
 from tests.util import (
     all_ties_chain,
@@ -46,6 +48,7 @@ from tests.util import (
     random_dendrogram,
     records_from_sets,
     series_to_csv_reference,
+    svg_reference,
     table_from_sets,
 )
 
@@ -58,6 +61,15 @@ def _svg_root(svg: str) -> ET.Element:
 
 def _tags(root, suffix):
     return [el for el in root.iter() if el.tag.split("}")[-1] == suffix]
+
+
+@pytest.mark.parametrize(
+    "name,writable",
+    [("US", True), ("05abc", True), ("é日", True), ("", False), (" ", False),
+     ("a,b", False), ("(x)", False), ("u\ts", False)],
+)
+def test_writable_name(name, writable):
+    assert writable_name(name) is writable
 
 
 class TestChordData:
@@ -249,6 +261,65 @@ class TestDendrogramSvg:
         a = render_circular_dendrogram(dend, cut, volumes)
         b = render_circular_dendrogram(dend, cut, volumes)
         assert a == b
+
+    # every character ElementTree escapes in an attribute or in text, an
+    # apostrophe it leaves alone, and non-ASCII
+    NAME_ALPHABET = "ab&<>\"'\r\n\té日"
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.integers(2, 40),
+        st.data(),
+    )
+    def test_bytes_match_the_element_tree_reference(self, rng, n, data):
+        names = data.draw(
+            st.lists(
+                st.text(self.NAME_ALPHABET, min_size=1, max_size=5),
+                min_size=n,
+                max_size=n,
+                unique=True,
+            )
+        )
+        dend = Dendrogram(tuple(names), random_dendrogram(rng, n).merges)
+        # a cut at, just below or just above a merge height, or past them all
+        h_star = data.draw(
+            st.tuples(st.sampled_from(dend.heights), st.sampled_from((-1e-9, 0.0, 1e-9))).map(sum)
+            | st.sampled_from((0.0, 1.005, max(dend.heights) + 1.0))
+        )
+        cut = cut_clusters(dend, h_star)
+        counts = data.draw(
+            st.just([0] * n) | st.lists(st.integers(0, 10**6), min_size=n, max_size=n)
+        )
+        volumes = dict(zip(names, counts))
+        svg = render_circular_dendrogram(dend, cut, volumes)
+        assert svg == svg_reference(dend, cut, volumes)
+        root = _svg_root(svg)
+        # attribute values keep CR as &#13;; a parser reads element text's CR as LF
+        leaves = [c.get("data-entity") for c in _tags(root, "circle")]
+        assert leaves == names
+        bars = next(g for g in _tags(root, "g") if g.get("class") == "bars")
+        assert len(bars) == (n if any(counts) else 0)
+
+    def test_escaped_names_and_empty_bars_group(self):
+        names = ('a&"b', "<\r\n\t>")
+        dend = Dendrogram(names, all_ties_chain(2).merges)
+        cut = cut_clusters(dend, 1.005)
+        svg = render_circular_dendrogram(dend, cut, dict.fromkeys(names, 0))
+        assert '<g class="bars" />' in svg
+        assert 'data-entity="a&amp;&quot;b"' in svg
+        assert 'data-entity="&lt;&#13;&#10;&#09;&gt;"' in svg
+        assert '>a&amp;"b</text>' in svg
+        assert ">&lt;\r\n\t&gt;</text>" in svg
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_large_tree_matches_the_reference(self, n):
+        rng = random.Random(n)
+        dend = random_dendrogram(rng, n)
+        cut = cut_clusters(dend, dend.heights[n // 2])
+        volumes = {e: rng.randrange(1000) for e in dend.entities}
+        assert render_circular_dendrogram(dend, cut, volumes) == svg_reference(
+            dend, cut, volumes
+        )
 
 
 SERIES = YearSeries(

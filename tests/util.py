@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import xml.etree.ElementTree as ET
+from typing import Mapping
 
 import numpy as np
 
@@ -11,12 +13,14 @@ from collabkit.corpus import Period, WorkRecord, build_count_table, gather
 from collabkit.errors import EmptyUnion, MissingFixtures
 from collabkit.geometry import (
     MERGE_TIE_EPS,
+    ClusterCut,
     Dendrogram,
     DistanceMatrix,
     Merge,
     ward_cluster,
 )
 from collabkit.ingest import normalize_concept_id, parse_concept_page
+from collabkit.report import _COORD, BAR_COLOR, PALETTE, TRUNK_COLOR
 
 POOL6 = ("AT", "BE", "CH", "DK", "ES", "FI")
 POOL12 = POOL6 + ("GR", "HU", "IE", "JP", "KR", "LU")
@@ -45,7 +49,8 @@ def records_from_sets(sets, discipline="D1", year=2000):
 
 def brute_work_sets(raw):
     """(countries, bare ROR ids) of one raw work item, by brute force: every
-    institution of every contributor, then one comprehension per set."""
+    institution of every contributor, then one comprehension per set, less
+    the blank codes."""
     insts = [
         inst
         for authorship in raw.get("authorships") or []
@@ -53,7 +58,11 @@ def brute_work_sets(raw):
     ]
     countries = {str(i["country_code"]).upper() for i in insts if i.get("country_code")}
     rors = {str(i["ror"]).split("/")[-1] for i in insts if i.get("ror")}
-    return frozenset(countries), frozenset(rors)
+    # a code that is blank once normalised names no entity
+    return (
+        frozenset(c for c in countries if c.strip()),
+        frozenset(r for r in rors if r.strip()),
+    )
 
 
 def fetch_of(payloads):
@@ -392,3 +401,162 @@ def tree_snapshot(root):
         p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
         for p in sorted(root.rglob("*"))
     }
+
+
+def svg_reference(
+    dendrogram: Dendrogram,
+    cut: ClusterCut,
+    volumes: Mapping[str, int],
+) -> str:
+    """``render_circular_dendrogram`` as an ElementTree tree serialized by
+    ``ET.tostring``: the same SVG, with ElementTree's escaping.
+
+    Leaves sit at uniform angles on a circle; a merge's radius shrinks
+    linearly as its height grows, so earlier couplings sit closer to the
+    rim. Branches whose leaves share a cluster take that cluster's color;
+    links above the cut stay a neutral trunk color.
+    """
+    entities = dendrogram.entities
+    missing = [e for e in entities if e not in volumes]
+    if missing:
+        raise ValueError(f"volumes missing for leaves: {missing}")
+    n = dendrogram.n_leaves
+    size = 640.0
+    center = size / 2.0
+    r_leaf = 200.0
+    r_label = 212.0
+    r_bar = 252.0
+    bar_len_max = 56.0
+    r_root = 40.0
+
+    heights = dendrogram.heights
+    h_top = max(max(heights), 1e-12)
+
+    def radius(height: float) -> float:
+        return r_leaf - (r_leaf - r_root) * (height / h_top)
+
+    angle_of: dict[int, float] = {}
+    for position, leaf in enumerate(dendrogram.leaf_order()):
+        angle_of[leaf] = 2.0 * math.pi * position / n - math.pi / 2.0
+    radius_of: dict[int, float] = {i: r_leaf for i in range(n)}
+    for k, m in enumerate(dendrogram.merges):
+        angle_of[n + k] = (angle_of[m.left] + angle_of[m.right]) / 2.0
+        radius_of[n + k] = radius(m.height)
+
+    def point(node: int, r: float | None = None) -> tuple[float, float]:
+        rr = radius_of[node] if r is None else r
+        a = angle_of[node]
+        return center + rr * math.cos(a), center + rr * math.sin(a)
+
+    labels = [cut.assignment[e] for e in entities]
+    # the cluster label every leaf under a node shares, or 0 if they differ
+    common = list(labels)
+    for m in dendrogram.merges:
+        common.append(common[m.left] if common[m.left] == common[m.right] else 0)
+
+    def node_color(node: int) -> str:
+        label = common[node]
+        return PALETTE[(label - 1) % len(PALETTE)] if label else TRUNK_COLOR
+
+    svg = ET.Element(
+        "svg",
+        {
+            "xmlns": "http://www.w3.org/2000/svg",
+            "width": "%d" % int(size),
+            "height": "%d" % int(size),
+            "viewBox": "0 0 %d %d" % (int(size), int(size)),
+        },
+    )
+    ET.SubElement(
+        svg,
+        "rect",
+        {"x": "0", "y": "0", "width": "%d" % int(size), "height": "%d" % int(size), "fill": "#ffffff"},
+    )
+
+    links = ET.SubElement(svg, "g", {"class": "links", "fill": "none"})
+    for k, m in enumerate(dendrogram.merges):
+        node = n + k
+        r = radius_of[node]
+        color = node_color(node)
+        a1, a2 = sorted((angle_of[m.left], angle_of[m.right]))
+        x1, y1 = center + r * math.cos(a1), center + r * math.sin(a1)
+        x2, y2 = center + r * math.cos(a2), center + r * math.sin(a2)
+        large = "1" if (a2 - a1) > math.pi else "0"
+        arc = (
+            f"M {_COORD % x1} {_COORD % y1} "
+            f"A {_COORD % r} {_COORD % r} 0 {large} 1 {_COORD % x2} {_COORD % y2}"
+        )
+        ET.SubElement(links, "path", {"d": arc, "stroke": color, "stroke-width": "1.4"})
+        for child in (m.left, m.right):
+            cx, cy = point(child)
+            px, py = point(child, r)
+            ET.SubElement(
+                links,
+                "path",
+                {
+                    "d": f"M {_COORD % cx} {_COORD % cy} L {_COORD % px} {_COORD % py}",
+                    "stroke": node_color(child),
+                    "stroke-width": "1.4",
+                },
+            )
+
+    vol_max = max((volumes[e] for e in entities), default=0)
+    bar_width = max(1.0, min(12.0, 2.0 * math.pi * r_bar / n * 0.5))
+    bars = ET.SubElement(svg, "g", {"class": "bars"})
+    for leaf, entity in enumerate(entities):
+        if vol_max <= 0:
+            continue
+        length = bar_len_max * volumes[entity] / vol_max
+        x1, y1 = point(leaf, r_bar)
+        x2, y2 = point(leaf, r_bar + length)
+        ET.SubElement(
+            bars,
+            "path",
+            {
+                "d": f"M {_COORD % x1} {_COORD % y1} L {_COORD % x2} {_COORD % y2}",
+                "stroke": BAR_COLOR,
+                "stroke-width": _COORD % bar_width,
+                "class": "bar",
+                "data-entity": entity,
+                "data-volume": str(volumes[entity]),
+            },
+        )
+
+    leaves_group = ET.SubElement(svg, "g", {"class": "leaves"})
+    for leaf, entity in enumerate(entities):
+        x, y = point(leaf)
+        color = PALETTE[(labels[leaf] - 1) % len(PALETTE)]
+        ET.SubElement(
+            leaves_group,
+            "circle",
+            {
+                "class": "leaf",
+                "cx": _COORD % x,
+                "cy": _COORD % y,
+                "r": "3.5",
+                "fill": color,
+                "data-entity": entity,
+                "data-cluster": str(labels[leaf]),
+            },
+        )
+        deg = math.degrees(angle_of[leaf])
+        flip = 90.0 < deg % 360.0 < 270.0
+        tx, ty = point(leaf, r_label)
+        transform = f"rotate({_COORD % (deg + (180.0 if flip else 0.0))} {_COORD % tx} {_COORD % ty})"
+        ET.SubElement(
+            leaves_group,
+            "text",
+            {
+                "class": "leaf-label",
+                "x": _COORD % tx,
+                "y": _COORD % ty,
+                "font-family": "sans-serif",
+                "font-size": "10",
+                "dominant-baseline": "middle",
+                "text-anchor": "end" if flip else "start",
+                "transform": transform,
+            },
+        ).text = entity
+
+    body = ET.tostring(svg, encoding="unicode")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
