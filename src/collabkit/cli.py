@@ -16,6 +16,7 @@ import json
 import math
 import platform
 import sys
+import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -42,7 +43,7 @@ from .errors import (
     TransportError,
     WrongLevel,
 )
-from .fsio import Blocks, StagedTree, json_text
+from .fsio import StagedTree, json_text
 from .geometry import (
     IcdResult,
     cut_clusters,
@@ -337,13 +338,15 @@ def _analyze_cell(
     table: CountTable,
     period_years: dict[int, CountTable],
     stage: str,
-) -> tuple[dict[str, Blocks], IcdResult, dict]:
-    """Compute one (discipline, period) cell from its count table.
+    staged: StagedTree,
+) -> tuple[IcdResult, dict]:
+    """Compute one (discipline, period) cell from its count table and
+    stage each of its files as it is built.
 
     ``period_years`` holds the one-year tables of the period's years, which
-    feed the yearly series. Returns each file's text, or the blocks a CSV
-    exporter yields, keyed by path relative to the out dir; the cell's ICD
-    result; and a manifest stanza. Pure function of its inputs.
+    feed the yearly series. Each file goes to ``staged`` under its path
+    relative to the out dir, so every CSV exporter is drained before this
+    returns. Returns the cell's ICD result and its manifest stanza.
     """
     discipline, period = table.discipline_id, table.period
     top = top_entities(table, config.top_n)
@@ -363,7 +366,6 @@ def _analyze_cell(
     cut = cut_clusters(dend, config.h_star)
     h0 = "auto" if config.h0_mode == "auto" else 1.0
     result = icd(dend, h0)
-    curve = kde(result.rescaled) if len(result.rescaled) >= 2 else None
 
     info = {
         "entities": len(top),
@@ -373,18 +375,18 @@ def _analyze_cell(
         "icd_mean": result.mean,
     }
     prefix = f"{discipline}/{period.label}"
-    outputs: dict[str, Blocks] = {}
     if stage in ("analyze", "all"):
-        outputs[f"{prefix}/distances.csv"] = distance_matrix_to_csv(dm)
-        outputs[f"{prefix}/dendrogram.newick"] = to_newick(dend)
-        outputs[f"{prefix}/merges.json"] = merges_to_json(dend)
-        outputs[f"{prefix}/chord.csv"] = chord_to_csv(chord_data(table, top))
-        outputs[f"{prefix}/icd.csv"] = icd_detail_to_csv(discipline, period, result)
-        if curve is not None:
-            outputs[f"{prefix}/kde.csv"] = kde_to_csv(discipline, period, curve)
+        staged.put(f"{prefix}/distances.csv", distance_matrix_to_csv(dm))
+        staged.put(f"{prefix}/dendrogram.newick", to_newick(dend))
+        staged.put(f"{prefix}/merges.json", merges_to_json(dend))
+        staged.put(f"{prefix}/chord.csv", chord_to_csv(chord_data(table, top)))
+        staged.put(f"{prefix}/icd.csv", icd_detail_to_csv(discipline, period, result))
+        if len(result.rescaled) >= 2:
+            curve = kde(result.rescaled)
+            staged.put(f"{prefix}/kde.csv", kde_to_csv(discipline, period, curve))
         rates, yearly_volumes = yearly_series(period_years, discipline, top, config.min_volume)
-        outputs[f"{prefix}/series.csv"] = series_to_csv(rates)
-        outputs[f"{prefix}/volumes.csv"] = series_to_csv(yearly_volumes)
+        staged.put(f"{prefix}/series.csv", series_to_csv(rates))
+        staged.put(f"{prefix}/volumes.csv", series_to_csv(yearly_volumes))
         pairs = config.bilateral_pairs or ((top[0], top[1]),)
         bilateral = [
             bilateral_distance_series(
@@ -392,17 +394,17 @@ def _analyze_cell(
             )
             for a, b in pairs
         ]
-        outputs[f"{prefix}/bilateral.csv"] = series_to_csv(bilateral)
+        staged.put(f"{prefix}/bilateral.csv", series_to_csv(bilateral))
         # the masked points of series.csv and bilateral.csv; volumes.csv has none
         masked = Counter(np.concatenate([s.reasons for s in rates + bilateral]).tolist())
         del masked[None]
         info["masked_points"] = dict(masked)
     if stage in ("report", "all"):
         volumes = dict(zip(top, gather(table.unary_counts, table.indices(top)).tolist()))
-        outputs[f"{prefix}/dendrogram.svg"] = render_circular_dendrogram(
-            dend, cut, volumes
+        staged.put(
+            f"{prefix}/dendrogram.svg", render_circular_dendrogram(dend, cut, volumes)
         )
-    return outputs, result, info
+    return result, info
 
 
 def run(
@@ -419,8 +421,12 @@ def run(
     written. Module errors propagate to the caller (the CLI maps them to
     exit codes).
 
-    Each cell's files are written into a staging directory inside
-    ``out_dir`` as soon as the cell is computed. Once every cell is done,
+    ``sleep`` stands in for ``time.sleep`` in the client's rate limit and
+    retry waits.
+
+    Each file is written into a staging directory inside ``out_dir`` as
+    soon as it is built, so every CSV exporter is drained at the line that
+    makes it. Once every cell is done,
     the staged files are moved over their places in ``out_dir`` one at a
     time, in sorted order, and ``manifest.json`` last. A run that raises
     before that removes the staging directory, and ``out_dir`` too if the
@@ -449,10 +455,9 @@ def run(
 
         transport = RequestsTransport()
 
-    client_kwargs = dict(rate_limit=config.rate_limit)
-    if sleep is not None:
-        client_kwargs["sleep"] = sleep
-    client = OpenAlexClient(cache, transport, **client_kwargs)
+    client = OpenAlexClient(
+        cache, transport, rate_limit=config.rate_limit, sleep=sleep or time.sleep
+    )
 
     staged = StagedTree(config.out_dir)
     try:
@@ -534,9 +539,7 @@ def _stage_disciplines(
         for period in config.periods:
             period_years = {year: yearly[year] for year in period.years()}
             table = merge_tables(list(period_years.values()), period)
-            files, result, info = _analyze_cell(config, table, period_years, stage)
-            while files:  # each text goes as soon as it is written
-                staged.put(*files.popitem())
+            result, info = _analyze_cell(config, table, period_years, stage, staged)
             icd_cells.append((period, result))
             cells_info[f"{discipline}/{period.label}"] = info
 

@@ -48,7 +48,7 @@ class YearSeries:
     int64; ``reasons`` holds each point's mask reason, ``None`` where it is
     unmasked. Which indicator the values carry is decided by the producing
     function and by the file a series is exported into. The series of one
-    ``yearly_series`` call share their blocks, so no column is written to.
+    ``yearly_series`` call share their blocks, which are read-only.
     """
 
     discipline_id: str
@@ -136,7 +136,7 @@ def yearly_series(
     works is masked as missing, with no value and volume 0, and a rate's
     volume is the entity's unary count. The volumes carry that unary count
     as their value and are never masked. Each series' columns are column
-    slices of the blocks this call gathers.
+    slices of the blocks this call gathers, which are read-only.
     """
     years, unary, multi = _year_counts(tables_by_year, entities)
     present = unary > 0
@@ -144,12 +144,15 @@ def yearly_series(
     reasons = np.where(present, None, REASON_MISSING)
     reasons[_below_min_volume(unary, ~present, min_volume)] = REASON_BELOW_MIN_VOLUME
     unmasked = np.full(unary.shape, None, dtype=object)
+    floats = unary.astype(float)
+    for block in (unary, rates, reasons, unmasked, floats):
+        block.flags.writeable = False
     return tuple(
         [
             YearSeries(discipline_id, entity, years, values[:, j], unary[:, j], why[:, j])
             for j, entity in enumerate(entities)
         ]
-        for values, why in ((rates, reasons), (unary.astype(float), unmasked))
+        for values, why in ((rates, reasons), (floats, unmasked))
     )
 
 
@@ -244,8 +247,10 @@ def _quartiles(x: np.ndarray) -> np.ndarray:
 def silverman_bandwidth(values: Sequence[float]) -> float:
     """Silverman's rule: 0.9 * min(sd, IQR / 1.34) * n^(-1/5).
 
-    Degenerate spreads (all values equal, or a collapsed quartile range)
-    fall back to a tiny positive width so the estimate stays defined.
+    Degenerate spreads (all values equal, a collapsed quartile range, or a
+    width below the smallest normal float, whose kernel normaliser would
+    underflow) fall back to a tiny positive width so the estimate stays
+    defined.
     """
     x = np.asarray(values, dtype=float)
     n = x.size
@@ -255,7 +260,7 @@ def silverman_bandwidth(values: Sequence[float]) -> float:
     candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
     spread = min(candidates) if candidates else 0.0
     bw = 0.9 * spread * n ** (-0.2)
-    if bw <= 0.0:
+    if bw < np.finfo(float).tiny:
         scale = max(1.0, float(np.abs(x).max()))
         bw = scale * 1e-9
     return bw

@@ -591,6 +591,18 @@ class TestRun:
         assert names == {"dendrogram.svg"}
         assert not any("masked_points" in info for info in manifest["cells"].values())
 
+    def test_report_stage_computes_no_kde(self, fixture_config, tmp_path, monkeypatch):
+        def kde(values):
+            raise AssertionError("the report stage writes no kde.csv")
+
+        monkeypatch.setattr(cli, "kde", kde)
+        config = replace(fixture_config, out_dir=str(tmp_path))
+        code, manifest = run(config, mode="fixtures", stage="report")
+        assert code == EXIT_OK
+        files = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
+        assert files == set(manifest["outputs"]) | {"manifest.json"}
+        assert {rel.rsplit("/", 1)[-1] for rel in manifest["outputs"]} == {"dendrogram.svg"}
+
     def test_fixture_outputs_digest(self, fixture_config, tmp_path):
         # the byte contract for refactors: the bundled config, both
         # disciplines, every stage
@@ -1222,12 +1234,14 @@ class TestMain:
         assert repr(code.upper()) in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_empty_entity_name_is_refused(self, fixture_config):
+    def test_empty_entity_name_is_refused(self, fixture_config, tmp_path):
         # records never hold a blank code, so the name "" reaches a cell
         # only through a table built some other way
         table = table_from_sets([{"", "US"}] * 2 + [{"US"}])
+        staged = StagedTree(tmp_path)
         with pytest.raises(CollabKitError, match="entity '' is empty or holds a comma"):
-            cli._analyze_cell(fixture_config, table, {}, "all")
+            cli._analyze_cell(fixture_config, table, {}, "all", staged)
+        assert staged.digests == {} and staged.staging is None
 
     def test_url_discipline_ids_write_bare_paths(
         self, tmp_path, fixture_cache_dir, capsys

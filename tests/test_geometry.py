@@ -139,7 +139,7 @@ class TestDistanceMatrix:
                 expected = 0.0 if i == j else brute_jaccard_distance(sets, x, y)
                 assert dm.values[i, j] == expected
 
-    @given(st.randoms(use_true_random=False))
+    @given(st.randoms(use_true_random=True))
     def test_matches_whole_matrix_reference(self, rng):
         # the in-place build, its Gram matrix and its CSV against the
         # whole-matrix expressions, bit for bit; an entity outside the

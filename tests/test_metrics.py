@@ -259,6 +259,17 @@ class TestMasking:
         assert masked.reasons.tolist() == [REASON_BELOW_MIN_VOLUME, REASON_MISSING]
         assert [s.reasons.tolist() for s in rates + volumes] == before
 
+    def test_shared_blocks_are_read_only(self):
+        # a rate's volumes and the volume series are the same memory
+        tables = _tables_by_year({2000: [{"US"}, {"US", "CN"}], 2001: [{"CN"}] * 3})
+        rates, volumes = yearly_series(tables, "D1", ["US", "CN"])
+        assert np.shares_memory(rates[0].volumes, volumes[0].volumes)
+        for s in rates + volumes:
+            for column in (s.values, s.volumes, s.reasons):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[1]
+        assert volumes[0].volumes.tolist() == [2, 0]
+
 
 class TestBilateral:
     def test_frozen_arithmetic(self):
@@ -376,3 +387,14 @@ class TestKde:
 
     def test_silverman_degenerate_fallback(self):
         assert silverman_bandwidth([2.0, 2.0, 2.0]) > 0.0
+
+    def test_subnormal_spread_falls_back(self):
+        # a subnormal bandwidth would underflow the kernel normaliser
+        values = [0.0, 5e-324, 1e-323]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            curve = kde(values)
+        assert curve.bandwidth == 1e-9 == kde_reference(values)[2]
+        assert np.isfinite(curve.density).all()
+        assert np.trapezoid(curve.density, curve.x) == pytest.approx(1.0, abs=1e-3)
+        # a normal-range width, however small, is kept
+        assert 0.0 < silverman_bandwidth([0.0, 1e-300]) < 1e-300

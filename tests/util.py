@@ -377,7 +377,7 @@ def kde_reference(values):
     iqr = float(q75 - q25)
     candidates = [c for c in (sd, iqr / 1.34) if c > 0.0]
     bw = 0.9 * (min(candidates) if candidates else 0.0) * x.size ** (-0.2)
-    if bw <= 0.0:
+    if bw < np.finfo(float).tiny:
         bw = max(1.0, float(np.abs(x).max())) * 1e-9
     grid = np.linspace(float(x.min()) - 5.0 * bw, float(x.max()) + 5.0 * bw, 512)
     z = (grid[:, None] - x[None, :]) / bw
