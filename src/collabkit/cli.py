@@ -433,10 +433,11 @@ def run(
     run made it, so ``out_dir`` is left as it was. Files of an earlier run
     that this run does not write stay.
 
-    In fixtures mode an enabled cycle collector is paused while each
-    discipline's records are counted and enabled again afterwards, also
-    when the stream raises. The pause is process-wide: other threads of
-    the host run without cycle collection meanwhile.
+    An enabled cycle collector is paused for the whole call, in every
+    mode and stage, and enabled again afterwards, also when the run
+    raises; a collector the caller had disabled stays disabled. The pause
+    is process-wide: other threads of the host run without cycle
+    collection meanwhile.
     """
     if mode not in ("online", "fixtures"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -460,6 +461,11 @@ def run(
     )
 
     staged = StagedTree(config.out_dir)
+    # A run makes no reference cycles, so collecting during it would only
+    # rescan live objects.
+    pause = gc.isenabled()
+    if pause:
+        gc.disable()
     try:
         cells_info = _stage_disciplines(config, client, stage, staged)
         manifest = {
@@ -491,6 +497,9 @@ def run(
     except BaseException:
         staged.discard()
         raise
+    finally:
+        if pause:
+            gc.enable()
     return EXIT_OK, manifest
 
 
@@ -520,20 +529,9 @@ def _stage_disciplines(
                 pass
             continue
 
-        # An offline record stream makes no reference cycles, so collecting
-        # while it is counted only rescans live objects. What the transport
-        # leaves has not been measured, so an online stream is counted with
-        # the collector on.
-        pause = client.transport is None and gc.isenabled()
-        if pause:
-            gc.disable()
-        try:
-            yearly = count_years(
-                records, discipline, range(year_lo, year_hi + 1), config.key
-            )
-        finally:
-            if pause:
-                gc.enable()
+        yearly = count_years(
+            records, discipline, range(year_lo, year_hi + 1), config.key
+        )
 
         icd_cells = []
         for period in config.periods:
@@ -625,9 +623,22 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK if not diags else EXIT_CONFIG
         mode = "fixtures" if args.offline else "online"
         code, manifest = run(config, mode=mode, stage=args.command)
-        print(
-            f"{args.command}: wrote {len(manifest['outputs'])} files to {config.out_dir}"
-        )
+        if args.command == "harvest":
+            # a page read twice counts twice in pages_from_cache, once in inputs
+            counts, pages = manifest["ingest"], len(manifest["inputs"])
+            print(
+                f"harvest: {pages} pages in {config.cache_dir}"
+                f" ({counts['pages_fetched']} fetched,"
+                f" {pages - counts['pages_fetched']} already cached),"
+                f" {sum(counts['retries_by_status'].values())} retries,"
+                f" {counts['duplicate_ids_dropped']} duplicate ids dropped,"
+                f" {counts['malformed_items_skipped']} malformed items skipped"
+            )
+        else:
+            print(
+                f"{args.command}: wrote {len(manifest['outputs'])} files"
+                f" to {config.out_dir}"
+            )
         return code
     except _CONFIG_ERRORS as exc:
         _report_error(exc, EXIT_CONFIG)

@@ -154,6 +154,9 @@ class PageCache:
     def path_for(self, fp: str) -> Path:
         return self.root / f"{fp}.json"
 
+    def sidecar_for(self, fp: str) -> Path:
+        return self.root / f"{fp}.meta.json"
+
     def get(self, fp: str) -> bytes | None:
         path = self.path_for(fp)
         try:
@@ -164,7 +167,7 @@ class PageCache:
     def meta(self, fp: str) -> dict | None:
         """The page's sidecar, or None if it is missing or unreadable."""
         try:
-            meta = json.loads((self.root / f"{fp}.meta.json").read_bytes())
+            meta = json.loads(self.sidecar_for(fp).read_bytes())
         except (OSError, UnicodeDecodeError, json.JSONDecodeError):
             return None
         return meta if isinstance(meta, dict) else None
@@ -181,7 +184,7 @@ class PageCache:
             "params": {k: v for k, v in params.items() if k != "mailto"},
             "sha256": digest,
         }
-        write_bytes_atomic(self.root / f"{fp}.meta.json", json_text(meta) + "\n")
+        write_bytes_atomic(self.sidecar_for(fp), json_text(meta) + "\n")
         return digest
 
     def _page_names(self) -> Iterator[str]:
@@ -354,7 +357,13 @@ class OpenAlexClient:
         if cached is not None:
             digest = hashlib.sha256(cached).hexdigest()
             meta = self.cache.meta(fp)
-            if meta is None or meta.get("sha256") != digest:
+            if meta is None:
+                raise ParseError(
+                    f"cached page {fp} has no readable sidecar"
+                    f" {self.cache.sidecar_for(fp)}; delete {self.cache.path_for(fp)}"
+                    " and fetch it again online"
+                )
+            if meta.get("sha256") != digest:
                 raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
             self.consumed[fp] = digest
             self.pages_from_cache += 1

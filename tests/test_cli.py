@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabkit import cli, metrics
+from collabkit import cli, ingest, metrics
 from collabkit.cli import (
     EXIT_ANALYSIS,
     EXIT_CONFIG,
@@ -51,7 +51,9 @@ from collabkit.corpus import (
 from collabkit.errors import CollabKitError, ConfigError, MissingFixtures, ParseError
 from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
-from collabkit.ingest import OpenAlexClient, PageCache, expand_concept, harvest
+from collabkit.ingest import PageCache, TransportResponse
+import synthetic
+from synthetic import SyntheticOpenAlexTransport
 from util import POOL12, table_from_sets, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
@@ -945,34 +947,79 @@ def test_run_builds_only_the_counted_set(fixture_config, tmp_path, monkeypatch):
     assert manifest["ingest"]["malformed_items_skipped"] == 0
 
 
+class FlakySyntheticTransport(SyntheticOpenAlexTransport):
+    """The synthetic corpus, served after one 503, one 429 and one raised
+    transport error."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures = [503, 429, None]
+
+    def get(self, url, params):
+        if self.failures:
+            status = self.failures.pop(0)
+            if status is None:
+                raise ConnectionError("injected")
+            return TransportResponse(status, b'{"error": "injected"}')
+        return super().get(url, params)
+
+
+def _collected() -> int:
+    """Objects the cycle collector has freed in this process so far."""
+    return sum(gen["collected"] for gen in gc.get_stats())
+
+
 @pytest.mark.parametrize("key", VALID_KEYS)
-def test_counting_the_stream_makes_no_cycles(fixture_cache_dir, key):
-    # run() pauses the cycle collector while it counts; that pays only
-    # because an offline record stream leaves no cyclic garbage behind
-    client = OpenAlexClient(PageCache(fixture_cache_dir), transport=None)
-    concepts = sorted(expand_concept("C100", client.fetch_concept))
-    years = range(1971, 2021)
+@pytest.mark.parametrize("mode", ["fixtures", "online"])
+@pytest.mark.parametrize("stage", cli.STAGES)
+def test_run_pauses_the_collector_and_leaves_no_cycles(
+    fixture_config, tmp_path, monkeypatch, stage, mode, key
+):
+    # run() pauses the cycle collector for the whole call; that pays only
+    # because no mode or stage leaves cyclic garbage behind, retries and
+    # cache writes included
+    collecting = set()
+
+    def recording_harvest(*args, **kwargs):
+        for rec in real_harvest(*args, **kwargs):
+            collecting.add(gc.isenabled())
+            yield rec
+
+    real_harvest = cli.harvest
+    monkeypatch.setattr(cli, "harvest", recording_harvest)
+    config = replace(fixture_config, key=key, out_dir=str(tmp_path / "out"))
+    transport = None
+    if mode == "online":
+        config = replace(config, cache_dir=str(tmp_path / "cache"), rate_limit=1e9)
+        transport = FlakySyntheticTransport()
+    assert gc.isenabled()
     gc.collect()
-    gc.disable()
-    try:
-        yearly = count_years(
-            harvest(client, "C100", concepts, 1971, 2020, key=key), "C100", years, key
-        )
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert sum(table.total_count for table in yearly.values()) > 1000
+    before = _collected()
+    _, manifest = run(config, mode, stage, transport=transport, sleep=lambda s: None)
+    # the first allocation after the pause may already collect the run's
+    # young objects, so what the collector freed since `before` counts too
+    assert gc.collect() == 0 and _collected() == before
+    assert gc.isenabled() and collecting == {False}
+    if mode == "online":
+        assert manifest["ingest"]["pages_from_cache"] == 0
+        assert manifest["ingest"]["retries_by_status"] == {
+            "429": 1,
+            "503": 1,
+            "exception": 1,
+        }
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-@pytest.mark.parametrize("damage", [None, "flipped-byte"], ids=["clean", "flipped-byte"])
+@pytest.mark.parametrize(
+    "damage", [None, "flipped-byte", "interrupt"], ids=["clean", "flipped-byte", "interrupt"]
+)
 def test_run_restores_the_collectors_state(
     fixture_config, fixture_cache_dir, tmp_path, monkeypatch, enabled, damage
 ):
-    # the collector is paused while records are counted, not while the
-    # harvest stage drains them, and run() leaves it as it found it
+    # the collector is paused while the harvest stage drains the records
+    # and while they are counted, and run() leaves it as it found it
     cache = fixture_cache_dir
-    if damage:
+    if damage == "flipped-byte":
         cache = tmp_path / "cache"
         shutil.copytree(fixture_cache_dir, cache)
         fp = next(
@@ -987,6 +1034,8 @@ def test_run_restores_the_collectors_state(
     def recording_harvest(*args, **kwargs):
         for rec in real_harvest(*args, **kwargs):
             collecting.setdefault(stage, set()).add(gc.isenabled())
+            if damage == "interrupt":
+                raise KeyboardInterrupt
             yield rec
 
     real_harvest = cli.harvest
@@ -996,43 +1045,19 @@ def test_run_restores_the_collectors_state(
     (gc.enable if enabled else gc.disable)()
     try:
         for stage in ("harvest", "all"):
-            if damage:
+            if damage == "flipped-byte":
                 with pytest.raises(ParseError, match=fp):
+                    run(config, mode="fixtures", stage=stage)
+            elif damage == "interrupt":
+                with pytest.raises(KeyboardInterrupt):
                     run(config, mode="fixtures", stage=stage)
             else:
                 run(config, mode="fixtures", stage=stage)
             assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    if not damage:
-        assert collecting == {"harvest": {enabled}, "all": {False}}
-
-
-def test_online_counting_keeps_the_collector(fixture_config, tmp_path, monkeypatch):
-    # only an offline stream is known to make no cycles; an online run
-    # counts with the collector on, even when every page is cached
-    class NoNetwork:
-        def get(self, *args, **kwargs):
-            raise AssertionError("every page is cached")
-
-    collecting = set()
-
-    def recording_harvest(*args, **kwargs):
-        for rec in real_harvest(*args, **kwargs):
-            collecting.add(gc.isenabled())
-            yield rec
-
-    real_harvest = cli.harvest
-    monkeypatch.setattr(cli, "harvest", recording_harvest)
-    assert gc.isenabled()
-    code, manifest = run(
-        replace(fixture_config, out_dir=str(tmp_path)),
-        mode="online",
-        stage="all",
-        transport=NoNetwork(),
-    )
-    assert code == EXIT_OK and manifest["ingest"]["network_calls"] == 0
-    assert collecting == {True} and gc.isenabled()
+    if damage != "flipped-byte":
+        assert collecting == {"harvest": {False}, "all": {False}}
 
 
 class TestArgs:
@@ -1298,6 +1323,36 @@ class TestMain:
         assert code == EXIT_TRANSPORT
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParseError" and fp in err["message"]
+        if damage == "flipped-byte":
+            assert "does not match the sha256 in its sidecar" in err["message"]
+        else:
+            sidecar = cache / f"{fp}.meta.json"
+            assert f"has no readable sidecar {sidecar}; delete {page}" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
+    def test_harvest_says_what_it_did(
+        self, tmp_path, fixture_cache_dir, capsys, monkeypatch, offline
+    ):
+        cache = fixture_cache_dir if offline else tmp_path / "cache"
+        path = _write_config(tmp_path, cache, disciplines=["C100", "C200"], rate_limit=1e9)
+        argv = ["harvest", "--config", path]
+        if offline:
+            argv.append("--offline")
+        else:
+            # C110's page is fetched for C100 and read from the cache for C200
+            related = [*synthetic.CONCEPT_GRAPH["C200"]["related"], "C110"]
+            monkeypatch.setitem(synthetic.CONCEPT_GRAPH["C200"], "related", related)
+            monkeypatch.setattr(ingest, "RequestsTransport", FlakySyntheticTransport)
+            monkeypatch.setattr(ingest, "BACKOFF_S", 0.0)
+        assert main(argv) == EXIT_OK
+        pages = len(PageCache(cache).fingerprints())
+        fetched, retries = (0, 0) if offline else (pages, 3)
+        assert capsys.readouterr().out == (
+            f"harvest: {pages} pages in {cache} ({fetched} fetched,"
+            f" {pages - fetched} already cached), {retries} retries,"
+            " 14 duplicate ids dropped, 0 malformed items skipped\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
