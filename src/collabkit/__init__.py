@@ -46,7 +46,7 @@ from .metrics import (
     intl_collab_rate,
     kde,
 )
-from .report import ChordData, chord_data, render_circular_dendrogram
+from .report import render_circular_dendrogram
 
 __all__ = [
     "__version__",
@@ -80,7 +80,5 @@ __all__ = [
     "bilateral_distance_series",
     "intl_collab_rate",
     "kde",
-    "ChordData",
-    "chord_data",
     "render_circular_dendrogram",
 ]

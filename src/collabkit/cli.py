@@ -63,7 +63,6 @@ from .ingest import (
 from .metrics import bilateral_distance_series, kde, yearly_series
 from .report import (
     CSV_SPECIALS,
-    chord_data,
     chord_to_csv,
     distance_matrix_to_csv,
     icd_detail_to_csv,
@@ -127,6 +126,9 @@ def _is_list_of(value, kind) -> bool:
 # out_dir and fill CSV fields.
 _NAME_SPECIALS = CSV_SPECIALS | frozenset("/\\")
 _PLAIN_NAME = 'must name one directory and hold no / \\ , " CR or LF'
+# The files written once per discipline, beside its period directories,
+# which a period label therefore must not name.
+_DISCIPLINE_FILES = ("icd_series.csv", "unknown_rate.csv")
 
 
 def _is_plain_name(name) -> bool:
@@ -246,6 +248,11 @@ class AnalysisConfig:
                     add(f"periods[{i}]", entry)
                 elif not _is_plain_name(entry.label):
                     add(f"periods[{i}]", f"label {entry.label!r} {_PLAIN_NAME}")
+                elif entry.label in _DISCIPLINE_FILES:
+                    add(
+                        f"periods[{i}]",
+                        f"label {entry.label!r} is the name of a discipline file",
+                    )
             store("periods", tuple(p for p in entries if isinstance(p, Period)))
             labels = [p.label for p in self.periods]
             if len(set(labels)) != len(labels):
@@ -291,9 +298,14 @@ def config_from_dict(doc: dict) -> AnalysisConfig:
 
 def _read_config(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError(f"config file {path} cannot be read: {reason}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -379,7 +391,7 @@ def _analyze_cell(
         staged.put(f"{prefix}/distances.csv", distance_matrix_to_csv(dm))
         staged.put(f"{prefix}/dendrogram.newick", to_newick(dend))
         staged.put(f"{prefix}/merges.json", merges_to_json(dend))
-        staged.put(f"{prefix}/chord.csv", chord_to_csv(chord_data(table, top)))
+        staged.put(f"{prefix}/chord.csv", chord_to_csv(table, top))
         staged.put(f"{prefix}/icd.csv", icd_detail_to_csv(discipline, period, result))
         if len(result.rescaled) >= 2:
             curve = kde(result.rescaled)
@@ -542,12 +554,12 @@ def _stage_disciplines(
             cells_info[f"{discipline}/{period.label}"] = info
 
         if stage in ("analyze", "all"):
-            staged.put(
-                f"{discipline}/icd_series.csv", icd_series_to_csv(discipline, icd_cells)
+            texts = (
+                icd_series_to_csv(discipline, icd_cells),
+                unknown_rate_to_csv(discipline, yearly),
             )
-            staged.put(
-                f"{discipline}/unknown_rate.csv", unknown_rate_to_csv(discipline, yearly)
-            )
+            for name, text in zip(_DISCIPLINE_FILES, texts):
+                staged.put(f"{discipline}/{name}", text)
     return cells_info
 
 

@@ -1,4 +1,4 @@
-"""Every output format: chord flow data, circular dendrogram SVGs, the
+"""Every output format: chord rows, circular dendrogram SVGs, the
 Newick and merge-JSON trees, and bit-stable CSV exports.
 
 Styling is deliberately minimal; these files feed external plotting, so
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -99,31 +98,18 @@ def _csv(header: str, rows: Iterable[str]) -> Iterator[str]:
         yield "\n".join(block)
 
 
-@dataclass(frozen=True)
-class ChordData:
-    """Flow matrix behind one chord diagram.
+def chord_to_csv(table: CountTable, entities: Sequence[str]) -> Iterator[str]:
+    """Chord rows source,target,value among the displayed entities.
 
-    ``flows`` maps unordered displayed pairs (keys sorted ascending) to
-    joint work counts. ``solo`` counts each entity's works carrying no
-    other entity at all, and ``other`` sums its co-counts with entities
-    outside the displayed selection. Flows overlap for works spanning
-    three or more entities, so these segments need not add up to n_X.
-    """
-
-    period: Period
-    entities: tuple[str, ...]
-    flows: dict[tuple[str, str], int]
-    solo: dict[str, int]
-    other: dict[str, int]
-
-
-def chord_data(table: CountTable, entities: Sequence[str]) -> ChordData:
-    """Restrict a count table to the displayed entities, in their given
-    order, for chord plotting.
-
-    One pass over the table's pair codes splits each pair into a flow
-    (both ends displayed), an ``other`` count of its displayed end, or
-    nothing.
+    A pair whose ends are both displayed is a flow row with its joint
+    count. Each displayed entity has a self row with its solo count (its
+    works carrying no other entity at all) and, where it is not 0, a row
+    targeting __other__ with the sum of its co-counts with entities
+    outside the selection. Flows overlap for works spanning three or more
+    entities, so an entity's rows need not add up to its works. Rows are
+    sorted as (source, target, value) tuples. The arguments are checked
+    and the counts gathered from the table's arrays at the call; only the
+    text is drawn with the blocks.
     """
     if len(entities) < 2:
         raise ValueError("chord data needs at least 2 displayed entities")
@@ -136,39 +122,22 @@ def chord_data(table: CountTable, entities: Sequence[str]) -> ChordData:
     lo, hi = table.pair_indices()
     lo_shown, hi_shown = shown[lo], shown[hi]
     both = lo_shown & hi_shown
-    flows = {
-        (names[a], names[b]): count
+    rows = [
+        (names[a], names[b], count)
         for a, b, count in zip(
             lo[both].tolist(), hi[both].tolist(), table.pair_counts[both].tolist()
         )
-    }
+    ]
     other = np.zeros(len(names), dtype=np.int64)
     for end, alone in ((lo, lo_shown & ~hi_shown), (hi, hi_shown & ~lo_shown)):
         np.add.at(other, end[alone], table.pair_counts[alone])
-    solo = table.unary_counts - table.multi_counts
-    displayed = tuple(entities)
-    return ChordData(
-        period=table.period,
-        entities=displayed,
-        flows=flows,
-        solo=dict(zip(displayed, solo[top].tolist())),
-        other=dict(zip(displayed, other[top].tolist())),
-    )
-
-
-def chord_to_csv(chord: ChordData) -> Iterator[str]:
-    """Chord rows as source,target,value.
-
-    A self-pair row carries the solo count; a row targeting __other__
-    carries co-production with non-displayed entities.
-    """
-    flows = [(a, b, count) for (a, b), count in chord.flows.items()]
-    for entity in chord.entities:
-        flows.append((entity, entity, chord.solo[entity]))
-        if chord.other[entity]:
-            flows.append((entity, OTHER_LABEL, chord.other[entity]))
-    rows = (f"{a},{b},{count}" for a, b, count in sorted(flows))
-    return _csv("source,target,value", rows)
+    solo = table.unary_counts[top] - table.multi_counts[top]
+    for i, alone, outside in zip(top.tolist(), solo.tolist(), other[top].tolist()):
+        rows.append((names[i], names[i], alone))
+        if outside:
+            rows.append((names[i], OTHER_LABEL, outside))
+    rows.sort()
+    return _csv("source,target,value", (f"{a},{b},{count}" for a, b, count in rows))
 
 
 def render_circular_dendrogram(

@@ -58,7 +58,11 @@ from util import POOL12, table_from_sets, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
-FIXTURE_OUTPUTS_SHA256 = "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"
+# key -> (files, sha256 of the outputs map) of the bundled config's all run
+FIXTURE_OUTPUTS = {
+    "country": (84, "cd30e9cb7f89f64fec4fe3c61970dce56b853388f06149db5acd9be17bb009dc"),
+    "institution": (76, "9cfa65212eb34f4ae4488321b8f03f2e48212ad91d8dd60a3c66d692814d45ce"),
+}
 
 PAPER4_LABELS = ["1971-1990", "1991-2000", "2001-2010", "2011-2020"]
 
@@ -277,6 +281,13 @@ class TestConfig:
         scalar.write_text('"just a string"')
         with pytest.raises(ConfigError, match="object"):
             load_config(scalar)
+        utf16 = tmp_path / "utf16.json"
+        utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(utf16))} is not UTF-8"):
+            load_config(utf16)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(tmp_path))} cannot be read"):
+            load_config(tmp_path)
+        assert main(["validate", "--config", str(tmp_path)]) == EXIT_CONFIG
 
     def test_load_config_round_trip(self, tmp_path):
         doc = {"disciplines": ["C100"], "periods": "paper-10", "top_n": 12}
@@ -337,7 +348,10 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"bilateral_pairs\[0\]: "):
             _config(bilateral_pairs=(("US", ""),))
 
-    @pytest.mark.parametrize("label", NOT_PLAIN_NAMES)
+    # the last two are plain, but name the files beside the period directories
+    @pytest.mark.parametrize(
+        "label", NOT_PLAIN_NAMES + ["icd_series.csv", "unknown_rate.csv"]
+    )
     def test_label_must_be_a_plain_name(self, label):
         periods = [
             {"label": "early", "year_from": 1971, "year_to": 1990},
@@ -605,15 +619,17 @@ class TestRun:
         assert files == set(manifest["outputs"]) | {"manifest.json"}
         assert {rel.rsplit("/", 1)[-1] for rel in manifest["outputs"]} == {"dendrogram.svg"}
 
-    def test_fixture_outputs_digest(self, fixture_config, tmp_path):
+    @pytest.mark.parametrize("key", sorted(FIXTURE_OUTPUTS))
+    def test_fixture_outputs_digest(self, fixture_config, tmp_path, key):
         # the byte contract for refactors: the bundled config, both
-        # disciplines, every stage
-        config = replace(fixture_config, out_dir=str(tmp_path))
+        # disciplines, every stage, under each key
+        config = replace(fixture_config, out_dir=str(tmp_path), key=key)
         _, manifest = run(config, mode="fixtures", stage="all")
         outputs = manifest["outputs"]
-        assert len(outputs) == 84
+        files, sha256 = FIXTURE_OUTPUTS[key]
+        assert len(outputs) == files
         digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode("utf-8"))
-        assert digest.hexdigest() == FIXTURE_OUTPUTS_SHA256
+        assert digest.hexdigest() == sha256
 
     def test_run_leaves_only_its_files(self, fixtures_run):
         _, manifest, out = fixtures_run
@@ -1136,6 +1152,15 @@ class TestMain:
         code = main(["validate", "--config", path, "--h-star", "-2"])
         assert code == EXIT_CONFIG
         assert "h_star" in capsys.readouterr().err
+
+    def test_validate_refuses_a_discipline_file_label(
+        self, tmp_path, fixture_cache_dir, capsys
+    ):
+        # C100/icd_series.csv would be both a period directory and a file
+        periods = [{"label": "icd_series.csv", "year_from": 1971, "year_to": 2020}]
+        path = _write_config(tmp_path, fixture_cache_dir, periods=periods)
+        assert main(["validate", "--config", path]) == EXIT_CONFIG
+        assert "periods[0]: label 'icd_series.csv'" in capsys.readouterr().err
 
     def test_validate_unknown_discipline_against_cache(
         self, tmp_path, fixture_cache_dir, capsys

@@ -29,11 +29,8 @@ from collabkit.metrics import (
     kde,
 )
 from collabkit.report import (
-    OTHER_LABEL,
     PALETTE,
     TRUNK_COLOR,
-    ChordData,
-    chord_data,
     chord_to_csv,
     icd_detail_to_csv,
     icd_series_to_csv,
@@ -45,6 +42,7 @@ from collabkit.report import (
 from tests.util import (
     all_ties_chain,
     brute_leaf_sets,
+    chord_csv_reference,
     random_dendrogram,
     records_from_sets,
     series_to_csv_reference,
@@ -72,51 +70,63 @@ def test_writable_name(name, writable):
     assert writable_name(name) is writable
 
 
+# ids on both sides of __other__ in string order, and __other__ itself,
+# whose rows then tie on (source, target) and sort by value
+CHORD_NAMES = (
+    "US", "CN", "JP", "0abc1", "0zz9", "a01", "b02x", "Z9", "_a", "__p", "`x", "~y",
+    "__other__",
+)
+
+
+def _chord_rows(table, entities):
+    """chord.csv's rows as (source, target, value), below its header."""
+    header, *lines = "".join(chord_to_csv(table, entities)).splitlines()
+    assert header == "source,target,value"
+    return [(a, b, int(n)) for a, b, n in (line.split(",") for line in lines)]
+
+
 class TestChordData:
     def test_two_entity_flow(self):
         table = table_from_sets([{"US", "CN"}] * 5 + [{"US"}] * 3)
-        chord = chord_data(table, top_entities(table, 2))
-        assert chord.entities == ("US", "CN")  # count order: US 8, CN 5
-        assert chord.flows == {("CN", "US"): 5}
-        assert chord.solo == {"US": 3, "CN": 0}
-        assert chord.other == {"US": 0, "CN": 0}
+        top = top_entities(table, 2)
+        assert top == ["US", "CN"]  # count order: US 8, CN 5
+        # one flow, the solo counts US 3 and CN 0, and no __other__ row
+        assert _chord_rows(table, top) == [("CN", "CN", 0), ("CN", "US", 5), ("US", "US", 3)]
 
     def test_three_work_example(self):
         table = table_from_sets([{"US"}, {"CN", "US"}, set()])
-        chord = chord_data(table, top_entities(table, 2))
-        assert chord.flows == {("CN", "US"): 1}
-        assert chord.solo == {"US": 1, "CN": 0}
+        rows = _chord_rows(table, top_entities(table, 2))
+        assert rows == [("CN", "CN", 0), ("CN", "US", 1), ("US", "US", 1)]
 
     def test_other_arc(self):
         # US co-produces with CN (kept) and once with BR (dropped at n=2)
         table = table_from_sets([{"US", "CN"}] * 3 + [{"US", "BR"}] + [{"CN"}])
-        chord = chord_data(table, top_entities(table, 2))
-        assert chord.entities == ("CN", "US")  # tie at 4, lexicographic
-        assert chord.other == {"US": 1, "CN": 0}
+        top = top_entities(table, 2)
+        assert top == ["CN", "US"]  # tie at 4, lexicographic
+        assert _chord_rows(table, top) == [
+            ("CN", "CN", 1), ("CN", "US", 3), ("US", "US", 0), ("US", "__other__", 1)
+        ]
+        # the rows do not depend on the order the entities are given in
+        assert _chord_rows(table, top[::-1]) == _chord_rows(table, top)
 
     def test_n_larger_than_entity_count(self):
         table = table_from_sets([{"US", "CN"}])
-        chord = chord_data(table, top_entities(table, 10))
-        assert chord.entities == ("CN", "US")  # tie on count, lexicographic
+        top = top_entities(table, 10)
+        assert top == ["CN", "US"]  # tie on count, lexicographic
+        assert _chord_rows(table, top) == [("CN", "CN", 0), ("CN", "US", 1), ("US", "US", 0)]
 
     def test_n_below_two(self):
         table = table_from_sets([{"US", "CN"}])
-        with pytest.raises(ValueError):
-            chord_data(table, top_entities(table, 1))
+        with pytest.raises(ValueError):  # at the call, before any block is drawn
+            chord_to_csv(table, top_entities(table, 1))
 
     def test_entity_not_in_table(self):
         table = table_from_sets([{"US", "CN"}])
-        with pytest.raises(ValueError):
-            chord_data(table, ["US", "JP"])
+        with pytest.raises(ValueError):  # at the call, before any block is drawn
+            chord_to_csv(table, ["US", "JP"])
 
     def test_csv_frozen(self):
-        chord = ChordData(
-            period=PERIOD,
-            entities=("US", "CN"),
-            flows={("CN", "US"): 5},
-            solo={"US": 3, "CN": 0},
-            other={"US": 1, "CN": 0},
-        )
+        table = table_from_sets([{"US", "CN"}] * 5 + [{"US"}] * 3 + [{"US", "BR"}])
         # rows sort lexicographically; zero __other__ rows are omitted
         expected = (
             "source,target,value\n"
@@ -125,19 +135,31 @@ class TestChordData:
             "US,US,3\n"
             "US,__other__,1\n"
         )
-        assert "".join(chord_to_csv(chord)) == expected
+        assert "".join(chord_to_csv(table, top_entities(table, 2))) == expected
 
     def test_flow_conservation(self):
         table = table_from_sets(
             [{"US", "CN"}] * 4 + [{"US", "JP"}] * 2 + [{"CN", "JP"}] + [{"US"}] * 3
         )
-        chord = chord_data(table, top_entities(table, 3))
-        for ent in chord.entities:
-            crossing = sum(
-                v for (a, b), v in chord.flows.items() if ent in (a, b)
-            )
-            total = chord.solo[ent] + crossing + chord.other[ent]
+        top = top_entities(table, 3)
+        rows = _chord_rows(table, top)
+        for ent in top:
+            # its solo row, the flows it ends and its __other__ row
+            total = sum(n for a, b, n in rows if ent in (a, b))
             assert total <= table.unary[ent]
+
+    @given(
+        st.lists(st.frozensets(st.sampled_from(CHORD_NAMES), max_size=5), max_size=40),
+        st.sampled_from([2, 3, 5, 12]),
+    )
+    def test_matches_name_keyed_reference(self, sets, n):
+        table = table_from_sets(sets)
+        top = top_entities(table, n)
+        if len(top) < 2:
+            with pytest.raises(ValueError):
+                chord_to_csv(table, top)
+        else:
+            assert "".join(chord_to_csv(table, top)) == chord_csv_reference(table, top)
 
 
 def _clustered(sets, h_star=1.005):

@@ -336,6 +336,23 @@ def series_to_csv_reference(collection):
     return "\n".join([",".join(columns), *rows, ""])
 
 
+def chord_csv_reference(table, entities):
+    """chord.csv text built row by row from the name-keyed views
+    ``pairwise``, ``unary`` and ``multi``, which do not read the arrays
+    ``chord_to_csv`` reads."""
+    shown = set(entities)
+    rows = [(a, b, n) for (a, b), n in table.pairwise.items() if {a, b} <= shown]
+    for e in entities:
+        rows.append((e, e, table.unary.get(e, 0) - table.multi.get(e, 0)))
+        other = sum(
+            n for pair, n in table.pairwise.items() if e in pair and not set(pair) <= shown
+        )
+        if other:
+            rows.append((e, "__other__", other))
+    lines = [f"{a},{b},{n}" for a, b, n in sorted(rows)]
+    return "\n".join(["source,target,value", *lines, ""])
+
+
 def distance_matrix_reference(table, entities):
     """``distance_matrix``'s values from whole-matrix expressions: the int64
     co-count block, its n x n bound check and union, then 1 - C / union.
