@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     COUNTRY_KEY,
+    INSTITUTION_KEY,
     CountTable,
     Period,
     VALID_KEYS,
@@ -54,6 +55,7 @@ from .geometry import (
 )
 from .ingest import (
     DEFAULT_RATE_LIMIT,
+    EXPANSION_MODES,
     OpenAlexClient,
     PageCache,
     expand_concept,
@@ -87,7 +89,6 @@ PERIOD_PRESETS: dict[str, tuple[Period, ...]] = {
 }
 
 H0_MODES = ("auto", "strict-1.0")
-EXPANSION_MODES = ("transitive", "one-hop")
 STAGES = ("harvest", "analyze", "report", "all")
 
 EXIT_OK = 0
@@ -274,12 +275,31 @@ class AnalysisConfig:
             add("bilateral_pairs", f"must be a list of pairs, got {self.bilateral_pairs!r}")
         else:
             pairs = []
+            at: dict[frozenset[str], int] = {}  # pair, in either order -> its index
             for i, pair in enumerate(self.bilateral_pairs):
-                if not (_is_list_of(pair, str) and len(pair) == 2 and all(pair)):
-                    add(f"bilateral_pairs[{i}]", f"expected two entity codes, got {pair!r}")
+                field = f"bilateral_pairs[{i}]"
+                if not (_is_list_of(pair, str) and len(pair) == 2):
+                    add(field, f"expected two entity codes, got {pair!r}")
+                elif not all(code.strip() for code in pair):
+                    add(field, f"codes {pair!r} must not be blank: records hold no blank code")
                 elif any(not CSV_SPECIALS.isdisjoint(code) for code in pair):
-                    add(f"bilateral_pairs[{i}]", f"codes {pair!r} must hold no , \" CR or LF")
+                    add(field, f"codes {pair!r} must hold no , \" CR or LF")
+                elif pair[0] == pair[1]:
+                    add(field, f"codes {pair!r} must name two different entities")
+                elif self.key == COUNTRY_KEY and any(c != c.upper() for c in pair):
+                    add(
+                        field, f"codes {pair!r} must be upper case, as records hold country codes"
+                    )
+                elif self.key == INSTITUTION_KEY and any("/" in c for c in pair):
+                    add(
+                        field,
+                        f"codes {pair!r} must hold no /: records hold the bare ROR id, "
+                        "the part of its URL after the last /",
+                    )
+                elif frozenset(pair) in at:
+                    add(field, f"duplicate of bilateral_pairs[{at[frozenset(pair)]}]")
                 else:
+                    at[frozenset(pair)] = i
                     pairs.append(tuple(pair))
             store("bilateral_pairs", tuple(pairs))
         return diags
@@ -307,7 +327,7 @@ def _read_config(path: str | Path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     return doc

@@ -389,14 +389,14 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
 
     The tables must count disjoint sets of works: a work counted in two of
     them is counted twice in the sum. They must share the discipline and
-    the key, and each table's period must lie inside ``period``. The yearly
-    tables of a period's years sum to that period's table. Tables that
-    share their ``names`` are summed array by array; otherwise each is
-    first mapped onto the union of the names.
+    the key, and each table's period must lie inside ``period``. They must
+    also share their ``names``, as the tables of one ``count_years`` call
+    do, and are summed array by array. The yearly tables of a period's
+    years sum to that period's table.
     """
     if not tables:
         raise ValueError("merge_tables needs at least one table")
-    discipline_id, key = tables[0].discipline_id, tables[0].key
+    discipline_id, key, names = tables[0].discipline_id, tables[0].key, tables[0].names
     for table in tables:
         if (table.discipline_id, table.key) != (discipline_id, key):
             raise ValueError("tables describe different disciplines or keys")
@@ -407,25 +407,14 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
             raise ValueError(
                 f"table period {table.period.label!r} lies outside {period.label!r}"
             )
-    names = tables[0].names
-    if all(table.names == names for table in tables):
-        unary = np.sum([t.unary_counts for t in tables], axis=0, dtype=np.int64)
-        multi = np.sum([t.multi_counts for t in tables], axis=0, dtype=np.int64)
-        codes = np.concatenate([t.pair_codes for t in tables])
-    else:
-        names = tuple(sorted(set().union(*(t.names for t in tables))))
-        position = {name: i for i, name in enumerate(names)}
-        unary = np.zeros(len(names), dtype=np.int64)
-        multi = np.zeros(len(names), dtype=np.int64)
-        remapped = []
-        for t in tables:
-            # both name lists ascend, so the map keeps every pair's lo < hi
-            to_union = np.fromiter(map(position.__getitem__, t.names), np.int64, len(t.names))
-            unary[to_union] += t.unary_counts
-            multi[to_union] += t.multi_counts
-            lo, hi = t.pair_indices()
-            remapped.append((to_union[lo] << PAIR_SHIFT) | to_union[hi])
-        codes = np.concatenate(remapped)
+        if table.names != names:
+            raise ValueError(
+                "tables count different entity lists: merge the tables of one "
+                "count_years call"
+            )
+    unary = np.sum([t.unary_counts for t in tables], axis=0, dtype=np.int64)
+    multi = np.sum([t.multi_counts for t in tables], axis=0, dtype=np.int64)
+    codes = np.concatenate([t.pair_codes for t in tables])
     counts = np.concatenate([t.pair_counts for t in tables])
     order = np.argsort(codes, kind="stable")
     codes, counts = codes[order], counts[order]

@@ -42,6 +42,7 @@ CURSOR_START = "*"
 
 ROOT_LEVEL = 1
 MIN_EXPANSION_LEVEL = 2
+EXPANSION_MODES = ("transitive", "one-hop")
 
 T = TypeVar("T")
 
@@ -74,7 +75,7 @@ def expand_concept(
     fetches nothing but the root; "transitive" fetches every newly
     selected concept and follows its related list.
     """
-    if mode not in ("transitive", "one-hop"):
+    if mode not in EXPANSION_MODES:
         raise ValueError(f"unknown expansion mode {mode!r}")
     root = normalize_concept_id(root_id)
     concept = fetch(root)

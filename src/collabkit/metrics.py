@@ -281,10 +281,13 @@ def kde(values: Sequence[float]) -> KdeCurve:
     lo = float(x.min()) - KDE_GRID_PAD * bw
     hi = float(x.max()) + KDE_GRID_PAD * bw
     grid = np.linspace(lo, hi, KDE_GRID_SIZE)
-    # exp(-0.5 * ((grid - x) / bw) ** 2) in place, one (grid x n) array
+    # exp(-0.5 * ((grid - x) / bw) ** 2) in place, one (grid x n) array; a
+    # point that lies beyond 1e154 bandwidths overflows to inf, whose kernel
+    # is exactly 0
     z = np.subtract.outer(grid, x)
-    z /= bw
-    z *= z
+    with np.errstate(over="ignore"):
+        z /= bw
+        z *= z
     z *= -0.5
     np.exp(z, out=z)
     density = z.sum(axis=1) / (x.size * bw * math.sqrt(2.0 * math.pi))

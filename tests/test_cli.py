@@ -275,7 +275,7 @@ class TestConfig:
             load_config(tmp_path / "nope.json")
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
+        with pytest.raises(ConfigError, match=f"{re.escape(str(bad))} is not valid JSON"):
             load_config(bad)
         scalar = tmp_path / "scalar.json"
         scalar.write_text('"just a string"')
@@ -345,8 +345,36 @@ class TestValidate:
             _config(periods=(Period("x", 1990, 1991), Period("x", 1992, 1993)))
 
     def test_bad_pair(self):
-        with pytest.raises(ConfigError, match=r"bilateral_pairs\[0\]: "):
-            _config(bilateral_pairs=(("US", ""),))
+        # pairs no run can serve: a blank or repeated code, a pair listed
+        # twice, and codes in a form records of the run's key never hold
+        refused = {
+            "country": [("us", "cn"), ("US", "https://ror.org/x")],
+            "institution": [("00f54p054", "https://ror.org/x")],
+        }
+        for key in VALID_KEYS:
+            assert _config(key=key, bilateral_pairs=[["US", "CN"]]).bilateral_pairs
+            for pairs, finding in [
+                ([("US", "")], "[0]: "),
+                ([("US", " ")], "[0]: "),
+                ([("US", "US")], "[0]: "),
+                ([("US", "CN"), ("CN", "US")], "[1]: duplicate of bilateral_pairs[0]"),
+                (
+                    [("US", "CN"), ("JP", "US"), ("US", "CN")],
+                    "[2]: duplicate of bilateral_pairs[0]",
+                ),
+            ] + [([("US", "JP"), pair], "[1]: ") for pair in refused[key]]:
+                with pytest.raises(ConfigError) as info:
+                    _config(key=key, bilateral_pairs=pairs)
+                message = str(info.value)
+                assert message.startswith(f"bad config value: bilateral_pairs{finding}")
+        # each key holds the form the other refuses
+        assert _config(key="institution", bilateral_pairs=[["us", "cn"]]).bilateral_pairs
+        assert _config(key="country", bilateral_pairs=[["US", "A/B"]]).bilateral_pairs
+        # under an unknown key only the key is named
+        with pytest.raises(ConfigError) as info:
+            _config(key="continent", bilateral_pairs=[["us", "a/b"]])
+        assert str(info.value).startswith("bad config value: key: ")
+        assert "bilateral_pairs" not in str(info.value)
 
     # the last two are plain, but name the files beside the period directories
     @pytest.mark.parametrize(
@@ -1240,8 +1268,11 @@ class TestMain:
                 "periods[0]",
             ),
             ({"bilateral_pairs": [["US", "C,N"]]}, "bilateral_pairs[0]"),
+            ({"bilateral_pairs": [["US", "US"]]}, "bilateral_pairs[0]"),
+            ({"bilateral_pairs": [["US", "CN"], ["CN", "US"]]}, "bilateral_pairs[1]"),
+            ({"bilateral_pairs": [["us", "cn"]]}, "bilateral_pairs[0]"),
         ],
-        ids=["labels", "pair-code"],
+        ids=["labels", "pair-code", "self-pair", "pair-twice", "lower-case"],
     )
     def test_unsafe_label_or_code_writes_nothing(
         self, tmp_path, fixture_cache_dir, capsys, overrides, field

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from collabkit.corpus import Period
@@ -369,6 +369,7 @@ class TestKde:
         )
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300))
+    @example([0.0, 0.0, 0.0, 1.0, 1.5e-177])  # a bandwidth 1e177 times below the range
     def test_matches_whole_array_reference(self, values):
         grid, density, bw = kde_reference(values)
         curve = kde(values)

@@ -117,3 +117,35 @@ def test_fixture_cache_matches_generator(tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == names
     for name in names:
         assert (cache / name).read_bytes() == (bundled / name).read_bytes(), name
+
+
+_FAILING_PROBE = '''
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(n):
+    assert n < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_given_test_is_reported_and_the_run_goes_on(tmp_path):
+    # warnings fail the suite, and a failing @given test's report imports
+    # libcst, which warns; that must not end the session as INTERNALERROR
+    (tmp_path / "test_probe.py").write_text(_FAILING_PROBE)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_probe.py"]
+        + ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    out = done.stdout + done.stderr
+    assert done.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "FAILED test_probe.py::test_fails" in out
+    assert "1 failed, 1 passed" in out
