@@ -13,16 +13,18 @@ import argparse
 import shutil
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
-from collabkit.cli import AnalysisConfig, run
+from collabkit.cli import load_config, run
 from collabkit.ingest import PageCache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CACHE = REPO_ROOT / "tests" / "fixtures" / "cache"
+DEMO_CONFIG = REPO_ROOT / "tests" / "fixtures" / "config.json"
 
 sys.path.insert(0, str(REPO_ROOT / "tests"))
-from synthetic import ROOTS, SyntheticOpenAlexTransport  # noqa: E402
+from synthetic import SyntheticOpenAlexTransport  # noqa: E402
 
 
 def main() -> int:
@@ -37,10 +39,8 @@ def main() -> int:
 
     transport = SyntheticOpenAlexTransport()
     with tempfile.TemporaryDirectory() as scratch:
-        config = AnalysisConfig(
-            disciplines=ROOTS,
-            top_n=10,
-            min_volume=5,
+        config = replace(
+            load_config(DEMO_CONFIG),
             cache_dir=str(cache_dir),
             out_dir=str(Path(scratch) / "out"),
         )

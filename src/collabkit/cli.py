@@ -329,7 +329,7 @@ def _read_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
+        raise ConfigError(f"config file {path} does not hold a JSON object")
     return doc
 
 

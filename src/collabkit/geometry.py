@@ -236,8 +236,6 @@ class Dendrogram:
     def leaf_order(self) -> list[int]:
         """Leaf indices in left-to-right display order."""
         n = self.n_leaves
-        if n == 1:
-            return [0]
         order: list[int] = []
         stack = [2 * n - 2]
         while stack:
@@ -325,7 +323,6 @@ class ClusterCut:
     1-based and assigned in order of each cluster's first entity.
     """
 
-    threshold: float
     assignment: dict[str, int]
     n_clusters: int
 
@@ -357,7 +354,7 @@ def cut_clusters(dendrogram: Dendrogram, h_star: float) -> ClusterCut:
         if root not in labels:
             labels[root] = len(labels) + 1
         assignment[entity] = labels[root]
-    return ClusterCut(threshold=h_star, assignment=assignment, n_clusters=n_clusters)
+    return ClusterCut(assignment=assignment, n_clusters=n_clusters)
 
 
 @dataclass(frozen=True)

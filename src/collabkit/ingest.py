@@ -329,13 +329,12 @@ class OpenAlexClient:
         cache: PageCache,
         transport: HttpTransport | None = None,
         rate_limit: float = DEFAULT_RATE_LIMIT,
-        mailto: str | None = None,
         sleep=time.sleep,
     ):
         self.cache = cache
         self.transport = transport
         self.bucket = TokenBucket(rate_limit, sleep=sleep)
-        self.mailto = mailto if mailto is not None else os.environ.get(MAILTO_ENV)
+        self.mailto = os.environ.get(MAILTO_ENV)
         self._sleep = sleep
         self.pages_from_cache = 0  # pages read from the cache
         self.pages_fetched = 0  # pages downloaded, then cached

@@ -97,12 +97,6 @@ def _year_counts(
     return years, unary, multi
 
 
-def _rates(multi: np.ndarray, unary: np.ndarray) -> np.ndarray:
-    """multi / unary in float64, which for counts below 2**53 is the
-    correctly rounded quotient that Python's int division gives."""
-    return multi / unary
-
-
 def _below_min_volume(volumes: np.ndarray, masked: np.ndarray, threshold: int) -> np.ndarray:
     """Points the min-volume rule masks: not masked yet, volume below threshold."""
     return ~masked & (volumes < threshold)
@@ -119,7 +113,7 @@ def intl_collab_rate(table: CountTable, entity: str) -> float:
     unary = gather(table.unary_counts, idx)
     if unary[0] == 0:
         raise EmptyEntityYear(f"{entity}: no works in {table.period.label}")
-    return float(_rates(gather(table.multi_counts, idx), unary)[0])
+    return float(gather(table.multi_counts, idx)[0] / unary[0])
 
 
 def yearly_series(
@@ -140,7 +134,8 @@ def yearly_series(
     """
     years, unary, multi = _year_counts(tables_by_year, entities)
     present = unary > 0
-    rates = np.where(present, _rates(multi, np.maximum(unary, 1)), np.nan)
+    # float64 division of counts below 2**53 is the correctly rounded quotient
+    rates = np.where(present, multi / np.maximum(unary, 1), np.nan)
     reasons = np.where(present, None, REASON_MISSING)
     reasons[_below_min_volume(unary, ~present, min_volume)] = REASON_BELOW_MIN_VOLUME
     unmasked = np.full(unary.shape, None, dtype=object)

@@ -279,7 +279,9 @@ class TestConfig:
             load_config(bad)
         scalar = tmp_path / "scalar.json"
         scalar.write_text('"just a string"')
-        with pytest.raises(ConfigError, match="object"):
+        with pytest.raises(
+            ConfigError, match=f"{re.escape(str(scalar))} does not hold a JSON object"
+        ):
             load_config(scalar)
         utf16 = tmp_path / "utf16.json"
         utf16.write_bytes(b"\xff\xfe{\x00}\x00")

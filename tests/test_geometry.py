@@ -455,6 +455,7 @@ class TestDendrogram:
             Dendrogram(("A", "B", "C"), merges)
 
     def test_leaf_order_covers_all_leaves(self):
+        assert Dendrogram(("A",), ()).leaf_order() == [0]
         rng = random.Random(31)
         for _ in range(20):
             dend = random_dendrogram(rng, rng.randint(2, 40))

@@ -266,7 +266,6 @@ class TestTokenBucket:
 def _client(transport, tmp_path, **kwargs):
     kwargs.setdefault("rate_limit", 10000.0)
     kwargs.setdefault("sleep", lambda s: None)
-    kwargs.setdefault("mailto", None)
     return OpenAlexClient(PageCache(tmp_path / "cache"), transport, **kwargs)
 
 
@@ -406,7 +405,8 @@ class TestClient:
         client.fetch_page(q)
         _, sent = transport.requests[0]
         assert sent["mailto"] == "env@example.org"
-        offline = OpenAlexClient(PageCache(tmp_path / "cache"), None, mailto=None)
+        monkeypatch.delenv("OPENALEX_MAILTO")
+        offline = OpenAlexClient(PageCache(tmp_path / "cache"), None)
         assert offline.fetch_page(q) is not None  # cache hit despite no mailto
 
 

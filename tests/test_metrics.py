@@ -353,7 +353,8 @@ class TestKde:
         for _ in range(10):
             values = [rng.gauss(0, 1 + rng.random()) for _ in range(rng.randint(2, 200))]
             curve = kde(values)
-            assert np.trapezoid(curve.density, curve.x) == pytest.approx(1.0, abs=1e-3)
+            x, d = curve.x, curve.density
+            assert np.sum(np.diff(x) * (d[1:] + d[:-1])) / 2 == pytest.approx(1.0, abs=1e-3)
             assert (curve.density >= 0).all()
 
     def test_grid_covers_three_bandwidths(self):
@@ -396,6 +397,7 @@ class TestKde:
             curve = kde(values)
         assert curve.bandwidth == 1e-9 == kde_reference(values)[2]
         assert np.isfinite(curve.density).all()
-        assert np.trapezoid(curve.density, curve.x) == pytest.approx(1.0, abs=1e-3)
+        x, d = curve.x, curve.density
+        assert np.sum(np.diff(x) * (d[1:] + d[:-1])) / 2 == pytest.approx(1.0, abs=1e-3)
         # a normal-range width, however small, is kept
         assert 0.0 < silverman_bandwidth([0.0, 1e-300]) < 1e-300
