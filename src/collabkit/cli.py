@@ -100,17 +100,6 @@ _CONFIG_ERRORS = (ConfigError, WrongLevel)
 _TRANSPORT_ERRORS = (TransportError, ParseError)  # includes RateLimited, MissingFixtures
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    """One validation finding: which config field, and what is wrong."""
-
-    field: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.field}: {self.message}"
-
-
 _NUMBER = (int, float)
 
 
@@ -206,14 +195,14 @@ class AnalysisConfig:
     def __post_init__(self) -> None:
         diags = self._settle()
         if diags:
-            raise ConfigError("bad config value: " + "; ".join(map(str, diags)))
+            raise ConfigError("bad config value: " + "; ".join(diags))
 
-    def _settle(self) -> list[Diagnostic]:
+    def _settle(self) -> list[str]:
         """Store each readable field in its canonical form; return the findings."""
-        diags: list[Diagnostic] = []
+        diags: list[str] = []
 
         def add(field: str, message: str) -> None:
-            diags.append(Diagnostic(field, message))
+            diags.append(f"{field}: {message}")
 
         def store(field: str, value) -> None:
             object.__setattr__(self, field, value)
@@ -337,27 +326,29 @@ def load_config(path: str | Path) -> AnalysisConfig:
     return config_from_dict(_read_config(path))
 
 
-def validate(config: AnalysisConfig, cache: PageCache | None = None) -> list[Diagnostic]:
-    """Cache findings on a built, hence valid, config; empty means none.
+def validate(config: AnalysisConfig, cache: PageCache | None = None) -> None:
+    """Check a built, hence valid, config against the page cache.
 
     With a non-empty page cache, each discipline's concept page is read
     from it offline: a missing page, one that fails decoding or its
-    sidecar check, or a root that is not level 1 is a finding. Without
-    one the ids go unchecked here and are verified on first fetch.
+    sidecar check, or a root that is not level 1 is a finding, and one
+    ConfigError names every finding. Without one the ids go unchecked
+    here and are verified on first fetch.
     """
-    diags: list[Diagnostic] = []
     if cache is None or cache.is_empty():
-        return diags
+        return
     client = OpenAlexClient(cache, transport=None)
+    diags: list[str] = []
     for i, d in enumerate(config.disciplines):
         try:
             # one-hop reads the root page only and checks its level
             expand_concept(d, client.fetch_concept, "one-hop")
         except MissingFixtures:
-            diags.append(Diagnostic(f"disciplines[{i}]", f"{d} not in offline cache"))
+            diags.append(f"disciplines[{i}]: {d} not in offline cache")
         except (ParseError, WrongLevel) as exc:
-            diags.append(Diagnostic(f"disciplines[{i}]", str(exc)))
-    return diags
+            diags.append(f"disciplines[{i}]: {exc}")
+    if diags:
+        raise ConfigError("config does not match the cache: " + "; ".join(diags))
 
 
 def config_hash(config: AnalysisConfig) -> str:
@@ -649,10 +640,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         if args.command == "validate":
-            diags = validate(config, PageCache(config.cache_dir))
-            for diag in diags:
-                print(diag, file=sys.stderr)
-            return EXIT_OK if not diags else EXIT_CONFIG
+            validate(config, PageCache(config.cache_dir))
+            return EXIT_OK
         mode = "fixtures" if args.offline else "online"
         code, manifest = run(config, mode=mode, stage=args.command)
         if args.command == "harvest":

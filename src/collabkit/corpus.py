@@ -15,8 +15,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptySlice
-
 COUNTRY_KEY = "country"
 INSTITUTION_KEY = "institution"
 VALID_KEYS = (COUNTRY_KEY, INSTITUTION_KEY)
@@ -93,8 +91,9 @@ def work_from_metadata(
     if not isinstance(raw, dict):
         raise ValueError(f"work item is not an object: {raw!r}")
     work_id = raw.get("id")
-    if not work_id:
-        raise ValueError("work item has no id")
+    if not isinstance(work_id, str) or not work_id:
+        # a work id of 5 would otherwise be deduplicated with "5"
+        raise ValueError(f"work item has no non-empty string id: {work_id!r}")
     year = raw.get("publication_year")
     if not isinstance(year, int) or isinstance(year, bool):
         raise ValueError(f"work {work_id}: missing publication year")
@@ -118,7 +117,7 @@ def work_from_metadata(
         # an authorship or institution entry that is not an object
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
     return WorkRecord(
-        work_id=str(work_id),
+        work_id=work_id,
         year=year,
         discipline_id=discipline_id,
         nationalities=None if countries is None else frozenset(countries),
@@ -445,7 +444,5 @@ def top_entities(table: CountTable, n: int) -> list[str]:
 def unknown_rate(table: CountTable) -> float:
     """Fraction of works in the slice with an empty key set."""
     if table.total_count == 0:
-        raise EmptySlice(
-            f"{table.discipline_id} {table.period.label}: no works in slice"
-        )
+        raise ValueError(f"{table.discipline_id} {table.period.label}: no works in slice")
     return table.unknown_count / table.total_count

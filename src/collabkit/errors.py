@@ -33,25 +33,5 @@ class WrongLevel(CollabKitError):
     """A concept was used in a role its taxonomy level does not allow."""
 
 
-class EmptySlice(CollabKitError):
-    """A count table slice contains no works at all."""
-
-
-class EmptyEntityYear(CollabKitError):
-    """An entity has no works in the requested year."""
-
-
-class TooFewValues(CollabKitError):
-    """A density estimate needs at least two observations."""
-
-
-class EmptyUnion(CollabKitError):
-    """Affinity is undefined when both production counts are zero."""
-
-
-class MissingEntity(CollabKitError):
-    """An entity referenced by name is not present in the matrix."""
-
-
 class InvalidH0(CollabKitError):
     """The rescaling ceiling must lie strictly above every merge height."""

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import CountTable, gather
-from .errors import EmptyUnion, InvalidH0, MissingEntity
+from .errors import InvalidH0
 
 # Candidate merges whose squared criterion m' satisfies
 # m' <= m + MERGE_TIE_EPS * min(m, 1) for the minimum m are treated as tied
@@ -34,7 +34,7 @@ def affinity(n_x: int, n_y: int, n_xy: int) -> float:
     """Overlap of two entities' production: n_xy / (n_x + n_y - n_xy).
 
     ``n_xy`` counts works produced jointly, so it can never exceed either
-    marginal count. Raises EmptyUnion when both entities produced nothing.
+    marginal count. Raises ValueError when both entities produced nothing.
     """
     if n_x < 0 or n_y < 0 or n_xy < 0:
         raise ValueError("counts must be non-negative")
@@ -42,7 +42,7 @@ def affinity(n_x: int, n_y: int, n_xy: int) -> float:
         raise ValueError("joint count exceeds a marginal count")
     union = n_x + n_y - n_xy
     if union <= 0:
-        raise EmptyUnion("affinity undefined: no works in the union")
+        raise ValueError("affinity undefined: no works in the union")
     return n_xy / union
 
 
@@ -76,7 +76,7 @@ class DistanceMatrix:
         try:
             return self.entities.index(entity)
         except ValueError:
-            raise MissingEntity(entity) from None
+            raise ValueError(f"{entity!r} is not in the matrix") from None
 
     def pair(self, a: str, b: str) -> float:
         return float(self.values[self.index_of(a), self.index_of(b)])
@@ -114,7 +114,7 @@ def distance_matrix(table: CountTable, entities: Sequence[str]) -> DistanceMatri
     union -= values
     np.fill_diagonal(union, 1.0)  # the diagonal is no pair; its distance is 0
     if n and union.min() <= 0.0:
-        raise EmptyUnion("affinity undefined: no works in the union")
+        raise ValueError("affinity undefined: no works in the union")
     values /= union
     del union
     np.subtract(1.0, values, out=values)

@@ -27,7 +27,7 @@ from .errors import (
     TransportError,
     WrongLevel,
 )
-from .fsio import json_text, write_bytes_atomic
+from .fsio import json_text, write_bytes_atomic, write_new
 
 log = logging.getLogger(__name__)
 
@@ -175,17 +175,28 @@ class PageCache:
 
     def put(self, fp: str, payload: bytes, endpoint: str, params: Mapping[str, str]) -> str:
         """Store a page and its sidecar; returns the sha256 recorded there.
-        The cache directory is made on the first put."""
+        The cache directory is made on the first put.
+
+        The sidecar is renamed into place before the page, so a write cut
+        short leaves at most a sidecar without its page, which is a miss.
+        """
         if not self._root_made:
             self.root.mkdir(parents=True, exist_ok=True)
             self._root_made = True
-        digest = write_bytes_atomic(self.path_for(fp), payload)
-        meta = {
-            "endpoint": endpoint,
-            "params": {k: v for k, v in params.items() if k != "mailto"},
-            "sha256": digest,
-        }
-        write_bytes_atomic(self.sidecar_for(fp), json_text(meta) + "\n")
+        page = self.path_for(fp)
+        tmp = page.parent / f".{page.name}.{os.urandom(6).hex()}"
+        digest = write_new(tmp, payload)
+        try:
+            meta = {
+                "endpoint": endpoint,
+                "params": {k: v for k, v in params.items() if k != "mailto"},
+                "sha256": digest,
+            }
+            write_bytes_atomic(self.sidecar_for(fp), json_text(meta) + "\n")
+            os.replace(tmp, page)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return digest
 
     def _page_names(self) -> Iterator[str]:

@@ -14,7 +14,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import CountTable, gather
-from .errors import EmptyEntityYear, TooFewValues
 from .geometry import affinity, rescaled_distance
 
 REASON_BELOW_MIN_VOLUME = "below_min_volume"
@@ -106,13 +105,13 @@ def intl_collab_rate(table: CountTable, entity: str) -> float:
     """Share of an entity's works involving at least one other entity.
 
     The denominator is the entity's unary count, so works of unknown
-    nationality dilute nothing. Raises EmptyEntityYear when the entity
-    has no works in the slice.
+    nationality dilute nothing. Raises ValueError when the entity has no
+    works in the slice.
     """
     idx = table.indices([entity])
     unary = gather(table.unary_counts, idx)
     if unary[0] == 0:
-        raise EmptyEntityYear(f"{entity}: no works in {table.period.label}")
+        raise ValueError(f"{entity}: no works in {table.period.label}")
     return float(gather(table.multi_counts, idx)[0] / unary[0])
 
 
@@ -266,12 +265,12 @@ def kde(values: Sequence[float]) -> KdeCurve:
     ``KDE_GRID_SIZE`` points padded past the data range.
 
     The curve is a plain average of kernels (no renormalization), so its
-    integral over the grid is 1 up to tail truncation. Raises TooFewValues
+    integral over the grid is 1 up to tail truncation. Raises ValueError
     for fewer than two observations.
     """
     x = np.asarray(values, dtype=float)
     if x.size < 2:
-        raise TooFewValues(f"density estimate needs >= 2 values, got {x.size}")
+        raise ValueError(f"density estimate needs >= 2 values, got {x.size}")
     bw = silverman_bandwidth(x)
     lo = float(x.min()) - KDE_GRID_PAD * bw
     hi = float(x.max()) + KDE_GRID_PAD * bw

@@ -48,7 +48,16 @@ from collabkit.corpus import (
     count_years,
     merge_tables,
 )
-from collabkit.errors import CollabKitError, ConfigError, MissingFixtures, ParseError
+from collabkit.errors import (
+    CollabKitError,
+    ConfigError,
+    InvalidH0,
+    MissingFixtures,
+    ParseError,
+    RateLimited,
+    TransportError,
+    WrongLevel,
+)
 from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
 from collabkit.ingest import PageCache, TransportResponse
@@ -316,7 +325,7 @@ def _config(**overrides) -> AnalysisConfig:
 
 class TestValidate:
     def test_clean_config(self):
-        assert validate(_config()) == []
+        assert validate(_config()) is None
 
     @pytest.mark.parametrize(
         "field,overrides",
@@ -417,11 +426,14 @@ class TestValidate:
 
     def test_catalog_check(self, fixture_cache_dir):
         cache = PageCache(fixture_cache_dir)
-        good = validate(_config(disciplines=("C100",)), cache)
-        assert good == []
-        bad = validate(_config(disciplines=("C100", "C999")), cache)
-        assert [d.field for d in bad] == ["disciplines[1]"]
-        assert "C999 not in offline cache" in bad[0].message
+        assert validate(_config(disciplines=("C100",)), cache) is None
+        # one error names every finding
+        with pytest.raises(ConfigError) as info:
+            validate(_config(disciplines=("C998", "C100", "C999")), cache)
+        assert str(info.value) == (
+            "config does not match the cache: disciplines[0]: C998 not in offline cache;"
+            " disciplines[2]: C999 not in offline cache"
+        )
 
     @pytest.mark.parametrize("damage", ["level-2-root", "flipped-byte"])
     def test_discipline_page_checked_against_cache(
@@ -432,6 +444,7 @@ class TestValidate:
         disciplines = ["C100", "C200"]
         if damage == "level-2-root":
             disciplines[0] = "C110"  # cached, but not a discipline root
+            finding = "C110 has level 2, discipline roots have level 1"
         else:
             cache = PageCache(cache_dir)
             fp = next(
@@ -443,11 +456,16 @@ class TestValidate:
             body = page.read_bytes()
             page.write_bytes(body.replace(b"Synthetic Field A", b"Synthetic Field a", 1))
             assert page.read_bytes() != body
-        diags = validate(_config(disciplines=tuple(disciplines)), PageCache(cache_dir))
-        assert [d.field for d in diags] == ["disciplines[0]"]
+            finding = f"cached page {fp} does not match the sha256 in its sidecar"
+        message = f"config does not match the cache: disciplines[0]: {finding}"
+        with pytest.raises(ConfigError) as info:
+            validate(_config(disciplines=tuple(disciplines)), PageCache(cache_dir))
+        assert str(info.value) == message
         path = _write_config(tmp_path, cache_dir, disciplines=disciplines)
         assert main(["validate", "--config", path]) == EXIT_CONFIG
-        assert "disciplines[0]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {"error": "ConfigError", "exit_code": 1, "message": message}
 
     @pytest.mark.parametrize(
         "disciplines", ["C100", ["C100", 100]], ids=["bare-string", "int-item"]
@@ -1177,6 +1195,37 @@ class TestMain:
         assert main(["validate", "--config", path]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "error,code",
+        [
+            (ConfigError, EXIT_CONFIG),
+            (WrongLevel, EXIT_CONFIG),
+            (TransportError, EXIT_TRANSPORT),
+            (RateLimited, EXIT_TRANSPORT),
+            (MissingFixtures, EXIT_TRANSPORT),
+            (ParseError, EXIT_TRANSPORT),
+            (InvalidH0, EXIT_ANALYSIS),
+            (CollabKitError, EXIT_ANALYSIS),
+            (ValueError, EXIT_ANALYSIS),
+        ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
+    )
+    def test_exit_code_of_each_error(
+        self, tmp_path, fixture_cache_dir, capsys, monkeypatch, error, code
+    ):
+        # README's exit-code list, one error class at a time
+        def run(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "run", run)
+        path = _write_config(tmp_path, fixture_cache_dir)
+        assert main(["all", "--config", path, "--offline"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": error.__name__, "exit_code": code, "message": "injected"
+        }
+
     def test_validate_reports_diagnostics(self, tmp_path, fixture_cache_dir, capsys):
         path = _write_config(tmp_path, fixture_cache_dir)
         code = main(["validate", "--config", path, "--h-star", "-2"])
@@ -1387,6 +1436,45 @@ class TestMain:
             sidecar = cache / f"{fp}.meta.json"
             assert f"has no readable sidecar {sidecar}; delete {page}" in err["message"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["sidecar-rename", "page-rename"])
+    def test_interrupted_put_leaves_a_miss(
+        self, tmp_path, fixture_cache_dir, capsys, monkeypatch, failing
+    ):
+        # the put of a works page fails at its sidecar's rename, then at
+        # its page's: no page is left without a sidecar that matches it,
+        # offline the page is missing, and online it is fetched again
+        shutil.copytree(fixture_cache_dir, tmp_path / "cache")
+        cache = PageCache(tmp_path / "cache")
+        fp = next(fp for fp in cache.fingerprints() if cache.meta(fp)["endpoint"] == "works")
+        body, meta = cache.get(fp), cache.meta(fp)
+        cache.path_for(fp).unlink()
+        cache.sidecar_for(fp).unlink()
+        renamed = []
+
+        def replace(src, dst):
+            if len(renamed) == failing:
+                raise OSError("interrupted")
+            renamed.append(Path(dst).name)
+            os_replace(src, dst)
+
+        os_replace = os.replace
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            with pytest.raises(OSError, match="interrupted"):
+                cache.put(fp, body, meta["endpoint"], meta["params"])
+        for page in cache.fingerprints():
+            digest = hashlib.sha256(cache.get(page)).hexdigest()
+            assert (cache.meta(page) or {}).get("sha256") == digest, page
+        assert not [p for p in cache.root.iterdir() if p.name.startswith(".")]
+        assert renamed == [f"{fp}.meta.json"][:failing]
+
+        path = _write_config(tmp_path, cache.root, disciplines=["C100", "C200"], rate_limit=1e9)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_TRANSPORT
+        assert json.loads(capsys.readouterr().err)["error"] == "MissingFixtures"
+        monkeypatch.setattr(ingest, "RequestsTransport", SyntheticOpenAlexTransport)
+        assert main(["all", "--config", path]) == EXIT_OK
+        assert cache.get(fp) == body and cache.meta(fp) == meta
 
     @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
     def test_harvest_says_what_it_did(

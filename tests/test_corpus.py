@@ -26,7 +26,6 @@ from collabkit.corpus import (
     unknown_rate,
     work_from_metadata,
 )
-from collabkit.errors import EmptySlice
 from util import POOL6, POOL12, brute_work_sets, records_from_sets, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL12), max_size=10)
@@ -234,6 +233,15 @@ class TestWorkFromMetadata:
         del raw["id"]
         with pytest.raises(ValueError):
             work_from_metadata(raw, "C1")
+
+    @pytest.mark.parametrize("work_id", ["", 5, True, 1.5, ["W1"], {"a": 1}])
+    def test_id_must_be_a_non_empty_string(self, work_id):
+        # {"id": 5} and {"id": "5"} are not one work
+        raw = _raw_work([["US"]])
+        raw["id"] = work_id
+        for key in VALID_KEYS:
+            with pytest.raises(ValueError, match="no non-empty string id"):
+                work_from_metadata(raw, "C1", key)
 
     def test_missing_year(self):
         raw = _raw_work([["US"]])
@@ -449,6 +457,6 @@ class TestRankings:
         assert unknown_rate(table_from_sets(sets)) == expected
 
     def test_unknown_rate_empty_slice(self):
-        with pytest.raises(EmptySlice):
+        with pytest.raises(ValueError, match="no works in slice"):
             unknown_rate(table_from_sets([]))
 

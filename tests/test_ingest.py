@@ -215,6 +215,20 @@ class TestPageCache(object):
         assert "mailto" not in meta["params"]
         assert meta["sha256"] == __import__("hashlib").sha256(b"{}").hexdigest()
 
+    def test_sidecar_renamed_before_page(self, tmp_path, monkeypatch):
+        # a put cut short between the renames leaves a sidecar without its
+        # page, which is a miss, never a page without its sidecar
+        renamed = []
+        real = os.replace
+
+        def replace(src, dst):
+            renamed.append(os.path.basename(dst))
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        PageCache(tmp_path).put("ab" * 32, b"{}", "works", {"cursor": "*"})
+        assert renamed == ["ab" * 32 + ".meta.json", "ab" * 32 + ".json"]
+
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_file_modes_follow_umask(self, tmp_path, umask, mode):
         # pages and sidecars go through write_bytes_atomic, as outputs do
@@ -547,6 +561,8 @@ class TestHarvest:
             },
             {"id": "W6", "publication_year": True},
             {"id": "W7", "publication_year": 1990, "type": 5},
+            {"id": 8, "publication_year": 1990, "type": "article", "authorships": []},
+            {"id": True, "publication_year": 1990, "type": "article", "authorships": []},
             {"id": "W3", "publication_year": 1990, "type": "article", "authorships": []},
         ]
         transport = ScriptedTransport(
@@ -555,6 +571,7 @@ class TestHarvest:
         client = _client(transport, tmp_path)
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
         assert [r.work_id for r in records] == ["W1", "W3"]
+        assert client.malformed_items_skipped == 9
 
     def test_client_counts_dropped_items(self, tmp_path):
         works = [

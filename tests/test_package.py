@@ -64,7 +64,7 @@ def test_config_example_is_valid(doc):
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / doc).read_text(), re.DOTALL)
     assert len(blocks) == 1
     config = config_from_dict(json.loads(blocks[0]))
-    assert validate(config) == []
+    assert validate(config) is None
 
 
 def _readme_layout() -> dict[int, set[str]]:

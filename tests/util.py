@@ -10,7 +10,7 @@ from typing import Mapping
 import numpy as np
 
 from collabkit.corpus import Period, WorkRecord, build_count_table, gather
-from collabkit.errors import EmptyUnion, MissingFixtures
+from collabkit.errors import MissingFixtures
 from collabkit.geometry import (
     MERGE_TIE_EPS,
     ClusterCut,
@@ -372,7 +372,7 @@ def distance_matrix_reference(table, entities):
     union = unary[:, None] + unary[None, :] - joint
     np.fill_diagonal(union, 1)
     if np.any(union <= 0):
-        raise EmptyUnion("affinity undefined: no works in the union")
+        raise ValueError("affinity undefined: no works in the union")
     values = 1.0 - joint / union
     np.fill_diagonal(values, 0.0)
     return values
