@@ -76,15 +76,15 @@ def work_from_metadata(
 ) -> WorkRecord:
     """Build a WorkRecord from one raw works-endpoint item.
 
-    One walk over every contributor's institutions collects the upper-cased
-    country codes and the bare ROR ids (the https://ror.org/ prefix
-    dropped); each counts once however often it appears. A code that is
-    empty or whitespace once normalised (``"https://ror.org/"``, ``" "``)
-    names no entity and adds nothing. An empty country set means the
-    nationality is unknown. Only ``key``'s set is collected; the other
-    field is None. Raises ValueError for a key outside VALID_KEYS, and
-    when the item is not a work object of the expected shape, whatever
-    the key.
+    One walk over every contributor's institutions reads only the field
+    ``key`` names: a ``country_code`` is upper-cased, a ``ror`` id keeps
+    the part after its last ``/``. Each code counts once; one that is
+    blank once normalised (``"https://ror.org/"``, ``" "``) adds nothing.
+    An empty country set means the nationality is unknown. The other
+    key's set is None. Raises ValueError for a key outside VALID_KEYS,
+    for an item that is not a work object of the expected shape whatever
+    the key, and for a truthy code that is not a string in the field
+    ``key`` reads.
     """
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -100,28 +100,26 @@ def work_from_metadata(
     wtype = raw.get("type") or ""
     if not isinstance(wtype, str):
         raise ValueError(f"work {work_id}: type must be a string, got {wtype!r}")
-    countries: set[str] | None = set() if key == COUNTRY_KEY else None
-    rors: set[str] | None = None if countries is not None else set()
+    by_country = key == COUNTRY_KEY
+    field = "country_code" if by_country else "ror"
+    codes: set[str] = set()
     try:
         for authorship in raw.get("authorships") or ():
             for inst in authorship.get("institutions") or ():
-                # each wanted set reads its own field; either read fails
-                # alike on an entry that is not an object
-                if countries is not None and (code := inst.get("country_code")):
-                    if (code := str(code).upper()).strip():
-                        countries.add(code)
-                if rors is not None and (ror := inst.get("ror")):
-                    if (ror := str(ror).rsplit("/", 1)[-1]).strip():
-                        rors.add(ror)
+                if code := inst.get(field):
+                    code = code.upper() if by_country else code.rsplit("/", 1)[-1]
+                    if code.strip():
+                        codes.add(code)
     except (AttributeError, TypeError) as exc:
-        # an authorship or institution entry that is not an object
+        # an authorship or institution entry that is not an object, or a
+        # truthy code in the key's field that is not a string
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
     return WorkRecord(
         work_id=work_id,
         year=year,
         discipline_id=discipline_id,
-        nationalities=None if countries is None else frozenset(countries),
-        institutions=None if rors is None else frozenset(rors),
+        nationalities=frozenset(codes) if by_country else None,
+        institutions=None if by_country else frozenset(codes),
         is_journal_article=wtype.lower() in _JOURNAL_TYPES,
     )
 

@@ -344,9 +344,7 @@ def cut_clusters(dendrogram: Dendrogram, h_star: float) -> ClusterCut:
     for m in dendrogram.merges:
         first.append(first[m.left])
         if m.height < h_star:
-            ra, rb = find(first[m.left]), find(first[m.right])
-            if ra != rb:
-                parent[rb] = ra
+            parent[find(first[m.right])] = find(first[m.left])
     labels: dict[int, int] = {}
     assignment: dict[str, int] = {}
     for i, entity in enumerate(dendrogram.entities):

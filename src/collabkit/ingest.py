@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import os
 import time
 from collections import Counter
@@ -28,8 +27,6 @@ from .errors import (
     WrongLevel,
 )
 from .fsio import json_text, write_bytes_atomic, write_new
-
-log = logging.getLogger(__name__)
 
 OPENALEX_BASE = "https://api.openalex.org"
 MAILTO_ENV = "OPENALEX_MAILTO"
@@ -453,10 +450,10 @@ def harvest(
     Each record is built by ``work_from_metadata`` with ``key``, so it
     holds only that key's entity set. Works are deduplicated by id (first
     occurrence wins). An empty year range yields nothing. Items that
-    cannot be turned into a record are skipped with a warning rather than
-    aborting the stream. The client counts the duplicates dropped and the
-    items skipped. A key outside VALID_KEYS raises ValueError before any
-    page is read.
+    cannot be turned into a record are skipped rather than aborting the
+    stream. The client counts the duplicates dropped and the items
+    skipped; nothing is logged. A key outside VALID_KEYS raises ValueError
+    before any page is read.
     """
     if key not in VALID_KEYS:  # else every item would be skipped as malformed
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -470,8 +467,7 @@ def harvest(
         for raw in page.works:
             try:
                 record = work_from_metadata(raw, discipline_id, key)
-            except ValueError as exc:
-                log.warning("skipping malformed work item: %s", exc)
+            except ValueError:
                 client.malformed_items_skipped += 1
                 continue
             if record.work_id in seen:

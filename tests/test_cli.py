@@ -747,7 +747,8 @@ class TestRun:
     def test_run_leaves_numpy_ma_unimported(self, tmp_path, fixture_cache_dir):
         # numpy.ma costs about 18 ms to import; np.unique and np.percentile
         # would load it. No xml module is loaded either: the SVG is
-        # written as text.
+        # written as text. Nor is logging: the run reports through the
+        # manifest and stdout, and errors as one JSON line.
         probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         loaded = subprocess.run(
@@ -759,13 +760,14 @@ class TestRun:
             "from collabkit.cli import load_config, run\n"
             f"run(load_config({path!r}), mode='fixtures', stage='all')\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'xml'))\n"
+            "print('logging' in sys.modules)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         )
-        xml_modules, ma_loaded = done.stdout.splitlines()
-        assert xml_modules == "[]"
+        xml_modules, logging_loaded, ma_loaded = done.stdout.splitlines()
+        assert (xml_modules, logging_loaded) == ("[]", "False")
         assert (tmp_path / "out" / "manifest.json").is_file()
         if loaded.stdout.strip() == "True":
             pytest.skip("importing numpy loads numpy.ma here")

@@ -31,18 +31,21 @@ from util import POOL6, POOL12, brute_work_sets, records_from_sets, table_from_s
 nationality_sets = st.frozensets(st.sampled_from(POOL12), max_size=10)
 corpora = st.lists(nationality_sets, min_size=0, max_size=50)
 
-# one institution entry: any mix of a country code (any case, blank, or
-# none) and a ROR id (bare, URL form, blank, or none), with absent and null
-# keys both drawn
+# one institution entry: any mix of a country code (any case, blank, not
+# a string, or none) and a ROR id (bare, URL form, blank, not a string, or
+# none), with absent and null keys both drawn
+_non_string_code = st.sampled_from((5, True, ["US"]))
 _institutions = st.fixed_dictionaries(
     {},
     optional={
         "country_code": st.none()
         | st.sampled_from(("", " ", "\t"))
-        | st.sampled_from(POOL6 + ("at", "fi")),
+        | st.sampled_from(POOL6 + ("at", "fi"))
+        | _non_string_code,
         "ror": st.none()
         | st.sampled_from(("", " ", "https://ror.org/", "https://ror.org/ "))
-        | st.sampled_from(("01aaa", "02bbb", "https://ror.org/01aaa", "https://ror.org/03ccc")),
+        | st.sampled_from(("01aaa", "02bbb", "https://ror.org/01aaa", "https://ror.org/03ccc"))
+        | _non_string_code,
     },
 )
 raw_authorships = st.fixed_dictionaries(
@@ -58,8 +61,8 @@ raw_authorships = st.fixed_dictionaries(
 )
 
 # any raw item, well-formed or not: a non-object, an object whose id, year
-# or type may be missing or of the wrong type, or a work whose authorships
-# and institutions may be of any shape
+# or type may be missing or of the wrong type, a work whose authorships
+# and institutions may be of any shape, or a work of well-formed shape
 _not_an_object = st.sampled_from(["x", 5, None, [], True])
 _authorship = st.fixed_dictionaries(
     {},
@@ -89,6 +92,7 @@ raw_items = (
             | st.lists(_authorship | _not_an_object, max_size=4),
         },
     )
+    | raw_authorships.map(lambda a: {"id": "W3", "publication_year": 1999, **a})
 )
 
 
@@ -118,13 +122,33 @@ def _raw_work(countries_per_author, work_id="https://openalex.org/W1", year=2000
 
 def _sets(raw):
     """(nationalities, institutions) of one item, as work_from_metadata
-    builds them for each key; the item gets an id and a year unless it
-    has them."""
+    builds them for each key, None for a key that refuses the item; the
+    item gets an id and a year unless it has them."""
     raw = {"id": "W1", "publication_year": 2000, **raw}
-    return (
-        work_from_metadata(raw, "C1", COUNTRY_KEY).nationalities,
-        work_from_metadata(raw, "C1", INSTITUTION_KEY).institutions,
-    )
+    sets = []
+    for key, field in ((COUNTRY_KEY, "nationalities"), (INSTITUTION_KEY, "institutions")):
+        try:
+            sets.append(getattr(work_from_metadata(raw, "C1", key), field))
+        except ValueError:
+            sets.append(None)
+    return tuple(sets)
+
+
+def _non_string_code_fields(raw):
+    """The institution fields that hold a truthy code that is not a string
+    in some institution object reached from ``raw`` through lists of
+    objects."""
+
+    def objects(value):
+        return [v for v in value if isinstance(v, dict)] if isinstance(value, list) else []
+
+    return {
+        field
+        for authorship in objects(raw.get("authorships") if isinstance(raw, dict) else None)
+        for inst in objects(authorship.get("institutions"))
+        for field in ("country_code", "ror")
+        if inst.get(field) and not isinstance(inst[field], str)
+    }
 
 
 def _authorships(*insts_per_author):
@@ -180,6 +204,25 @@ class TestInstitutions:
     @given(raw_authorships)
     def test_matches_brute_force(self, raw):
         assert _sets(raw) == brute_work_sets(raw)
+
+    @pytest.mark.parametrize(
+        "inst,expected",
+        [
+            ({"country_code": 5}, (None, {"01aaa"})),
+            ({"country_code": True}, (None, {"01aaa"})),
+            ({"country_code": ["US"]}, (None, {"01aaa"})),
+            ({"ror": 12}, ({"US"}, None)),
+            ({"ror": ["https://ror.org/01aaa"]}, ({"US"}, None)),
+        ],
+    )
+    def test_non_string_code_is_refused_by_the_key_that_reads_it(self, inst, expected):
+        # {"country_code": 5} is not the country "5", nor ["US"] "['US']"
+        known = {"country_code": "US", "ror": "https://ror.org/01aaa"}
+        raw = _authorships([known], [inst])
+        assert _sets(raw) == expected
+        key = COUNTRY_KEY if expected[0] is None else INSTITUTION_KEY
+        with pytest.raises(ValueError, match="work W1: malformed authorships"):
+            work_from_metadata({"id": "W1", "publication_year": 2000, **raw}, "C1", key)
 
     def test_blank_codes_name_no_entity(self):
         blank = {"country_code": " ", "ror": "https://ror.org/"}
@@ -253,17 +296,28 @@ class TestWorkFromMetadata:
 class TestKeyAwareRecords:
     @given(raw=raw_items)
     def test_the_key_picks_the_set_not_the_shape(self, raw):
-        # whether an item is malformed never depends on the key; each key's
-        # record holds that key's set, the other field None, and the rest
-        # of the two records agree
-        try:
-            by_country = work_from_metadata(raw, "C1", COUNTRY_KEY)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as by_institution:
-                work_from_metadata(raw, "C1", INSTITUTION_KEY)
-            assert str(by_institution.value) == str(exc)
+        # a key refuses an item whose field it reads holds a truthy code
+        # that is not a string; otherwise the two keys disagree about
+        # nothing: both refuse a malformed shape with one message, or each
+        # key's record holds that key's set, the other field None, and the
+        # rest of the two records agree
+        outcomes = {}
+        for key in VALID_KEYS:
+            try:
+                outcomes[key] = work_from_metadata(raw, "C1", key)
+            except ValueError as exc:
+                outcomes[key] = str(exc)
+        bad_fields = _non_string_code_fields(raw)
+        for key, field in ((COUNTRY_KEY, "country_code"), (INSTITUTION_KEY, "ror")):
+            if field in bad_fields:
+                assert isinstance(outcomes[key], str)
+        if bad_fields:
             return
-        by_institution = work_from_metadata(raw, "C1", INSTITUTION_KEY)
+        by_country, by_institution = outcomes[COUNTRY_KEY], outcomes[INSTITUTION_KEY]
+        assert type(by_country) is type(by_institution)
+        if isinstance(by_country, str):
+            assert by_country == by_institution
+            return
         assert by_country.institutions is None and by_institution.nationalities is None
         assert (by_country.nationalities, by_institution.institutions) == brute_work_sets(raw)
         assert replace(by_country, nationalities=None) == replace(

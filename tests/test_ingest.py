@@ -547,7 +547,7 @@ class TestHarvest:
             list(harvest(client, "C1", ["C1"], 1990, 1990, key="Country"))
         assert transport.calls == 0
 
-    def test_malformed_items_skipped(self, tmp_path):
+    def test_malformed_items_skipped(self, tmp_path, capfd, caplog):
         works = [
             {"id": "W1", "publication_year": 1990, "type": "article", "authorships": []},
             {"publication_year": 1990},
@@ -563,6 +563,18 @@ class TestHarvest:
             {"id": "W7", "publication_year": 1990, "type": 5},
             {"id": 8, "publication_year": 1990, "type": "article", "authorships": []},
             {"id": True, "publication_year": 1990, "type": "article", "authorships": []},
+            # a non-string code in the field the country key reads, then in
+            # the field it does not read
+            {
+                "id": "W9",
+                "publication_year": 1990,
+                "authorships": [{"institutions": [{"country_code": 5}]}],
+            },
+            {
+                "id": "W10",
+                "publication_year": 1990,
+                "authorships": [{"institutions": [{"country_code": "us", "ror": 12}]}],
+            },
             {"id": "W3", "publication_year": 1990, "type": "article", "authorships": []},
         ]
         transport = ScriptedTransport(
@@ -570,8 +582,12 @@ class TestHarvest:
         )
         client = _client(transport, tmp_path)
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
-        assert [r.work_id for r in records] == ["W1", "W3"]
-        assert client.malformed_items_skipped == 9
+        assert [r.work_id for r in records] == ["W1", "W10", "W3"]
+        assert records[1].nationalities == {"US"}
+        assert client.malformed_items_skipped == 10
+        # the count is the only report: nothing is logged or written to
+        # stderr (pytest's log capture would keep a warning off stderr)
+        assert capfd.readouterr().err == "" and caplog.records == []
 
     def test_client_counts_dropped_items(self, tmp_path):
         works = [

@@ -50,19 +50,22 @@ def records_from_sets(sets, discipline="D1", year=2000):
 def brute_work_sets(raw):
     """(countries, bare ROR ids) of one raw work item, by brute force: every
     institution of every contributor, then one comprehension per set, less
-    the blank codes."""
+    the blank codes. A set is None where its field holds a truthy code that
+    is not a string: the key that reads that field refuses the item."""
     insts = [
         inst
         for authorship in raw.get("authorships") or []
         for inst in authorship.get("institutions") or []
     ]
-    countries = {str(i["country_code"]).upper() for i in insts if i.get("country_code")}
-    rors = {str(i["ror"]).split("/")[-1] for i in insts if i.get("ror")}
-    # a code that is blank once normalised names no entity
-    return (
-        frozenset(c for c in countries if c.strip()),
-        frozenset(r for r in rors if r.strip()),
-    )
+
+    def codes(field, normalise):
+        found = [i[field] for i in insts if i.get(field)]
+        if not all(isinstance(code, str) for code in found):
+            return None
+        # a code that is blank once normalised names no entity
+        return frozenset(c for c in map(normalise, found) if c.strip())
+
+    return codes("country_code", str.upper), codes("ror", lambda r: r.split("/")[-1])
 
 
 def fetch_of(payloads):
