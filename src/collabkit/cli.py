@@ -42,7 +42,6 @@ from .errors import (
     MissingFixtures,
     ParseError,
     TransportError,
-    WrongLevel,
 )
 from .fsio import StagedTree, json_text
 from .geometry import (
@@ -96,8 +95,7 @@ EXIT_CONFIG = 1
 EXIT_TRANSPORT = 2
 EXIT_ANALYSIS = 3
 
-_CONFIG_ERRORS = (ConfigError, WrongLevel)
-_TRANSPORT_ERRORS = (TransportError, ParseError)  # includes RateLimited, MissingFixtures
+_TRANSPORT_ERRORS = (TransportError, ParseError)
 
 
 _NUMBER = (int, float)
@@ -345,7 +343,7 @@ def validate(config: AnalysisConfig, cache: PageCache | None = None) -> None:
             expand_concept(d, client.fetch_concept, "one-hop")
         except MissingFixtures:
             diags.append(f"disciplines[{i}]: {d} not in offline cache")
-        except (ParseError, WrongLevel) as exc:
+        except (ParseError, ConfigError) as exc:
             diags.append(f"disciplines[{i}]: {exc}")
     if diags:
         raise ConfigError("config does not match the cache: " + "; ".join(diags))
@@ -661,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
                 f" to {config.out_dir}"
             )
         return code
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         _report_error(exc, EXIT_CONFIG)
         return EXIT_CONFIG
     except _TRANSPORT_ERRORS as exc:

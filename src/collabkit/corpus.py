@@ -83,8 +83,9 @@ def work_from_metadata(
     An empty country set means the nationality is unknown. The other
     key's set is None. Raises ValueError for a key outside VALID_KEYS,
     for an item that is not a work object of the expected shape whatever
-    the key, and for a truthy code that is not a string in the field
-    ``key`` reads.
+    the key, and, naming the field and the value, for a code that is
+    neither a string nor null in the field ``key`` reads: ``0``, ``False``,
+    ``[]`` and ``{}`` are refused, not read as no code.
     """
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -103,16 +104,19 @@ def work_from_metadata(
     by_country = key == COUNTRY_KEY
     field = "country_code" if by_country else "ror"
     codes: set[str] = set()
+    code = None
     try:
         for authorship in raw.get("authorships") or ():
             for inst in authorship.get("institutions") or ():
-                if code := inst.get(field):
+                if (code := inst.get(field)) is not None:
                     code = code.upper() if by_country else code.rsplit("/", 1)[-1]
                     if code.strip():
                         codes.add(code)
     except (AttributeError, TypeError) as exc:
-        # an authorship or institution entry that is not an object, or a
-        # truthy code in the key's field that is not a string
+        # code is the value that failed, or else a string or None left by
+        # an earlier entry when an entry is not an object
+        if code is not None and not isinstance(code, str):
+            raise ValueError(f"work {work_id}: {field} {code!r} is not a string") from exc
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
     return WorkRecord(
         work_id=work_id,

@@ -10,15 +10,13 @@ class CollabKitError(Exception):
 
 
 class ConfigError(CollabKitError):
-    """A run configuration failed validation."""
+    """A run configuration failed validation, or names a discipline root
+    that is not a level-1 concept."""
 
 
 class TransportError(CollabKitError):
-    """An HTTP request failed after exhausting retries."""
-
-
-class RateLimited(TransportError):
-    """The remote API kept answering 429 beyond the retry budget."""
+    """An HTTP request failed, at once or after exhausting retries on
+    HTTP 429, HTTP 5xx or a connection error."""
 
 
 class MissingFixtures(TransportError):
@@ -27,10 +25,6 @@ class MissingFixtures(TransportError):
 
 class ParseError(CollabKitError):
     """A payload could not be decoded into the expected shape."""
-
-
-class WrongLevel(CollabKitError):
-    """A concept was used in a role its taxonomy level does not allow."""
 
 
 class InvalidH0(CollabKitError):

@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
 
 from .corpus import COUNTRY_KEY, VALID_KEYS, WorkRecord, work_from_metadata
-from .errors import (
-    MissingFixtures,
-    ParseError,
-    RateLimited,
-    TransportError,
-    WrongLevel,
-)
+from .errors import ConfigError, MissingFixtures, ParseError, TransportError
 from .fsio import json_text, write_bytes_atomic, write_new
 
 OPENALEX_BASE = "https://api.openalex.org"
@@ -65,10 +59,11 @@ def expand_concept(
 ) -> frozenset[str]:
     """Concept ids spanned by a discipline root.
 
-    ``fetch`` maps a concept id to its Concept. The root must be a
-    level-1 concept. Expansion selects the related concepts listed at
-    level >= 2 (level-0 domains and sibling level-1 roots are pruned and
-    not traversed). "one-hop" stops at the root's direct neighbors and
+    ``fetch`` maps a concept id to its Concept. A root that is not a
+    level-1 concept raises ConfigError before anything else is fetched.
+    Expansion selects the related concepts listed at level >= 2 (level-0
+    domains and sibling level-1 roots are pruned and not traversed).
+    "one-hop" stops at the root's direct neighbors and
     fetches nothing but the root; "transitive" fetches every newly
     selected concept and follows its related list.
     """
@@ -77,7 +72,7 @@ def expand_concept(
     root = normalize_concept_id(root_id)
     concept = fetch(root)
     if concept.level != ROOT_LEVEL:
-        raise WrongLevel(
+        raise ConfigError(
             f"{root} has level {concept.level}, discipline roots have level {ROOT_LEVEL}"
         )
     selected = {root}
@@ -402,7 +397,7 @@ class OpenAlexClient:
                 self.pages_fetched += 1
                 return page
             if resp.status == 429:
-                failure = RateLimited(f"{endpoint}: rate limited (HTTP 429)")
+                failure = TransportError(f"{endpoint}: rate limited (HTTP 429)")
             elif 500 <= resp.status < 600:
                 failure = TransportError(f"{endpoint}: HTTP {resp.status}")
             else:
@@ -428,11 +423,13 @@ class OpenAlexClient:
         while True:
             page = self.fetch_page(replace(query, cursor=cursor))
             yield page
-            if page.next_cursor is None:
-                return
-            if page.next_cursor in seen:
-                raise ParseError(f"cursor loop at {page.next_cursor!r}")
+            # hold no page while the next one is read and decoded
             cursor = page.next_cursor
+            del page
+            if cursor is None:
+                return
+            if cursor in seen:
+                raise ParseError(f"cursor loop at {cursor!r}")
             seen.add(cursor)
 
 
@@ -477,3 +474,4 @@ def harvest(
             if journal_only and not record.is_journal_article:
                 continue
             yield record
+        del page  # else it lives on while pages() decodes the next one

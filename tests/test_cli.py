@@ -54,9 +54,7 @@ from collabkit.errors import (
     InvalidH0,
     MissingFixtures,
     ParseError,
-    RateLimited,
     TransportError,
-    WrongLevel,
 )
 from collabkit.fsio import STAGING_PREFIX, StagedTree
 from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON_MISSING
@@ -1201,9 +1199,7 @@ class TestMain:
         "error,code",
         [
             (ConfigError, EXIT_CONFIG),
-            (WrongLevel, EXIT_CONFIG),
             (TransportError, EXIT_TRANSPORT),
-            (RateLimited, EXIT_TRANSPORT),
             (MissingFixtures, EXIT_TRANSPORT),
             (ParseError, EXIT_TRANSPORT),
             (InvalidH0, EXIT_ANALYSIS),
@@ -1227,6 +1223,19 @@ class TestMain:
         assert json.loads(err) == {
             "error": error.__name__, "exit_code": code, "message": "injected"
         }
+
+    def test_root_of_wrong_level_is_a_config_error(self, tmp_path, fixture_cache_dir, capsys):
+        # C110 is cached, but a level-2 concept cannot root a discipline
+        path = _write_config(tmp_path, fixture_cache_dir, disciplines=["C110"])
+        assert main(["all", "--config", path, "--offline"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ConfigError",
+            "exit_code": 1,
+            "message": "C110 has level 2, discipline roots have level 1",
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_validate_reports_diagnostics(self, tmp_path, fixture_cache_dir, capsys):
         path = _write_config(tmp_path, fixture_cache_dir)

@@ -4,6 +4,7 @@ serialization."""
 from __future__ import annotations
 
 import random
+import re
 import weakref
 from dataclasses import replace
 from itertools import combinations
@@ -34,7 +35,7 @@ corpora = st.lists(nationality_sets, min_size=0, max_size=50)
 # one institution entry: any mix of a country code (any case, blank, not
 # a string, or none) and a ROR id (bare, URL form, blank, not a string, or
 # none), with absent and null keys both drawn
-_non_string_code = st.sampled_from((5, True, ["US"]))
+_non_string_code = st.sampled_from((5, True, ["US"], 0, False, [], {}))
 _institutions = st.fixed_dictionaries(
     {},
     optional={
@@ -135,8 +136,8 @@ def _sets(raw):
 
 
 def _non_string_code_fields(raw):
-    """The institution fields that hold a truthy code that is not a string
-    in some institution object reached from ``raw`` through lists of
+    """The institution fields that hold a code that is neither a string nor
+    null in some institution object reached from ``raw`` through lists of
     objects."""
 
     def objects(value):
@@ -147,7 +148,7 @@ def _non_string_code_fields(raw):
         for authorship in objects(raw.get("authorships") if isinstance(raw, dict) else None)
         for inst in objects(authorship.get("institutions"))
         for field in ("country_code", "ror")
-        if inst.get(field) and not isinstance(inst[field], str)
+        if inst.get(field) is not None and not isinstance(inst[field], str)
     }
 
 
@@ -213,15 +214,20 @@ class TestInstitutions:
             ({"country_code": ["US"]}, (None, {"01aaa"})),
             ({"ror": 12}, ({"US"}, None)),
             ({"ror": ["https://ror.org/01aaa"]}, ({"US"}, None)),
+            *(({"country_code": code}, (None, {"01aaa"})) for code in (0, False, [], {})),
+            *(({"ror": code}, ({"US"}, None)) for code in (0, False, [], {})),
         ],
     )
     def test_non_string_code_is_refused_by_the_key_that_reads_it(self, inst, expected):
-        # {"country_code": 5} is not the country "5", nor ["US"] "['US']"
+        # {"country_code": 5} is not the country "5", nor ["US"] "['US']",
+        # and a falsy 0 is not a missing code
         known = {"country_code": "US", "ror": "https://ror.org/01aaa"}
         raw = _authorships([known], [inst])
         assert _sets(raw) == expected
         key = COUNTRY_KEY if expected[0] is None else INSTITUTION_KEY
-        with pytest.raises(ValueError, match="work W1: malformed authorships"):
+        [(field, code)] = inst.items()
+        message = f"work W1: {field} {code!r} is not a string"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             work_from_metadata({"id": "W1", "publication_year": 2000, **raw}, "C1", key)
 
     def test_blank_codes_name_no_entity(self):
@@ -296,8 +302,8 @@ class TestWorkFromMetadata:
 class TestKeyAwareRecords:
     @given(raw=raw_items)
     def test_the_key_picks_the_set_not_the_shape(self, raw):
-        # a key refuses an item whose field it reads holds a truthy code
-        # that is not a string; otherwise the two keys disagree about
+        # a key refuses an item whose field it reads holds a code that is
+        # neither a string nor null; otherwise the two keys disagree about
         # nothing: both refuse a malformed shape with one message, or each
         # key's record holds that key's set, the other field None, and the
         # rest of the two records agree

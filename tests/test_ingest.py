@@ -6,17 +6,12 @@ from __future__ import annotations
 import json
 import os
 import stat
+import weakref
 
 import pytest
 
 from collabkit import ingest
-from collabkit.errors import (
-    MissingFixtures,
-    ParseError,
-    RateLimited,
-    TransportError,
-    WrongLevel,
-)
+from collabkit.errors import ConfigError, MissingFixtures, ParseError, TransportError
 from collabkit.ingest import (
     OpenAlexClient,
     PageCache,
@@ -111,9 +106,9 @@ class TestCatalogAndExpansion:
             expand_concept("C999", self._fetch())
 
     def test_wrong_level_root(self):
-        with pytest.raises(WrongLevel):
+        with pytest.raises(ConfigError, match="C10 has level 2, discipline roots have level 1"):
             expand_concept("C10", self._fetch())
-        with pytest.raises(WrongLevel):
+        with pytest.raises(ConfigError, match="C0 has level 0, discipline roots have level 1"):
             expand_concept("C0", self._fetch())
 
     def test_bad_mode(self):
@@ -141,7 +136,7 @@ class TestCatalogAndExpansion:
 
     def test_wrong_level_root_fetched_alone(self, tmp_path):
         client = _client(SyntheticOpenAlexTransport(), tmp_path)
-        with pytest.raises(WrongLevel):
+        with pytest.raises(ConfigError, match="discipline roots have level 1"):
             expand_concept("C110", client.fetch_concept)
         assert client.network_calls == 1
 
@@ -320,7 +315,7 @@ class TestClient:
     def test_rate_limited_after_retries(self, tmp_path):
         transport = ScriptedTransport([TransportResponse(429, b"")] * 4)
         client = _client(transport, tmp_path)
-        with pytest.raises(RateLimited):
+        with pytest.raises(TransportError, match=r"works: rate limited \(HTTP 429\)"):
             client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 4
 
@@ -575,6 +570,12 @@ class TestHarvest:
                 "publication_year": 1990,
                 "authorships": [{"institutions": [{"country_code": "us", "ror": 12}]}],
             },
+            # a falsy code is not a missing one
+            {
+                "id": "W11",
+                "publication_year": 1990,
+                "authorships": [{"institutions": [{"country_code": 0}]}],
+            },
             {"id": "W3", "publication_year": 1990, "type": "article", "authorships": []},
         ]
         transport = ScriptedTransport(
@@ -584,7 +585,7 @@ class TestHarvest:
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
         assert [r.work_id for r in records] == ["W1", "W10", "W3"]
         assert records[1].nationalities == {"US"}
-        assert client.malformed_items_skipped == 10
+        assert client.malformed_items_skipped == 11
         # the count is the only report: nothing is logged or written to
         # stderr (pytest's log capture would keep a warning off stderr)
         assert capfd.readouterr().err == "" and caplog.records == []
@@ -603,6 +604,29 @@ class TestHarvest:
         records = list(harvest(client, "C1", ["C1"], 1990, 1991))
         assert [r.work_id for r in records] == ["W1", "W3"]
         assert (client.duplicate_ids_dropped, client.malformed_items_skipped) == (1, 1)
+
+    def test_one_decoded_page_alive_at_a_time(self, tmp_path, monkeypatch):
+        def page(i, cursor):
+            works = [
+                {"id": f"W{i}{j}", "publication_year": 1990, "authorships": []}
+                for j in range(2)
+            ]
+            return _ok({"meta": {"next_cursor": cursor}, "results": works})
+
+        transport = ScriptedTransport([page(1, "c2"), page(2, "c3"), page(3, None)])
+        decoded = []
+        alive_at_decode = []
+
+        def parse(body):
+            alive_at_decode.append(sum(ref() is not None for ref in decoded))
+            parsed = parse_works_page(body)
+            decoded.append(weakref.ref(parsed))
+            return parsed
+
+        monkeypatch.setattr(ingest, "parse_works_page", parse)
+        records = list(harvest(_client(transport, tmp_path), "C1", ["C1"], 1990, 1990))
+        assert [r.work_id for r in records] == ["W10", "W11", "W20", "W21", "W30", "W31"]
+        assert alive_at_decode == [0, 0, 0]
 
     def test_deterministic_replay_from_cache(self, tmp_path):
         transport = SyntheticOpenAlexTransport()

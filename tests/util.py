@@ -50,8 +50,9 @@ def records_from_sets(sets, discipline="D1", year=2000):
 def brute_work_sets(raw):
     """(countries, bare ROR ids) of one raw work item, by brute force: every
     institution of every contributor, then one comprehension per set, less
-    the blank codes. A set is None where its field holds a truthy code that
-    is not a string: the key that reads that field refuses the item."""
+    the blank codes. A set is None where its field holds a code that is
+    neither a string nor null: the key that reads that field refuses the
+    item."""
     insts = [
         inst
         for authorship in raw.get("authorships") or []
@@ -59,7 +60,7 @@ def brute_work_sets(raw):
     ]
 
     def codes(field, normalise):
-        found = [i[field] for i in insts if i.get(field)]
+        found = [i[field] for i in insts if i.get(field) is not None]
         if not all(isinstance(code, str) for code in found):
             return None
         # a code that is blank once normalised names no entity
