@@ -71,6 +71,15 @@ def overlapping_periods(periods: Sequence[Period]) -> list[tuple[Period, Period]
     return clashes
 
 
+def _no_entries(value, field: str, work_id: str) -> tuple:
+    """The entries of a falsy list field: none for null or ``[]``, and a
+    ValueError naming the field and the value for ``0``, ``False``, ``""``
+    or ``{}``, which are not an empty list."""
+    if value is None or isinstance(value, list):
+        return ()
+    raise ValueError(f"work {work_id}: {field} {value!r} is not a list")
+
+
 def work_from_metadata(
     raw: Mapping, discipline_id: str, key: str = COUNTRY_KEY
 ) -> WorkRecord:
@@ -85,7 +94,12 @@ def work_from_metadata(
     for an item that is not a work object of the expected shape whatever
     the key, and, naming the field and the value, for a code that is
     neither a string nor null in the field ``key`` reads: ``0``, ``False``,
-    ``[]`` and ``{}`` are refused, not read as no code.
+    ``[]`` and ``{}`` are refused, not read as no code. Only null or a
+    missing key means "absent" in any field: ``authorships`` and
+    ``institutions`` must be lists and ``type`` a string, so ``0``,
+    ``False``, ``""`` or ``{}`` in a list field and ``0``, ``False``,
+    ``[]`` or ``{}`` in ``type`` raise under both keys, as in
+    ``work W1: authorships 0 is not a list``.
     """
     if key not in VALID_KEYS:
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -98,16 +112,22 @@ def work_from_metadata(
     year = raw.get("publication_year")
     if not isinstance(year, int) or isinstance(year, bool):
         raise ValueError(f"work {work_id}: missing publication year")
-    wtype = raw.get("type") or ""
+    wtype = raw.get("type")
     if not isinstance(wtype, str):
-        raise ValueError(f"work {work_id}: type must be a string, got {wtype!r}")
+        if wtype is not None:  # 0, False, [] and {} included
+            raise ValueError(f"work {work_id}: type {wtype!r} is not a string")
+        wtype = ""
     by_country = key == COUNTRY_KEY
     field = "country_code" if by_country else "ror"
     codes: set[str] = set()
     code = None
     try:
-        for authorship in raw.get("authorships") or ():
-            for inst in authorship.get("institutions") or ():
+        for authorship in (found := raw.get("authorships")) or _no_entries(
+            found, "authorships", work_id
+        ):
+            for inst in (found := authorship.get("institutions")) or _no_entries(
+                found, "institutions", work_id
+            ):
                 if (code := inst.get(field)) is not None:
                     code = code.upper() if by_country else code.rsplit("/", 1)[-1]
                     if code.strip():
@@ -156,7 +176,6 @@ class CountTable:
 
     discipline_id: str
     period: Period
-    key: str
     names: tuple[str, ...]
     unary_counts: np.ndarray
     multi_counts: np.ndarray
@@ -166,8 +185,6 @@ class CountTable:
     total_count: int = 0
 
     def __post_init__(self) -> None:
-        if self.key not in VALID_KEYS:
-            raise ValueError(f"unknown aggregation key {self.key!r}")
         k = len(self.names)
         if self.unary_counts.shape != (k,) or self.multi_counts.shape != (k,):
             raise ValueError(f"unary and multi counts need one entry per name ({k})")
@@ -230,11 +247,11 @@ class CountTable:
         if not isinstance(other, CountTable):
             return NotImplemented
         return (
-            self.discipline_id, self.period, self.key, self.unknown_count,
-            self.total_count, self._views,
+            self.discipline_id, self.period, self.unknown_count, self.total_count,
+            self._views,
         ) == (
-            other.discipline_id, other.period, other.key, other.unknown_count,
-            other.total_count, other._views,
+            other.discipline_id, other.period, other.unknown_count, other.total_count,
+            other._views,
         )
 
 
@@ -361,7 +378,6 @@ def count_years(
         tables[year] = CountTable(
             discipline_id=discipline_id,
             period=Period(str(year), year, year),
-            key=key,
             names=names,
             unary_counts=unary[y],
             multi_counts=multi[y],
@@ -389,18 +405,18 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
     """Pointwise sum of count tables, labelled ``period``.
 
     The tables must count disjoint sets of works: a work counted in two of
-    them is counted twice in the sum. They must share the discipline and
-    the key, and each table's period must lie inside ``period``. They must
-    also share their ``names``, as the tables of one ``count_years`` call
-    do, and are summed array by array. The yearly tables of a period's
-    years sum to that period's table.
+    them is counted twice in the sum. They must share the discipline, and
+    each table's period must lie inside ``period``. They must also share
+    their ``names``, as the tables of one ``count_years`` call do, and are
+    summed array by array. The yearly tables of a period's years sum to
+    that period's table.
     """
     if not tables:
         raise ValueError("merge_tables needs at least one table")
-    discipline_id, key, names = tables[0].discipline_id, tables[0].key, tables[0].names
+    discipline_id, names = tables[0].discipline_id, tables[0].names
     for table in tables:
-        if (table.discipline_id, table.key) != (discipline_id, key):
-            raise ValueError("tables describe different disciplines or keys")
+        if table.discipline_id != discipline_id:
+            raise ValueError("tables describe different disciplines")
         if not (
             period.year_from <= table.period.year_from
             and table.period.year_to <= period.year_to
@@ -423,7 +439,6 @@ def merge_tables(tables: Sequence[CountTable], period: Period) -> CountTable:
     return CountTable(
         discipline_id=discipline_id,
         period=period,
-        key=key,
         names=names,
         unary_counts=unary,
         multi_counts=multi,

@@ -157,8 +157,6 @@ def _anchored_gram(dm: DistanceMatrix) -> np.ndarray:
 def _embeddable(evals: np.ndarray) -> bool:
     """False when an eigenvalue of the anchored Gram matrix lies below
     -EMBED_CLAMP_REL times the largest (taken as 0 if negative)."""
-    if evals.size == 0:
-        return True
     lam_max = max(float(evals.max()), 0.0)
     return bool(evals.min() >= -EMBED_CLAMP_REL * lam_max)
 

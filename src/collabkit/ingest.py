@@ -121,18 +121,9 @@ def query_params(query: WorksQuery) -> dict[str, str]:
 
 
 def fingerprint(endpoint: str, params: Mapping[str, str]) -> str:
-    """Stable id of one page request.
-
-    The mailto courtesy parameter is excluded, so cached pages are shared
-    across contact addresses.
-    """
-    parts = [endpoint]
-    for key in sorted(params):
-        if key == "mailto":
-            continue
-        parts.append(f"{key}={params[key]}")
-    canonical = "?".join([parts[0], "&".join(parts[1:])])
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable id of one page request: every one of ``params`` counts."""
+    query = "&".join(f"{key}={params[key]}" for key in sorted(params))
+    return hashlib.sha256(f"{endpoint}?{query}".encode("utf-8")).hexdigest()
 
 
 class PageCache:
@@ -181,7 +172,7 @@ class PageCache:
         try:
             meta = {
                 "endpoint": endpoint,
-                "params": {k: v for k, v in params.items() if k != "mailto"},
+                "params": dict(params),
                 "sha256": digest,
             }
             write_bytes_atomic(self.sidecar_for(fp), json_text(meta) + "\n")
@@ -279,10 +270,11 @@ def parse_works_page(body: bytes) -> ParsedPage:
         raise ParseError(f"response is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
         raise ParseError("works page lacks a results list")
-    meta = doc.get("meta", {})
-    if not isinstance(meta, dict):
-        raise ParseError(f"works page meta is not an object: {meta!r}")
-    cursor = meta.get("next_cursor")
+    meta = doc.get("meta")
+    if not isinstance(meta, dict) or "next_cursor" not in meta:
+        # a page without a cursor would end the chain, however many follow
+        raise ParseError(f"works page meta is not an object holding next_cursor: {meta!r}")
+    cursor = meta["next_cursor"]
     if cursor is not None and not isinstance(cursor, str):
         raise ParseError(f"works page next_cursor is not a string: {cursor!r}")
     return ParsedPage(
@@ -315,8 +307,12 @@ def parse_concept_page(body: bytes) -> Concept:
         rlevel = item.get("level", 0)
         if not _is_int(rlevel):
             raise ParseError(f"concept page: related level {rlevel!r} is not an int")
-        if item.get("id"):
-            links.append((normalize_concept_id(str(item["id"])), rlevel))
+        rid = item.get("id")
+        if rid is None:
+            continue
+        if not isinstance(rid, str) or not rid:
+            raise ParseError(f"concept page: related id {rid!r} is not a non-empty string")
+        links.append((normalize_concept_id(rid), rlevel))
     return Concept(normalize_concept_id(cid), level, tuple(links))
 
 
@@ -324,7 +320,10 @@ class OpenAlexClient:
     """Cache-first client with rate limiting and bounded retries.
 
     With ``transport=None`` the client is strictly offline: a cache miss
-    raises MissingFixtures instead of touching the network.
+    raises MissingFixtures instead of touching the network. The contact
+    address in ``OPENALEX_MAILTO`` is added only to the request sent, never
+    to the fingerprint or the sidecar, so cached pages are shared across
+    contact addresses.
     """
 
     def __init__(
@@ -370,7 +369,10 @@ class OpenAlexClient:
                 raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
             self.consumed[fp] = digest
             self.pages_from_cache += 1
-            return decode(cached)
+            try:
+                return decode(cached)
+            except ParseError as exc:
+                raise ParseError(f"cached page {fp}: {exc}") from exc
         if self.transport is None:
             raise MissingFixtures(
                 f"offline run: no cached page for {endpoint} (fingerprint {fp[:12]})"

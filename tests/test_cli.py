@@ -339,6 +339,8 @@ class TestValidate:
             ("rate_limit", {"rate_limit": 0.0}),
             ("h_star", {"h_star": math.inf}),
             ("rate_limit", {"rate_limit": math.inf}),
+            ("periods", {"periods": 5}),
+            ("bilateral_pairs", {"bilateral_pairs": "US-CN"}),
         ],
     )
     def test_field_diagnostics(self, field, overrides):
@@ -1448,6 +1450,42 @@ class TestMain:
             assert f"has no readable sidecar {sidecar}; delete {page}" in err["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_works_page_without_a_cursor_is_refused(self, tmp_path, fixture_cache_dir, capsys):
+        # C100's second-to-last works page loses its meta, and its sidecar
+        # is rewritten so the page verifies: the chain must not end there
+        cache = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache)
+        chain = {}  # cursor -> fingerprint of each page of C100's chain
+        for meta_path in cache.glob("*.meta.json"):
+            meta = json.loads(meta_path.read_text())
+            if meta["endpoint"] == "works" and "C100|" in meta["params"]["filter"]:
+                chain[meta["params"]["cursor"]] = meta_path.name[: -len(".meta.json")]
+        bodies = {
+            cursor: json.loads((cache / f"{fp}.json").read_bytes())
+            for cursor, fp in chain.items()
+        }
+        [last] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] is None]
+        [cursor] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] == last]
+        fp = chain[cursor]
+        del bodies[cursor]["meta"]
+        body = json.dumps(bodies[cursor]).encode()
+        (cache / f"{fp}.json").write_bytes(body)
+        meta_path = cache / f"{fp}.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["sha256"] = hashlib.sha256(body).hexdigest()
+        meta_path.write_text(json.dumps(meta))
+        path = _write_config(tmp_path, cache)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_TRANSPORT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "exit_code": EXIT_TRANSPORT,
+            "message": f"cached page {fp}: works page meta is not an object holding"
+            " next_cursor: None",
+        }
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("failing", [0, 1], ids=["sidecar-rename", "page-rename"])
     def test_interrupted_put_leaves_a_miss(
         self, tmp_path, fixture_cache_dir, capsys, monkeypatch, failing
@@ -1532,7 +1570,7 @@ class TestMain:
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
         assert not (tmp_path / "out").exists()
 
-    def test_analysis_error_exit_code(self, tmp_path, fixture_cache_dir, capsys):
+    def test_analysis_error_exit_code(self, tmp_path, fixture_cache_dir, capsys, monkeypatch):
         # top_n is valid, but a 1971-only slice has too few entities in
         # the bundled corpus to compare, which surfaces mid-analysis
         path = _write_config(
@@ -1543,3 +1581,19 @@ class TestMain:
         code = main(["analyze", "--config", path, "--offline"])
         assert code in (EXIT_TRANSPORT, EXIT_ANALYSIS)
         assert capsys.readouterr().err.startswith("{")
+        # online, the synthetic corpus holds no work before 1971, so the
+        # cell of the 1960s has fewer than 2 entities
+        monkeypatch.setattr(ingest, "RequestsTransport", SyntheticOpenAlexTransport)
+        path = _write_config(
+            tmp_path,
+            tmp_path / "cache",
+            periods=[{"label": "1960s", "year_from": 1960, "year_to": 1969}],
+            rate_limit=1e9,
+        )
+        assert main(["all", "--config", path]) == EXIT_ANALYSIS
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CollabKitError",
+            "exit_code": EXIT_ANALYSIS,
+            "message": "C100 1960s: fewer than 2 entities with works",
+        }
+        assert not (tmp_path / "out").exists()

@@ -49,12 +49,19 @@ _institutions = st.fixed_dictionaries(
         | _non_string_code,
     },
 )
+# falsy values of a list field that are not null or [], and so not absent
+_falsy_not_a_list = st.sampled_from((0, False, "", {}))
 raw_authorships = st.fixed_dictionaries(
     {},
     optional={
-        "authorships": st.none() | st.lists(
+        "authorships": st.none() | _falsy_not_a_list | st.lists(
             st.fixed_dictionaries(
-                {}, optional={"institutions": st.none() | st.lists(_institutions, max_size=3)}
+                {},
+                optional={
+                    "institutions": st.none()
+                    | _falsy_not_a_list
+                    | st.lists(_institutions, max_size=3)
+                },
             ),
             max_size=4,
         )
@@ -70,10 +77,13 @@ _authorship = st.fixed_dictionaries(
     optional={
         "institutions": st.none()
         | _not_an_object
+        | _falsy_not_a_list
         | st.lists(_institutions | _not_an_object, max_size=3)
     },
 )
-_work_type = st.sampled_from(["article", "Journal-Article", "preprint", "", None, 5])
+_work_type = st.sampled_from(
+    ["article", "Journal-Article", "preprint", "", None, 5, 0, False, [], {}]
+)
 raw_items = (
     _not_an_object
     | st.fixed_dictionaries(
@@ -90,6 +100,7 @@ raw_items = (
             "type": _work_type,
             "authorships": st.none()
             | _not_an_object
+            | _falsy_not_a_list
             | st.lists(_authorship | _not_an_object, max_size=4),
         },
     )
@@ -298,6 +309,28 @@ class TestWorkFromMetadata:
         with pytest.raises(ValueError):
             work_from_metadata(raw, "C1")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            *(("authorships", value) for value in (0, False, "", {})),
+            *(("institutions", value) for value in (0, False, "", {})),
+            *(("type", value) for value in (0, False, [], {})),
+        ],
+    )
+    def test_falsy_value_is_not_an_absent_one(self, field, value):
+        # only null or a missing key means absent: {"authorships": 0} is not
+        # a work without authorships, nor {"type": []} one without a type
+        raw = _raw_work([["US"]])
+        if field == "institutions":
+            raw["authorships"][0]["institutions"] = value
+        else:
+            raw[field] = value
+        kind = "a string" if field == "type" else "a list"
+        message = f"work https://openalex.org/W1: {field} {value!r} is not {kind}"
+        for key in VALID_KEYS:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                work_from_metadata(raw, "C1", key)
+
 
 class TestKeyAwareRecords:
     @given(raw=raw_items)
@@ -417,6 +450,13 @@ class TestBuildCountTable:
     def test_bad_key(self):
         with pytest.raises(ValueError):
             build_count_table([], "D1", Period("2000", 2000, 2000), "continent")
+
+    def test_arrays_must_fit_the_names(self):
+        table = table_from_sets([{"US", "CN"}, {"US"}])
+        with pytest.raises(ValueError, match="one entry per name"):
+            replace(table, multi_counts=table.multi_counts[:1])
+        with pytest.raises(ValueError, match="differ in length"):
+            replace(table, pair_counts=table.pair_counts[:0])
 
     def test_pair_count_accessor(self):
         table = table_from_sets([{"US", "CN"}, {"US"}])

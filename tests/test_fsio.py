@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import random
 import tracemalloc
@@ -42,7 +43,11 @@ class TestJsonText:
         assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize(
-        "doc", [[], {}, {"a": [], "b": {}}, [[{}]], {"é": ["ß", "日本"]}, -0.0, 1e300 * 10]
+        "doc",
+        [
+            [], {}, {"a": [], "b": {}}, [[{}]], {"é": ["ß", "日本"]}, -0.0, 1e300 * 10,
+            math.nan, [math.inf, -math.inf],
+        ],
     )
     def test_edge_documents(self, doc):
         assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
@@ -92,6 +97,17 @@ class TestWriteNew:
 
         with pytest.raises(RuntimeError):
             write_new(tmp_path / "f", blocks())
+        assert list(tmp_path.iterdir()) == []
+
+        def vanishing_blocks():
+            # the partial file is gone before the failure: its error is
+            # still the one raised
+            yield "first\n"
+            (tmp_path / "f").unlink()
+            raise RuntimeError("exporter failed")
+
+        with pytest.raises(RuntimeError, match="exporter failed"):
+            write_new(tmp_path / "f", vanishing_blocks())
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077])

@@ -168,7 +168,7 @@ class TestDistanceMatrix:
 
     def test_joint_count_above_marginal(self):
         table = CountTable(
-            "D1", Period("2000", 2000, 2000), "country", names=("AA", "BB"),
+            "D1", Period("2000", 2000, 2000), names=("AA", "BB"),
             unary_counts=np.array([2, 1]), multi_counts=np.array([1, 1]),
             pair_codes=np.array([(0 << PAIR_SHIFT) | 1]), pair_counts=np.array([2]),
         )
@@ -449,6 +449,11 @@ class TestDendrogram:
     def test_validation_monotone(self):
         merges = (Merge(0, 1, 0.5, 2), Merge(3, 2, 0.1, 3))
         with pytest.raises(ValueError, match="non-decreasing"):
+            Dendrogram(("A", "B", "C"), merges)
+
+    def test_validation_range(self):
+        merges = (Merge(0, 3, 0.1, 2), Merge(4, 2, 0.2, 3))
+        with pytest.raises(ValueError, match="merge 0 references node 3 out of range"):
             Dendrogram(("A", "B", "C"), merges)
 
     def test_validation_reuse(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import weakref
 
@@ -22,6 +23,7 @@ from collabkit.ingest import (
     fingerprint,
     harvest,
     normalize_concept_id,
+    parse_concept_page,
     parse_works_page,
     query_params,
 )
@@ -166,11 +168,6 @@ class TestWorksQuery:
 
 
 class TestFingerprint:
-    def test_mailto_excluded(self):
-        a = fingerprint("works", {"filter": "x", "cursor": "*"})
-        b = fingerprint("works", {"filter": "x", "cursor": "*", "mailto": "a@b.c"})
-        assert a == b
-
     def test_sensitive_to_params_and_endpoint(self):
         base = fingerprint("works", {"filter": "x", "cursor": "*"})
         assert fingerprint("works", {"filter": "x", "cursor": "c200"}) != base
@@ -188,7 +185,7 @@ class TestPageCache(object):
         cache = PageCache(tmp_path / "cache")
         assert cache.is_empty()
         assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, b'{"x":1}', "works", {"cursor": "*", "mailto": "p@q.r"})
+        cache.put("ab" * 32, b'{"x":1}', "works", {"cursor": "*"})
         assert cache.get("ab" * 32) == b'{"x":1}'
         assert not cache.is_empty()
         assert cache.fingerprints() == ["ab" * 32]
@@ -204,10 +201,10 @@ class TestPageCache(object):
 
     def test_meta_sidecar(self, tmp_path):
         cache = PageCache(tmp_path)
-        cache.put("cd" * 32, b"{}", "works", {"cursor": "*", "mailto": "p@q.r"})
+        cache.put("cd" * 32, b"{}", "works", {"cursor": "*"})
         meta = json.loads((tmp_path / ("cd" * 32 + ".meta.json")).read_text())
         assert meta["endpoint"] == "works"
-        assert "mailto" not in meta["params"]
+        assert meta["params"] == {"cursor": "*"}
         assert meta["sha256"] == __import__("hashlib").sha256(b"{}").hexdigest()
 
     def test_sidecar_renamed_before_page(self, tmp_path, monkeypatch):
@@ -365,6 +362,7 @@ class TestClient:
             (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b"not json"),
             (lambda c: c.fetch_page(WorksQuery(("C1",), 1990, 1991)), b'{"results": "x"}'),
             (lambda c: c.fetch_concept("C1"), b"[]"),
+            (lambda c: c.fetch_concept("C1"), b"not json"),
             (
                 lambda c: c.fetch_concept("C1"),
                 b'{"id": "C1", "level": 1, "related_concepts": ["x"]}',
@@ -385,6 +383,7 @@ class TestClient:
             "not-json",
             "works-not-a-page",
             "concept-not-an-object",
+            "concept-not-json",
             "related-entry-not-an-object",
             "related-level-not-an-int",
             "related-not-a-list",
@@ -414,6 +413,9 @@ class TestClient:
         client.fetch_page(q)
         _, sent = transport.requests[0]
         assert sent["mailto"] == "env@example.org"
+        cache = client.cache
+        [fp] = cache.fingerprints()
+        assert cache.meta(fp)["params"] == query_params(q)  # no mailto
         monkeypatch.delenv("OPENALEX_MAILTO")
         offline = OpenAlexClient(PageCache(tmp_path / "cache"), None)
         assert offline.fetch_page(q) is not None  # cache hit despite no mailto
@@ -438,11 +440,29 @@ class TestParsing:
             b'{"results": "nope"}',
             b'{"results": [], "meta": "x"}',
             b'{"results": [], "meta": {"next_cursor": 5}}',
+            # a page without a cursor would end the chain
+            b'{"results": []}',
+            b'{"results": [], "meta": {"count": 0}}',
         ],
     )
     def test_parse_errors(self, body):
         with pytest.raises(ParseError):
             parse_works_page(body)
+
+    def test_related_concept_ids(self):
+        # only a null or missing related id is skipped: 5 is not the
+        # concept "5", and 0 or "" is not a missing id
+        def related(*items):
+            doc = {"id": "C1", "level": 1, "related_concepts": list(items)}
+            return parse_concept_page(json.dumps(doc).encode()).related
+
+        assert related({"level": 2}, {"id": None, "level": 2}, {"id": "C2", "level": 2}) == (
+            ("C2", 2),
+        )
+        for rid in (5, True, ["C1"], 0, False, "", {}):
+            message = f"concept page: related id {rid!r} is not a non-empty string"
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                related({"id": rid, "level": 2})
 
 
 class TestPagination:
@@ -576,6 +596,8 @@ class TestHarvest:
                 "publication_year": 1990,
                 "authorships": [{"institutions": [{"country_code": 0}]}],
             },
+            # nor are falsy authorships missing ones
+            {"id": "W12", "publication_year": 1990, "type": "article", "authorships": 0},
             {"id": "W3", "publication_year": 1990, "type": "article", "authorships": []},
         ]
         transport = ScriptedTransport(
@@ -585,7 +607,7 @@ class TestHarvest:
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
         assert [r.work_id for r in records] == ["W1", "W10", "W3"]
         assert records[1].nationalities == {"US"}
-        assert client.malformed_items_skipped == 11
+        assert client.malformed_items_skipped == 12
         # the count is the only report: nothing is logged or written to
         # stderr (pytest's log capture would keep a warning off stderr)
         assert capfd.readouterr().err == "" and caplog.records == []

@@ -52,12 +52,15 @@ def brute_work_sets(raw):
     institution of every contributor, then one comprehension per set, less
     the blank codes. A set is None where its field holds a code that is
     neither a string nor null: the key that reads that field refuses the
-    item."""
-    insts = [
-        inst
-        for authorship in raw.get("authorships") or []
-        for inst in authorship.get("institutions") or []
-    ]
+    item. Both are None where ``authorships`` or an ``institutions`` is
+    neither a list nor null: both keys refuse the item."""
+    authorships = raw.get("authorships")
+    lists = [authorships]
+    if isinstance(authorships, list):
+        lists += [authorship.get("institutions") for authorship in authorships]
+    if any(value is not None and not isinstance(value, list) for value in lists):
+        return None, None
+    insts = [inst for value in lists[1:] for inst in value or []]
 
     def codes(field, normalise):
         found = [i[field] for i in insts if i.get(field) is not None]
