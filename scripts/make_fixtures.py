@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Rebuild the bundled offline fixture cache.
 
-Runs the full pipeline against the deterministic synthetic transport in
+Runs the harvest stage against the deterministic synthetic transport in
 ``tests/synthetic.py`` with the bundled demo configuration, so the
-committed cache contains exactly the pages an offline run requests.
-Outputs of the warm-up run are thrown away; only the cache is kept.
+committed cache contains exactly the pages an offline run requests. The
+harvest stage writes nothing but the cache.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import shutil
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,13 +37,8 @@ def main() -> int:
         shutil.rmtree(cache_dir)
 
     transport = SyntheticOpenAlexTransport()
-    with tempfile.TemporaryDirectory() as scratch:
-        config = replace(
-            load_config(DEMO_CONFIG),
-            cache_dir=str(cache_dir),
-            out_dir=str(Path(scratch) / "out"),
-        )
-        run(config, mode="online", stage="all", transport=transport, sleep=lambda s: None)
+    config = replace(load_config(DEMO_CONFIG), cache_dir=str(cache_dir))
+    run(config, mode="online", stage="harvest", transport=transport, sleep=lambda s: None)
 
     pages = PageCache(cache_dir).fingerprints()
     print(f"cached {len(pages)} pages ({transport.calls} transport calls) in {cache_dir}")

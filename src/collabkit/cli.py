@@ -501,14 +501,7 @@ def run(
                 "numpy": np.__version__,
             },
             "inputs": dict(sorted(client.consumed.items())),
-            "ingest": {
-                "pages_from_cache": client.pages_from_cache,
-                "pages_fetched": client.pages_fetched,
-                "network_calls": client.network_calls,
-                "retries_by_status": dict(sorted(client.retries_by_status.items())),
-                "duplicate_ids_dropped": client.duplicate_ids_dropped,
-                "malformed_items_skipped": client.malformed_items_skipped,
-            },
+            "ingest": client.ingest,
             "outputs": dict(sorted(staged.digests.items())),
             "cells": dict(sorted(cells_info.items())),
         }

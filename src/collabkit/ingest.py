@@ -14,7 +14,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
 
@@ -89,12 +89,12 @@ def expand_concept(
 
 @dataclass(frozen=True)
 class WorksQuery:
-    """Canonical works request: sorted concept filter, inclusive years."""
+    """Canonical works request: sorted concept filter, inclusive years.
+    Each page's cursor is passed beside it."""
 
     concept_ids: tuple[str, ...]
     year_from: int
     year_to: int
-    cursor: str = CURSOR_START
 
     def __post_init__(self) -> None:
         ids = tuple(sorted({normalize_concept_id(c) for c in self.concept_ids}))
@@ -105,7 +105,8 @@ class WorksQuery:
             raise ValueError("empty year range")
 
 
-def query_params(query: WorksQuery) -> dict[str, str]:
+def query_params(query: WorksQuery, cursor: str = CURSOR_START) -> dict[str, str]:
+    """Request parameters of ``query``'s page at ``cursor`` (the first page)."""
     filt = ",".join(
         [
             "concepts.id:" + "|".join(query.concept_ids),
@@ -116,7 +117,7 @@ def query_params(query: WorksQuery) -> dict[str, str]:
     return {
         "filter": filt,
         "per-page": str(DEFAULT_PER_PAGE),
-        "cursor": query.cursor,
+        "cursor": cursor,
     }
 
 
@@ -264,6 +265,10 @@ class ParsedPage:
 
 
 def parse_works_page(body: bytes) -> ParsedPage:
+    """Decode a works page: an object with a ``results`` list and a
+    ``meta`` object holding ``next_cursor``, which is null on the last page
+    of a chain and a non-empty string on every other. Anything else raises
+    ParseError."""
     try:
         doc = json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -275,12 +280,9 @@ def parse_works_page(body: bytes) -> ParsedPage:
         # a page without a cursor would end the chain, however many follow
         raise ParseError(f"works page meta is not an object holding next_cursor: {meta!r}")
     cursor = meta["next_cursor"]
-    if cursor is not None and not isinstance(cursor, str):
-        raise ParseError(f"works page next_cursor is not a string: {cursor!r}")
-    return ParsedPage(
-        works=tuple(doc["results"]),
-        next_cursor=cursor or None,
-    )
+    if cursor is not None and (not isinstance(cursor, str) or not cursor):
+        raise ParseError(f"works page next_cursor is not a non-empty string: {cursor!r}")
+    return ParsedPage(works=tuple(doc["results"]), next_cursor=cursor)
 
 
 def _is_int(value) -> bool:
@@ -288,6 +290,12 @@ def _is_int(value) -> bool:
 
 
 def parse_concept_page(body: bytes) -> Concept:
+    """Decode a concept page: an object with a non-empty string ``id``, an
+    int ``level`` and ``related_concepts``, a list of objects, where null
+    or a missing key means none. A related entry with a null or missing
+    ``id`` is skipped; any other must have a non-empty string ``id`` and
+    an int ``level``, since the level decides whether expansion selects
+    it. Anything else raises ParseError; a bool is not an int."""
     try:
         doc = json.loads(body)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -299,19 +307,21 @@ def parse_concept_page(body: bytes) -> Concept:
         raise ParseError(f"concept page: id {cid!r} is not a non-empty string")
     if not _is_int(level):
         raise ParseError(f"concept page: level {level!r} is not an int")
-    related = doc.get("related_concepts", [])
+    related = doc.get("related_concepts")
+    if related is None:
+        related = []
     if not isinstance(related, list) or not all(isinstance(i, dict) for i in related):
         raise ParseError("concept page: related_concepts is not a list of objects")
     links = []
     for item in related:
-        rlevel = item.get("level", 0)
-        if not _is_int(rlevel):
-            raise ParseError(f"concept page: related level {rlevel!r} is not an int")
         rid = item.get("id")
         if rid is None:
             continue
         if not isinstance(rid, str) or not rid:
             raise ParseError(f"concept page: related id {rid!r} is not a non-empty string")
+        rlevel = item.get("level")
+        if not _is_int(rlevel):
+            raise ParseError(f"concept page: related concept {rid} level {rlevel!r} is not an int")
         links.append((normalize_concept_id(rid), rlevel))
     return Concept(normalize_concept_id(cid), level, tuple(links))
 
@@ -323,7 +333,8 @@ class OpenAlexClient:
     raises MissingFixtures instead of touching the network. The contact
     address in ``OPENALEX_MAILTO`` is added only to the request sent, never
     to the fingerprint or the sidecar, so cached pages are shared across
-    contact addresses.
+    contact addresses. ``ingest`` counts what it read, keyed and shaped as
+    the manifest's ``ingest`` stanza.
     """
 
     def __init__(
@@ -338,14 +349,16 @@ class OpenAlexClient:
         self.bucket = TokenBucket(rate_limit, sleep=sleep)
         self.mailto = os.environ.get(MAILTO_ENV)
         self._sleep = sleep
-        self.pages_from_cache = 0  # pages read from the cache
-        self.pages_fetched = 0  # pages downloaded, then cached
-        self.network_calls = 0  # transport requests, retries included
-        self.duplicate_ids_dropped = 0  # work items harvest dropped as repeats
-        self.malformed_items_skipped = 0  # work items harvest could not read
-        # failed transport attempts that were retried or ran out of retries:
-        # HTTP status as a string, or "exception" for a raised transport error
-        self.retries_by_status: Counter[str] = Counter()
+        self.ingest = {
+            "pages_from_cache": 0,  # pages read from the cache
+            "pages_fetched": 0,  # pages downloaded, then cached
+            "network_calls": 0,  # transport requests, retries included
+            # failed transport attempts that were retried or ran out of retries:
+            # HTTP status as a string, or "exception" for a raised transport error
+            "retries_by_status": Counter(),
+            "duplicate_ids_dropped": 0,  # work items harvest dropped as repeats
+            "malformed_items_skipped": 0,  # work items harvest could not read
+        }
         self.consumed: dict[str, str] = {}
 
     def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
@@ -368,7 +381,7 @@ class OpenAlexClient:
             if meta.get("sha256") != digest:
                 raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
             self.consumed[fp] = digest
-            self.pages_from_cache += 1
+            self.ingest["pages_from_cache"] += 1
             try:
                 return decode(cached)
             except ParseError as exc:
@@ -386,17 +399,17 @@ class OpenAlexClient:
             if attempt:
                 self._sleep(BACKOFF_S * 2 ** (attempt - 1))
             self.bucket.take()
-            self.network_calls += 1
+            self.ingest["network_calls"] += 1
             try:
                 resp = self.transport.get(url, send_params)
             except Exception as exc:
-                self.retries_by_status["exception"] += 1
+                self.ingest["retries_by_status"]["exception"] += 1
                 failure = TransportError(f"{endpoint}: {exc}")
                 continue
             if resp.status == 200:
                 page = decode(resp.body)
                 self.consumed[fp] = self.cache.put(fp, resp.body, endpoint, params)
-                self.pages_fetched += 1
+                self.ingest["pages_fetched"] += 1
                 return page
             if resp.status == 429:
                 failure = TransportError(f"{endpoint}: rate limited (HTTP 429)")
@@ -404,7 +417,7 @@ class OpenAlexClient:
                 failure = TransportError(f"{endpoint}: HTTP {resp.status}")
             else:
                 raise TransportError(f"{endpoint}: HTTP {resp.status}")
-            self.retries_by_status[str(resp.status)] += 1
+            self.ingest["retries_by_status"][str(resp.status)] += 1
         assert failure is not None
         raise failure
 
@@ -412,18 +425,19 @@ class OpenAlexClient:
         cid = normalize_concept_id(concept_id)
         return self._fetch(f"concepts/{cid}", {}, parse_concept_page)
 
-    def fetch_page(self, query: WorksQuery) -> ParsedPage:
+    def fetch_page(self, query: WorksQuery, cursor: str = CURSOR_START) -> ParsedPage:
+        """``query``'s page at ``cursor`` (by default the first page)."""
         # parse_works_page is read from the module on every call, so a
         # wrapper set on the module attribute sees every works page
-        return self._fetch("works", query_params(query), parse_works_page)
+        return self._fetch("works", query_params(query, cursor), parse_works_page)
 
     def pages(self, query: WorksQuery) -> Iterator[ParsedPage]:
-        """Follow cursor pagination until the server stops handing out
-        cursors."""
-        cursor = query.cursor
+        """Follow cursor pagination from the first page until the server
+        stops handing out cursors."""
+        cursor = CURSOR_START
         seen = {cursor}
         while True:
-            page = self.fetch_page(replace(query, cursor=cursor))
+            page = self.fetch_page(query, cursor)
             yield page
             # hold no page while the next one is read and decoded
             cursor = page.next_cursor
@@ -450,9 +464,9 @@ def harvest(
     holds only that key's entity set. Works are deduplicated by id (first
     occurrence wins). An empty year range yields nothing. Items that
     cannot be turned into a record are skipped rather than aborting the
-    stream. The client counts the duplicates dropped and the items
-    skipped; nothing is logged. A key outside VALID_KEYS raises ValueError
-    before any page is read.
+    stream. The duplicates dropped and the items skipped are counted in
+    ``client.ingest``; nothing is logged. A key outside VALID_KEYS raises
+    ValueError before any page is read.
     """
     if key not in VALID_KEYS:  # else every item would be skipped as malformed
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -467,10 +481,10 @@ def harvest(
             try:
                 record = work_from_metadata(raw, discipline_id, key)
             except ValueError:
-                client.malformed_items_skipped += 1
+                client.ingest["malformed_items_skipped"] += 1
                 continue
             if record.work_id in seen:
-                client.duplicate_ids_dropped += 1
+                client.ingest["duplicate_ids_dropped"] += 1
                 continue
             seen.add(record.work_id)
             if journal_only and not record.is_journal_article:

@@ -1450,8 +1450,24 @@ class TestMain:
             assert f"has no readable sidecar {sidecar}; delete {page}" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_works_page_without_a_cursor_is_refused(self, tmp_path, fixture_cache_dir, capsys):
-        # C100's second-to-last works page loses its meta, and its sidecar
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda body: body.pop("meta"),
+                "works page meta is not an object holding next_cursor: None",
+            ),
+            (
+                lambda body: body["meta"].update(next_cursor=""),
+                "works page next_cursor is not a non-empty string: ''",
+            ),
+        ],
+        ids=["lost-meta", "empty-cursor"],
+    )
+    def test_works_page_without_a_cursor_is_refused(
+        self, tmp_path, fixture_cache_dir, capsys, edit, message
+    ):
+        # C100's second-to-last works page loses its cursor, and its sidecar
         # is rewritten so the page verifies: the chain must not end there
         cache = tmp_path / "cache"
         shutil.copytree(fixture_cache_dir, cache)
@@ -1467,7 +1483,7 @@ class TestMain:
         [last] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] is None]
         [cursor] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] == last]
         fp = chain[cursor]
-        del bodies[cursor]["meta"]
+        edit(bodies[cursor])
         body = json.dumps(bodies[cursor]).encode()
         (cache / f"{fp}.json").write_bytes(body)
         meta_path = cache / f"{fp}.meta.json"
@@ -1481,8 +1497,7 @@ class TestMain:
         assert json.loads(err) == {
             "error": "ParseError",
             "exit_code": EXIT_TRANSPORT,
-            "message": f"cached page {fp}: works page meta is not an object holding"
-            " next_cursor: None",
+            "message": f"cached page {fp}: {message}",
         }
         assert not (tmp_path / "out").exists()
 
@@ -1552,8 +1567,8 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "related",
-        [["x"], [{"id": "C110", "level": "x"}], 5],
-        ids=["entry-not-an-object", "level-not-an-int", "not-a-list"],
+        [["x"], [{"id": "C110", "level": "x"}], 5, [{"id": "C110"}]],
+        ids=["entry-not-an-object", "level-not-an-int", "not-a-list", "level-missing"],
     )
     def test_malformed_concept_page_exit_code(
         self, tmp_path, fixture_cache_dir, capsys, related
@@ -1568,6 +1583,31 @@ class TestMain:
         code = main(["all", "--config", path, "--offline"])
         assert code == EXIT_TRANSPORT
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        assert not (tmp_path / "out").exists()
+
+    def test_related_concept_without_level_is_refused_online(self, tmp_path, capsys, monkeypatch):
+        # C100's page lists C110 without its level: C110 and C111 must not
+        # drop out of the works filter without a word
+        payload = synthetic.concept_payload
+
+        def without_level(concept_id):
+            doc = payload(concept_id)
+            for item in doc["related_concepts"]:
+                if concept_id == "C100" and item["id"].endswith("/C110"):
+                    del item["level"]
+            return doc
+
+        monkeypatch.setattr(synthetic, "concept_payload", without_level)
+        monkeypatch.setattr(ingest, "RequestsTransport", SyntheticOpenAlexTransport)
+        path = _write_config(tmp_path, tmp_path / "cache", rate_limit=1e9)
+        assert main(["all", "--config", path]) == EXIT_TRANSPORT
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError",
+            "exit_code": EXIT_TRANSPORT,
+            "message": "concept page: related concept https://openalex.org/C110"
+            " level None is not an int",
+        }
+        assert PageCache(tmp_path / "cache").is_empty()
         assert not (tmp_path / "out").exists()
 
     def test_analysis_error_exit_code(self, tmp_path, fixture_cache_dir, capsys, monkeypatch):

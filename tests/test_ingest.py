@@ -14,6 +14,7 @@ import pytest
 from collabkit import ingest
 from collabkit.errors import ConfigError, MissingFixtures, ParseError, TransportError
 from collabkit.ingest import (
+    Concept,
     OpenAlexClient,
     PageCache,
     TokenBucket,
@@ -134,13 +135,13 @@ class TestCatalogAndExpansion:
         # domain; neither is fetched, and one-hop reads the root alone
         client = _client(SyntheticOpenAlexTransport(), tmp_path)
         assert expand_concept("C100", client.fetch_concept, mode) == selected
-        assert client.network_calls == calls
+        assert client.ingest["network_calls"] == calls
 
     def test_wrong_level_root_fetched_alone(self, tmp_path):
         client = _client(SyntheticOpenAlexTransport(), tmp_path)
         with pytest.raises(ConfigError, match="discipline roots have level 1"):
             expand_concept("C110", client.fetch_concept)
-        assert client.network_calls == 1
+        assert client.ingest["network_calls"] == 1
 
 
 class TestWorksQuery:
@@ -165,6 +166,7 @@ class TestWorksQuery:
             "per-page": "200",
             "cursor": "*",
         }
+        assert query_params(q, "c2") == {**query_params(q), "cursor": "c2"}
 
 
 class TestFingerprint:
@@ -286,13 +288,14 @@ class TestClient:
         assert page1 == page2
         [(fp, digest)] = client.consumed.items()
         assert digest == client.cache.meta(fp)["sha256"]
-        assert (client.pages_fetched, client.pages_from_cache) == (1, 1)
+        assert (client.ingest["pages_fetched"], client.ingest["pages_from_cache"]) == (1, 1)
 
     def test_retries_count_as_network_calls(self, tmp_path):
         transport = ScriptedTransport([TransportResponse(503, b""), _ok(EMPTY_PAGE)])
         client = _client(transport, tmp_path)
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
-        assert (client.pages_fetched, client.pages_from_cache, client.network_calls) == (1, 0, 2)
+        counts = [client.ingest[k] for k in ("pages_fetched", "pages_from_cache", "network_calls")]
+        assert counts == [1, 0, 2]
 
     def test_offline_miss_raises(self, tmp_path):
         client = _client(None, tmp_path)
@@ -344,7 +347,7 @@ class TestClient:
         client = _client(transport, tmp_path)
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
         assert transport.calls == 3
-        assert client.retries_by_status == {"exception": 2}
+        assert client.ingest["retries_by_status"] == {"exception": 2}
 
     def test_retries_counted_by_status(self, tmp_path):
         transport = ScriptedTransport(
@@ -352,9 +355,9 @@ class TestClient:
         )
         client = _client(transport, tmp_path, sleep=lambda s: None)
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))
-        assert client.retries_by_status == {"429": 1, "503": 1}
+        assert client.ingest["retries_by_status"] == {"429": 1, "503": 1}
         client.fetch_page(WorksQuery(("C1",), 1990, 1991))  # from the cache now
-        assert client.retries_by_status == {"429": 1, "503": 1}
+        assert client.ingest["retries_by_status"] == {"429": 1, "503": 1}
 
     @pytest.mark.parametrize(
         "fetch, body",
@@ -443,6 +446,8 @@ class TestParsing:
             # a page without a cursor would end the chain
             b'{"results": []}',
             b'{"results": [], "meta": {"count": 0}}',
+            # nor may an empty one
+            b'{"results": [], "meta": {"next_cursor": ""}}',
         ],
     )
     def test_parse_errors(self, body):
@@ -463,6 +468,21 @@ class TestParsing:
             message = f"concept page: related id {rid!r} is not a non-empty string"
             with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
                 related({"id": rid, "level": 2})
+
+    @pytest.mark.parametrize(
+        "item", [{"id": "C2"}, {"id": "C2", "level": None}], ids=["missing", "null"]
+    )
+    def test_related_level_required(self, item):
+        # the level decides whether expansion selects the concept, so a
+        # missing one is refused rather than read as a level-0 domain
+        doc = {"id": "C1", "level": 1, "related_concepts": [item]}
+        message = "concept page: related concept C2 level None is not an int"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_concept_page(json.dumps(doc).encode())
+
+    def test_null_related_concepts_means_none(self):
+        doc = {"id": "C1", "level": 1, "related_concepts": None}
+        assert parse_concept_page(json.dumps(doc).encode()) == Concept("C1", 1)
 
 
 class TestPagination:
@@ -607,7 +627,7 @@ class TestHarvest:
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
         assert [r.work_id for r in records] == ["W1", "W10", "W3"]
         assert records[1].nationalities == {"US"}
-        assert client.malformed_items_skipped == 12
+        assert client.ingest["malformed_items_skipped"] == 12
         # the count is the only report: nothing is logged or written to
         # stderr (pytest's log capture would keep a warning off stderr)
         assert capfd.readouterr().err == "" and caplog.records == []
@@ -625,7 +645,8 @@ class TestHarvest:
         client = _client(transport, tmp_path)
         records = list(harvest(client, "C1", ["C1"], 1990, 1991))
         assert [r.work_id for r in records] == ["W1", "W3"]
-        assert (client.duplicate_ids_dropped, client.malformed_items_skipped) == (1, 1)
+        counts = [client.ingest[k] for k in ("duplicate_ids_dropped", "malformed_items_skipped")]
+        assert counts == [1, 1]
 
     def test_one_decoded_page_alive_at_a_time(self, tmp_path, monkeypatch):
         def page(i, cursor):
