@@ -6,7 +6,6 @@ log-rescaled integration measure derived from merge heights.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -380,11 +379,16 @@ def icd(dendrogram: Dendrogram, h0: float | str = "auto") -> IcdResult:
         if ceiling <= h_max:
             raise InvalidH0(f"h0={ceiling} must exceed the tallest merge {h_max}")
     rescaled = tuple(-math.log(ceiling - h) for h in heights)
+    # statistics.fmean and statistics.median, without importing statistics
+    # (and with it fractions and decimal)
+    ranked = sorted(rescaled)
+    mid = len(ranked) // 2
+    median = ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
     return IcdResult(
         h0=ceiling,
         rescaled=rescaled,
-        mean=statistics.fmean(rescaled),
-        median=statistics.median(rescaled),
+        mean=math.fsum(rescaled) / len(rescaled),
+        median=median,
     )
 
 

@@ -15,8 +15,12 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, TypeVar
+
+import numpy as np
 
 from .corpus import COUNTRY_KEY, VALID_KEYS, WorkRecord, work_from_metadata
 from .errors import ConfigError, MissingFixtures, ParseError, TransportError
@@ -449,6 +453,101 @@ class OpenAlexClient:
             seen.add(cursor)
 
 
+# A canonical work id is this URL and 1 to 18 ASCII digits with no leading
+# zero, so its number fits an int64 and no other string has that number.
+_WORK_URL = "https://openalex.org/W"
+_DIGITS = 18
+_TENS = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
+# A canonical id padded with "0"s to _PADDED characters holds, column by
+# column, a byte from _LOWEST to _LOWEST + _SPAN: the URL, then 1-9, then 0-9.
+_PADDED = len(_WORK_URL) + _DIGITS
+_LOWEST = np.frombuffer((_WORK_URL + "1".ljust(_DIGITS, "0")).encode(), np.uint8)
+_SPAN = np.array([0] * len(_WORK_URL) + [8] + [9] * (_DIGITS - 1), np.uint8)
+# the padding of an id of each length, as a power of ten
+_PADDING = np.ones(_PADDED + 1, np.int64)
+_PADDING[len(_WORK_URL) + 1 :] = _TENS
+# New numbers gather in a sorted batch until it is this long. The batch
+# then becomes a sorted run, and a run is merged into the one before it
+# until each is under 1/_RUN_RATIO of the one before. So each number is
+# merged O(log n) times, and O(log n) runs are searched, where one growing
+# array would be copied once per batch.
+_FOLD_AT = 4096
+_RUN_RATIO = 4
+
+
+class _SeenWorkIds:
+    """The work ids that harvest has met. Two ids are one work only if
+    their strings are equal. A canonical id is held as its number in
+    sorted int64 arrays, 8 bytes each; any other id as its string."""
+
+    def __init__(self) -> None:
+        self._runs: list[np.ndarray] = []  # ascending, shrinking
+        self._batch = np.empty(0, np.int64)  # ascending, under _FOLD_AT long
+        self._other: set[str] = set()
+
+    @staticmethod
+    def _numbers(ids: list[str]) -> np.ndarray:
+        """Each id's number if it is canonical, else -1."""
+        # As a rule every id of a page is canonical, and a few array passes
+        # over the ids padded to one width show it.
+        n = len(ids)
+        padded = "".join(map(str.ljust, ids, repeat(_PADDED), repeat("0")))
+        if padded.isascii() and len(padded) == _PADDED * n:  # none is longer
+            rows = np.frombuffer(padded.encode(), np.uint8).reshape(n, _PADDED) - _LOWEST
+            if (rows <= _SPAN).all():  # a byte below _LOWEST wraps round
+                lengths = np.fromiter(map(len, ids), np.intp, n)
+                # the first digit counts from 1
+                padded_numbers = rows[:, len(_WORK_URL):] @ _TENS + _TENS[0]
+                return padded_numbers // _PADDING[lengths]
+        numbers = []
+        for work_id in ids:
+            tail = work_id[len(_WORK_URL):]
+            canonical = (
+                work_id.startswith(_WORK_URL)
+                and tail.isascii()  # isdigit() takes "²", int() takes "١٢"
+                and tail.isdigit()  # int() takes "+1", " 1" and "1_0"
+                and tail[0] != "0"
+                and len(tail) <= _DIGITS
+            )
+            numbers.append(int(tail) if canonical else -1)
+        return np.array(numbers, np.int64)
+
+    def firsts(self, ids: list[str]) -> list[bool]:
+        """Whether each of ``ids`` is met here for the first time, earlier
+        ones in the list included; all of them count as met afterwards."""
+        numbers = self._numbers(ids)
+        order = numbers.argsort(kind="stable")
+        ranked = numbers[order]
+        first = np.ones(len(ranked), bool)
+        first[1:] = ranked[1:] != ranked[:-1]  # repeats within the list
+        for held in (*self._runs, self._batch):
+            if len(held):
+                first &= held.take(held.searchsorted(ranked), mode="clip") != ranked
+        other = 0  # the -1s rank first
+        while other < len(ranked) and ranked[other] < 0:
+            work_id = ids[order[other]]
+            first[other] = work_id not in self._other
+            self._other.add(work_id)
+            other += 1
+        fresh = ranked[other:][first[other:]]
+        if len(fresh):
+            # a stable sort of two ascending runs is one merge pass
+            batch = np.concatenate((self._batch, fresh))
+            batch.sort(kind="stable")
+            if len(batch) >= _FOLD_AT:
+                runs = self._runs
+                runs.append(batch)
+                while len(runs) > 1 and len(runs[-2]) < _RUN_RATIO * len(runs[-1]):
+                    merged = np.concatenate(runs[-2:])
+                    merged.sort(kind="stable")
+                    runs[-2:] = [merged]
+                batch = batch[:0]
+            self._batch = batch
+        in_order = np.empty(len(first), bool)
+        in_order[order] = first
+        return in_order.tolist()
+
+
 def harvest(
     client: OpenAlexClient,
     discipline_id: str,
@@ -461,12 +560,18 @@ def harvest(
     """Stream deduplicated WorkRecords for a discipline's concept set.
 
     Each record is built by ``work_from_metadata`` with ``key``, so it
-    holds only that key's entity set. Works are deduplicated by id (first
-    occurrence wins). An empty year range yields nothing. Items that
-    cannot be turned into a record are skipped rather than aborting the
-    stream. The duplicates dropped and the items skipped are counted in
-    ``client.ingest``; nothing is logged. A key outside VALID_KEYS raises
-    ValueError before any page is read.
+    holds only that key's entity set. Items that cannot be turned into a
+    record are skipped rather than aborting the stream. The records left
+    are deduplicated by id, and the first of them wins; ``journal_only``
+    then drops those that are not journal articles. Two ids are one work
+    only if their strings are equal, so ``https://openalex.org/W1`` and
+    ``W1`` are two works. An id met is remembered until the stream ends: a
+    canonical one (``https://openalex.org/W`` and 1 to 18 ASCII digits
+    with no leading zero) in 8 bytes, any other as its string. Records
+    come page by page, and one decoded page is held at a time. An empty
+    year range yields nothing. The duplicates dropped and the items
+    skipped are counted in ``client.ingest``; nothing is logged. A key
+    outside VALID_KEYS raises ValueError before any page is read.
     """
     if key not in VALID_KEYS:  # else every item would be skipped as malformed
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -475,19 +580,17 @@ def harvest(
     query = WorksQuery(
         concept_ids=tuple(concept_ids), year_from=year_from, year_to=year_to
     )
-    seen: set[str] = set()
+    seen = _SeenWorkIds()
     for page in client.pages(query):
+        records = []
         for raw in page.works:
             try:
-                record = work_from_metadata(raw, discipline_id, key)
+                records.append(work_from_metadata(raw, discipline_id, key))
             except ValueError:
                 client.ingest["malformed_items_skipped"] += 1
-                continue
-            if record.work_id in seen:
-                client.ingest["duplicate_ids_dropped"] += 1
-                continue
-            seen.add(record.work_id)
-            if journal_only and not record.is_journal_article:
-                continue
-            yield record
         del page  # else it lives on while pages() decodes the next one
+        firsts = seen.firsts(list(map(attrgetter("work_id"), records)))
+        client.ingest["duplicate_ids_dropped"] += firsts.count(False)
+        for record in compress(records, firsts):
+            if record.is_journal_article or not journal_only:
+                yield record

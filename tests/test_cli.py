@@ -773,6 +773,22 @@ class TestRun:
             pytest.skip("importing numpy loads numpy.ma here")
         assert ma_loaded == "False"
 
+    def test_import_leaves_statistics_unimported(self):
+        # statistics loads fractions and decimal for what icd computes in
+        # two lines
+        probe = "import sys, {}; print('statistics' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        loaded = {
+            module: subprocess.run(
+                [sys.executable, "-c", probe.format(module)],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout.strip()
+            for module in ("numpy", "collabkit.cli")
+        }
+        if loaded["numpy"] == "True":
+            pytest.skip("importing numpy loads statistics here")
+        assert loaded["collabkit.cli"] == "False"
+
     def test_invalid_config_writes_nothing(self, fixture_config, tmp_path):
         # an invalid config cannot be built, so no run can start from one
         out = tmp_path / "fresh"

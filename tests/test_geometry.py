@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -573,6 +574,22 @@ class TestIcd:
         assert result.median == pytest.approx(
             (expected[1] + expected[2]) / 2, abs=1e-12
         )
+
+    @given(
+        st.lists(st.floats(0.0, 1e3), min_size=1, max_size=30),
+        st.one_of(st.just("auto"), st.floats(1.0, 100.0)),
+    )
+    def test_mean_median_are_those_of_statistics(self, heights, h0_over):
+        heights = sorted(heights)
+        n = len(heights) + 1
+        # a chain: the first two leaves, then each next leaf joins the tree
+        merges = [Merge(0, 1, heights[0], 2)]
+        merges += [Merge(n + k - 1, k + 1, h, k + 2) for k, h in enumerate(heights[1:], 1)]
+        dend = Dendrogram(tuple(f"E{i}" for i in range(n)), tuple(merges))
+        h0 = h0_over if h0_over == "auto" else heights[-1] + h0_over
+        result = icd(dend, h0)
+        assert result.mean == statistics.fmean(result.rescaled)
+        assert result.median == statistics.median(result.rescaled)
 
     def test_monotone_in_heights(self):
         rng = random.Random(43)

@@ -5,15 +5,23 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
 import stat
+import tempfile
+import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabkit import ingest
+from collabkit.corpus import work_from_metadata
 from collabkit.errors import ConfigError, MissingFixtures, ParseError, TransportError
 from collabkit.ingest import (
+    CURSOR_START,
     Concept,
     OpenAlexClient,
     PageCache,
@@ -680,3 +688,132 @@ class TestHarvest:
         second = list(harvest(offline, "C100", ["C100", "C110"], 1971, 1975))
         assert first == second
         assert transport.calls == calls
+
+
+URL = "https://openalex.org/W"
+# Each is its own work. The canonical ones are URL and 1 to 18 ASCII digits
+# with no leading zero; the rest sit next to that form.
+ODD_IDS = [
+    URL + "1", "W1", URL + "01", "W01", URL + "0", "W0", URL, "W",
+    URL + "1" * 18, URL + "9" * 18, URL + "1" * 19, URL + "9" * 19,
+    URL + "12", URL + "\u0661\u0662", URL + "+1", URL + " 1", URL + "1_0",
+    URL + "10", URL + "1\x00", URL + "\u00b2", URL.upper() + "1",
+]
+work_ids = st.one_of(
+    st.sampled_from(ODD_IDS),
+    st.integers(1, 30).map(lambda n: f"{URL}{n}"),
+    st.integers(1, 10**18 - 1).map(lambda n: f"{URL}{n}"),
+    st.integers(0, 30).map(lambda n: f"W{n}"),
+)
+
+
+def _item(work_id, year=1990, journal=True):
+    return {
+        "id": work_id,
+        "publication_year": year,
+        "type": "journal-article" if journal else "preprint",
+        "authorships": [],
+    }
+
+
+# a null year makes the item malformed
+work_items = st.builds(_item, work_ids, st.sampled_from([1990, 1990, 1990, None]), st.booleans())
+
+
+def reference_harvest(pages, journal_only):
+    """Records, duplicates dropped and items skipped, deduplicating through a
+    set of the id strings."""
+    seen, records, dropped, skipped = set(), [], 0, 0
+    for works in pages:
+        for raw in works:
+            try:
+                record = work_from_metadata(raw, "C1")
+            except ValueError:
+                skipped += 1
+                continue
+            if record.work_id in seen:
+                dropped += 1
+                continue
+            seen.add(record.work_id)
+            if record.is_journal_article or not journal_only:
+                records.append(record)
+    return records, dropped, skipped
+
+
+def _page_chain(pages):
+    return ScriptedTransport(
+        [
+            _ok({"meta": {"next_cursor": f"c{i}" if i < len(pages) else None}, "results": works})
+            for i, works in enumerate(pages, 1)
+        ]
+    )
+
+
+class TestHarvestDeduplication:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(work_items, max_size=60), min_size=1, max_size=5), st.booleans())
+    # a malformed first occurrence leaves the id to a valid repeat
+    @example([[_item(URL + "1", year=None)], [_item(URL + "1"), _item("W1", year=None)]], False)
+    # the first of two repeats within a page wins, and is then filtered
+    @example([[_item(URL + "1", journal=False), _item(URL + "1")]], True)
+    # a leading zero or a non-ASCII digit makes another work
+    @example([[_item(URL + "1"), _item(URL + "01")]], False)
+    @example([[_item(URL + "12")], [_item(URL + "\u0661\u0662"), _item(URL + "12")]], False)
+    def test_matches_a_set_of_id_strings(self, pages, journal_only):
+        with tempfile.TemporaryDirectory() as tmp:
+            client = _client(_page_chain(pages), Path(tmp))
+            records = list(harvest(client, "C1", ["C1"], 1990, 1990, journal_only=journal_only))
+        expected, dropped, skipped = reference_harvest(pages, journal_only)
+        assert records == expected
+        assert client.ingest["duplicate_ids_dropped"] == dropped
+        assert client.ingest["malformed_items_skipped"] == skipped
+
+    def test_repeats_met_across_merged_runs(self, tmp_path):
+        # About 23,600 distinct ids: a repeat meets its first occurrence
+        # earlier on its page, in the batch not yet merged, or in one of the
+        # sorted runs that batches are merged into
+        rng = random.Random(3)
+        items = [
+            _item(f"{URL}{rng.randrange(1, 60_000)}", journal=rng.random() < 0.5)
+            for _ in range(30_000)
+        ]
+        pages = [items[i:i + 200] for i in range(0, len(items), 200)]
+        client = _client(_page_chain(pages), tmp_path)
+        records = list(harvest(client, "C1", ["C1"], 1990, 1990))
+        expected, dropped, _ = reference_harvest(pages, False)
+        assert records == expected
+        assert client.ingest["duplicate_ids_dropped"] == dropped
+
+    def test_seen_ids_cost_at_most_24_bytes_each(self, tmp_path):
+        # A canonical id costs 8 bytes once seen; a set of the id strings
+        # costs over 100. tracemalloc also traces numpy's buffers.
+        cache = PageCache(tmp_path / "cache")
+        numbers = random.Random(7).sample(range(10**9, 10**10), 25_000)
+        sizes = {1990: 5_000, 1991: 20_000}
+        for year, size in sizes.items():
+            query = WorksQuery(("C1",), year, year)
+            ids, numbers = [f"{URL}{n}" for n in numbers[:size]], numbers[size:]
+            cursor = CURSOR_START
+            for start in range(0, size, 200):
+                following = f"c{start + 200}" if start + 200 < size else None
+                works = [{"id": work_id, "publication_year": year} for work_id in ids[start:start + 200]]
+                body = json.dumps({"meta": {"next_cursor": following}, "results": works})
+                params = query_params(query, cursor)
+                cache.put(fingerprint("works", params), body.encode(), "works", params)
+                cursor = following
+
+        def drain(year):
+            for _ in harvest(OpenAlexClient(cache, None), "C1", ["C1"], year, year):
+                pass
+
+        def traced_peak(year):
+            tracemalloc.start()
+            try:
+                drain(year)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        drain(1990)  # whatever the first harvest sets up once is not counted
+        small, large = traced_peak(1990), traced_peak(1991)
+        assert (large - small) / (sizes[1991] - sizes[1990]) <= 24
