@@ -460,7 +460,7 @@ _DIGITS = 18
 _TENS = 10 ** np.arange(_DIGITS - 1, -1, -1, dtype=np.int64)
 # A canonical id padded with "0"s to _PADDED characters holds, column by
 # column, a byte from _LOWEST to _LOWEST + _SPAN: the URL, then 1-9, then 0-9.
-_PADDED = len(_WORK_URL) + _DIGITS
+_PADDED = len(_WORK_URL) + _DIGITS  # 40, so a row of bytes is five 8-byte words
 _LOWEST = np.frombuffer((_WORK_URL + "1".ljust(_DIGITS, "0")).encode(), np.uint8)
 _SPAN = np.array([0] * len(_WORK_URL) + [8] + [9] * (_DIGITS - 1), np.uint8)
 # the padding of an id of each length, as a power of ten
@@ -488,29 +488,23 @@ class _SeenWorkIds:
     @staticmethod
     def _numbers(ids: list[str]) -> np.ndarray:
         """Each id's number if it is canonical, else -1."""
-        # As a rule every id of a page is canonical, and a few array passes
-        # over the ids padded to one width show it.
+        # Each id padded with "0"s to _PADDED characters is one row of
+        # bytes, and the rows are checked and read all at once. A character
+        # outside ASCII is encoded as "?", so "²" or "١" is no digit.
         n = len(ids)
+        lengths = np.fromiter(map(len, ids), np.intp, n)
+        if n and lengths.max() > _PADDED:
+            # an id too long to be canonical is read as "", which is not
+            ids = [work_id if len(work_id) <= _PADDED else "" for work_id in ids]
         padded = "".join(map(str.ljust, ids, repeat(_PADDED), repeat("0")))
-        if padded.isascii() and len(padded) == _PADDED * n:  # none is longer
-            rows = np.frombuffer(padded.encode(), np.uint8).reshape(n, _PADDED) - _LOWEST
-            if (rows <= _SPAN).all():  # a byte below _LOWEST wraps round
-                lengths = np.fromiter(map(len, ids), np.intp, n)
-                # the first digit counts from 1
-                padded_numbers = rows[:, len(_WORK_URL):] @ _TENS + _TENS[0]
-                return padded_numbers // _PADDING[lengths]
-        numbers = []
-        for work_id in ids:
-            tail = work_id[len(_WORK_URL):]
-            canonical = (
-                work_id.startswith(_WORK_URL)
-                and tail.isascii()  # isdigit() takes "²", int() takes "١٢"
-                and tail.isdigit()  # int() takes "+1", " 1" and "1_0"
-                and tail[0] != "0"
-                and len(tail) <= _DIGITS
-            )
-            numbers.append(int(tail) if canonical else -1)
-        return np.array(numbers, np.int64)
+        rows = np.frombuffer(padded.encode("ascii", "replace"), np.uint8)
+        rows = rows.reshape(n, _PADDED) - _LOWEST  # a byte below _LOWEST wraps round
+        # a row is read as its five words: five steps a row, not 40
+        canonical = ~(rows > _SPAN).view(np.uint64).any(1)
+        # the first digit counts from 1
+        padded_numbers = rows[:, len(_WORK_URL):] @ _TENS + _TENS[0]
+        numbers = padded_numbers // _PADDING.take(lengths, mode="clip")
+        return np.where(canonical, numbers, -1)
 
     def firsts(self, ids: list[str]) -> list[bool]:
         """Whether each of ``ids`` is met here for the first time, earlier
@@ -568,10 +562,11 @@ def harvest(
     ``W1`` are two works. An id met is remembered until the stream ends: a
     canonical one (``https://openalex.org/W`` and 1 to 18 ASCII digits
     with no leading zero) in 8 bytes, any other as its string. Records
-    come page by page, and one decoded page is held at a time. An empty
-    year range yields nothing. The duplicates dropped and the items
-    skipped are counted in ``client.ingest``; nothing is logged. A key
-    outside VALID_KEYS raises ValueError before any page is read.
+    come page by page, and while the next page is read neither the last
+    decoded page nor its records are held here. An empty year range
+    yields nothing. The duplicates dropped and the items skipped are
+    counted in ``client.ingest``; nothing is logged. A key outside
+    VALID_KEYS raises ValueError before any page is read.
     """
     if key not in VALID_KEYS:  # else every item would be skipped as malformed
         raise ValueError(f"unknown aggregation key {key!r}")
@@ -591,6 +586,10 @@ def harvest(
         del page  # else it lives on while pages() decodes the next one
         firsts = seen.firsts(list(map(attrgetter("work_id"), records)))
         client.ingest["duplicate_ids_dropped"] += firsts.count(False)
-        for record in compress(records, firsts):
-            if record.is_journal_article or not journal_only:
-                yield record
+        kept = compress(records, firsts)
+        if journal_only:
+            kept = filter(attrgetter("is_journal_article"), kept)
+        # drained, the iterators let go of the page's records, so none of
+        # them lives on here while pages() decodes the next page
+        del records, firsts
+        yield from kept

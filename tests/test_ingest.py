@@ -665,18 +665,25 @@ class TestHarvest:
             return _ok({"meta": {"next_cursor": cursor}, "results": works})
 
         transport = ScriptedTransport([page(1, "c2"), page(2, "c3"), page(3, None)])
-        decoded = []
+        decoded, yielded = [], []
         alive_at_decode = []
 
         def parse(body):
-            alive_at_decode.append(sum(ref() is not None for ref in decoded))
+            alive = decoded + yielded
+            alive_at_decode.append(sum(ref() is not None for ref in alive))
             parsed = parse_works_page(body)
             decoded.append(weakref.ref(parsed))
             return parsed
 
         monkeypatch.setattr(ingest, "parse_works_page", parse)
-        records = list(harvest(_client(transport, tmp_path), "C1", ["C1"], 1990, 1990))
-        assert [r.work_id for r in records] == ["W10", "W11", "W20", "W21", "W30", "W31"]
+        work_ids = []
+        # the records are let go of as they come, so any that is alive
+        # when a page is decoded is held by harvest
+        for record in harvest(_client(transport, tmp_path), "C1", ["C1"], 1990, 1990):
+            work_ids.append(record.work_id)
+            yielded.append(weakref.ref(record))
+            del record
+        assert work_ids == ["W10", "W11", "W20", "W21", "W30", "W31"]
         assert alive_at_decode == [0, 0, 0]
 
     def test_deterministic_replay_from_cache(self, tmp_path):
@@ -759,6 +766,8 @@ class TestHarvestDeduplication:
     # a leading zero or a non-ASCII digit makes another work
     @example([[_item(URL + "1"), _item(URL + "01")]], False)
     @example([[_item(URL + "12")], [_item(URL + "\u0661\u0662"), _item(URL + "12")]], False)
+    # an id of 19 digits is not one of its first 18
+    @example([[_item(URL + "1" * 18), _item(URL + "1" * 19)]], False)
     def test_matches_a_set_of_id_strings(self, pages, journal_only):
         with tempfile.TemporaryDirectory() as tmp:
             client = _client(_page_chain(pages), Path(tmp))
