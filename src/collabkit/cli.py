@@ -46,6 +46,7 @@ from .errors import (
 from .fsio import StagedTree, json_text
 from .geometry import (
     IcdResult,
+    anchored_block,
     cut_clusters,
     distance_matrix,
     icd,
@@ -382,8 +383,18 @@ def _analyze_cell(
                 " comma, quote, Newick metacharacter or whitespace, which the CSV"
                 " and Newick outputs cannot carry"
             )
+    prefix = f"{discipline}/{period.label}"
     dm = distance_matrix(table, top)
     dend = ward_cluster(dm)
+    if stage in ("analyze", "all"):
+        staged.put(f"{prefix}/distances.csv", distance_matrix_to_csv(dm))
+    block = anchored_block(dm)
+    # the flag's factorisation copies the block and allocates its factor:
+    # the distances are dropped first, so the cell never holds more than
+    # three matrices at once
+    del dm
+    embeddable, embeddable_by = is_embeddable(block)
+    del block
     cut = cut_clusters(dend, config.h_star)
     h0 = "auto" if config.h0_mode == "auto" else 1.0
     result = icd(dend, h0)
@@ -391,13 +402,12 @@ def _analyze_cell(
     info = {
         "entities": len(top),
         "works": table.total_count,
-        "embeddable": is_embeddable(dm),
+        "embeddable": embeddable,
+        "embeddable_by": embeddable_by,
         "n_clusters": cut.n_clusters,
         "icd_mean": result.mean,
     }
-    prefix = f"{discipline}/{period.label}"
     if stage in ("analyze", "all"):
-        staged.put(f"{prefix}/distances.csv", distance_matrix_to_csv(dm))
         staged.put(f"{prefix}/dendrogram.newick", to_newick(dend))
         staged.put(f"{prefix}/merges.json", merges_to_json(dend))
         staged.put(f"{prefix}/chord.csv", chord_to_csv(table, top))

@@ -21,7 +21,9 @@ from .errors import InvalidH0
 MERGE_TIE_EPS = 1e-12
 
 # Eigenvalues below -EMBED_CLAMP_REL * lambda_max mark a non-embeddable
-# matrix; anything negative is clamped to zero either way.
+# matrix; anything negative is clamped to zero either way. ``is_embeddable``
+# certifies the flag when a Cholesky factorisation's backward error fits in
+# half of this margin, and leaves the other half to eigvalsh's own rounding.
 EMBED_CLAMP_REL = 1e-9
 
 # Auto ceiling for the log rescaling: just above the tallest merge.
@@ -142,15 +144,30 @@ class Embedding:
         return np.sqrt((diff**2).sum(axis=2))
 
 
-def _anchored_gram(dm: DistanceMatrix) -> np.ndarray:
-    """G_ij = (d(1,j)^2 + d(i,1)^2 - d(i,j)^2) / 2, built with two n x n
-    arrays alive at most."""
-    sq = np.square(dm.values)
-    gram = np.add.outer(sq[:, 0], sq[0])
-    gram -= sq
-    del sq
-    gram /= 2.0
+def anchored_block(dm: DistanceMatrix) -> np.ndarray:
+    """The anchored Gram matrix without the anchor's row and column, which
+    are exact zeros: B_ij = ((d(i,1)^2 + d(1,j)^2) - d(i,j)^2) / 2 for
+    i, j > 1, the same doubles as that expression over the whole matrix,
+    built with two (n-1) x (n-1) arrays alive at most besides the
+    distances."""
+    v = dm.values
+    block = np.add.outer(np.square(v[1:, 0]), np.square(v[0, 1:]))
+    block -= np.square(v[1:, 1:])
+    block /= 2.0
+    return block
+
+
+def _bordered(block: np.ndarray) -> np.ndarray:
+    """The anchored Gram matrix of ``block``: its zero row and column added
+    back in front."""
+    gram = np.zeros((len(block) + 1,) * 2)
+    gram[1:, 1:] = block
     return gram
+
+
+def _anchored_gram(dm: DistanceMatrix) -> np.ndarray:
+    """G_ij = (d(1,j)^2 + d(i,1)^2 - d(i,j)^2) / 2."""
+    return _bordered(anchored_block(dm))
 
 
 def _embeddable(evals: np.ndarray) -> bool:
@@ -160,9 +177,42 @@ def _embeddable(evals: np.ndarray) -> bool:
     return bool(evals.min() >= -EMBED_CLAMP_REL * lam_max)
 
 
-def is_embeddable(dm: DistanceMatrix) -> bool:
-    """``euclidean_embedding(dm).embeddable`` from the eigenvalues alone."""
-    return _embeddable(np.linalg.eigvalsh(_anchored_gram(dm)))
+def is_embeddable(block: np.ndarray) -> tuple[bool, str]:
+    """``euclidean_embedding(dm).embeddable`` from ``anchored_block(dm)``,
+    with the computation that decided it: "cholesky" or "eigvalsh".
+
+    A Cholesky factorisation of the n x n block B that runs to completion
+    is exact for B + E with |E| <= gamma |R^T| |R|, gamma = (n+1)u / (1 -
+    (n+1)u) and u the unit roundoff (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, Thm 10.3). B + E = R^T R is positive
+    semidefinite, so lambda_min(B) >= -||E||_2 >= -gamma trace(B) / (1 -
+    gamma). The flag is True when that lies within half of its margin,
+    EMBED_CLAMP_REL times a lower bound on lambda_max(B): B's largest
+    diagonal entry or its all-ones Rayleigh quotient, whichever is larger.
+    Otherwise, or when the factorisation fails, the flag is read from
+    eigvalsh of the anchored Gram matrix, the same doubles that
+    ``euclidean_embedding`` decomposes, so a False flag is always an
+    eigenvalue's verdict: the Jaccard distance need not be Euclidean
+    (Gower & Legendre 1986, J. Classification 3:5-48).
+
+    Besides the block, the factorisation holds two arrays of its size and
+    the fallback two of the Gram matrix's size.
+    """
+    n = len(block)
+    u = np.finfo(float).eps / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    diagonal = np.diagonal(block)
+    lam_lo = max(float(diagonal.max(initial=0.0)), float(block.sum()) / max(n, 1))
+    if lam_lo > 0 and gamma * float(diagonal.sum()) / (1 - gamma) <= (
+        EMBED_CLAMP_REL * lam_lo / 2
+    ):
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return True, "cholesky"
+    return _embeddable(np.linalg.eigvalsh(_bordered(block))), "eigvalsh"
 
 
 def euclidean_embedding(dm: DistanceMatrix) -> Embedding:

@@ -309,18 +309,23 @@ def distance_matrix_to_csv(dm: DistanceMatrix) -> Iterator[str]:
     """Lower-triangle CSV of a distance matrix, one row per pair.
 
     Each distinct distance is formatted once, when first met; most pairs
-    of a large selection never co-publish and share the distance 1. Rows
-    are read one matrix row at a time as the blocks are drawn, so no
-    n^2-sized copy or text is made.
+    of a large selection never co-publish and share the distance 1. Each
+    block after the header is one matrix row's lines, joined once from
+    the names' ``"name,"`` texts and the distances' texts as the blocks
+    are drawn, so no n^2-sized copy or text is made.
     """
+    yield "entity_a,entity_b,distance\n"
     text = _FloatTexts()
-    ents = dm.entities
-    rows = (
-        f"{a},{b},{text[bits]}"
-        for i, a in enumerate(ents)
-        for b, bits in zip(ents, dm.values[i, :i].view(np.int64).tolist())
-    )
-    return _csv("entity_a,entity_b,distance", rows)
+    heads = [f"{name}," for name in dm.entities]
+    for i in range(1, len(heads)):
+        # line k is pieces[3k:3k+3]: this row's name, the k-th name and
+        # their distance, each line but the first led by a newline
+        pieces = [f"\n{heads[i]}"] * (3 * i)
+        pieces[0] = heads[i]
+        pieces[1::3] = heads[:i]
+        pieces[2::3] = map(text.__getitem__, dm.values[i, :i].view(np.int64).tolist())
+        pieces.append("\n")
+        yield "".join(pieces)
 
 
 def series_to_csv(collection: Sequence[YearSeries]) -> Iterator[str]:

@@ -19,6 +19,7 @@ from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -564,11 +565,13 @@ class TestRun:
                 "entities",
                 "works",
                 "embeddable",
+                "embeddable_by",
                 "n_clusters",
                 "icd_mean",
                 "masked_points",
             }
             assert isinstance(info["embeddable"], bool)
+            assert info["embeddable_by"] in ("cholesky", "eigvalsh")
             assert info["entities"] >= 2
             assert info["n_clusters"] >= 1
 
@@ -678,6 +681,43 @@ class TestRun:
         assert len(outputs) == files
         digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode("utf-8"))
         assert digest.hexdigest() == sha256
+
+    @pytest.mark.parametrize("key", sorted(FIXTURE_OUTPUTS))
+    def test_fixture_flags_are_certified(self, fixture_config, tmp_path, key):
+        # the eigvalsh fallback would give the same flags and bytes, so only
+        # the manifest tells that the factorisation decided every cell
+        config = replace(fixture_config, out_dir=str(tmp_path), key=key)
+        _, manifest = run(config, mode="fixtures", stage="all")
+        cells = manifest["cells"]
+        assert len(cells) == 8
+        assert {info["embeddable_by"] for info in cells.values()} == {"cholesky"}
+
+    @pytest.mark.parametrize("stage", ["analyze", "report"])
+    def test_no_distances_alive_while_factorising(
+        self, fixture_config, tmp_path, monkeypatch, stage
+    ):
+        # the factorisation's two working copies take the distance matrix's
+        # place: no DistanceMatrix of the cell, nor its values, outlives
+        # its last use
+        made = []
+        factorised = []
+        build, cholesky = cli.distance_matrix, np.linalg.cholesky
+
+        def tracked_build(*args):
+            dm = build(*args)
+            made.append((weakref.ref(dm), weakref.ref(dm.values)))
+            return dm
+
+        def checked_cholesky(a):
+            factorised.append([ref() is None for pair in made for ref in pair])
+            return cholesky(a)
+
+        monkeypatch.setattr(cli, "distance_matrix", tracked_build)
+        monkeypatch.setattr(np.linalg, "cholesky", checked_cholesky)
+        config = replace(fixture_config, disciplines=("C100",), out_dir=str(tmp_path))
+        run(config, mode="fixtures", stage=stage)
+        assert len(factorised) == len(made) == 4
+        assert all(all(dead) for dead in factorised)
 
     def test_run_leaves_only_its_files(self, fixtures_run):
         _, manifest, out = fixtures_run

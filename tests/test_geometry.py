@@ -17,11 +17,14 @@ from hypothesis import strategies as st
 from collabkit.corpus import PAIR_SHIFT, CountTable, Period, count_years
 from collabkit.errors import InvalidH0
 from collabkit.geometry import (
+    EMBED_CLAMP_REL,
     _anchored_gram,
+    _embeddable,
     Dendrogram,
     DistanceMatrix,
     Merge,
     affinity,
+    anchored_block,
     cut_clusters,
     distance_matrix,
     euclidean_embedding,
@@ -167,6 +170,20 @@ class TestDistanceMatrix:
         assert "".join(distance_matrix_to_csv(dm)) == distance_csv_reference(dm)
         assert "B,A,-0\n" in distance_csv_reference(dm)
 
+    def test_csv_rows_of_unequal_names(self):
+        # one block per matrix row after the header: the second row holds
+        # one pair, and a one-entity matrix holds none
+        values = np.array(
+            [[0, 0.5, 1, 0.25], [0.5, 0, 1, 1], [1, 1, 0, 1 / 3], [0.25, 1, 1 / 3, 0]]
+        )
+        dm = DistanceMatrix(("A", "BBBBBB", "CC", "DDDD"), values)
+        blocks = list(distance_matrix_to_csv(dm))
+        assert "".join(blocks) == distance_csv_reference(dm)
+        assert blocks[1] == "BBBBBB,A,0.5\n"
+        assert blocks[3] == "DDDD,A,0.25\nDDDD,BBBBBB,1\nDDDD,CC,0.333333\n"
+        one = DistanceMatrix(("SOLO",), np.zeros((1, 1)))
+        assert list(distance_matrix_to_csv(one)) == [distance_csv_reference(one)]
+
     def test_joint_count_above_marginal(self):
         table = CountTable(
             "D1", Period("2000", 2000, 2000), names=("AA", "BB"),
@@ -290,9 +307,66 @@ class TestEmbedding:
             sets = random_corpus(rng, n_works=rng.randint(20, 120), pool=pool)
             present = sorted({c for s in sets for c in s})
             matrices.append(distance_matrix(table_from_sets(sets), present))
-        flags = [is_embeddable(dm) for dm in matrices]
+        flags = [is_embeddable(anchored_block(dm))[0] for dm in matrices]
         assert flags == [euclidean_embedding(dm).embeddable for dm in matrices]
         assert True in flags and False in flags
+
+    @given(st.randoms(use_true_random=True))
+    def test_flag_on_count_tables_matches_eigenvalues(self, rng):
+        pool = tuple(f"I{i:03d}" for i in range(rng.randint(1, 40)))
+        sets = random_corpus(
+            rng, n_works=rng.randint(1, 200), pool=pool, max_team=rng.randint(1, 6)
+        )
+        present = sorted({c for s in sets for c in s})
+        if not present:
+            return
+        entities = rng.sample(present, rng.randint(1, len(present)))
+        dm = distance_matrix(table_from_sets(sets), entities)
+        flag, _ = is_embeddable(anchored_block(dm))
+        assert flag == _embeddable(np.linalg.eigvalsh(_anchored_gram(dm)))
+
+    @given(
+        n=st.integers(2, 31),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        ratio=st.sampled_from([-2.0, -0.5, 0.5, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flag_at_the_threshold(self, n, scale, ratio, seed):
+        # Q diag(lambda) Q^T with lambda_min at ratio times the flag's
+        # threshold: a block at -2x is not embeddable, and only one with a
+        # positive lambda_min is certified
+        rng = np.random.default_rng(seed)
+        lam = np.concatenate(
+            [[scale, ratio * EMBED_CLAMP_REL * scale], rng.uniform(0.0, scale, n - 2)]
+        )
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        block = (q * lam) @ q.T
+        block = (block + block.T) / 2.0
+        flag, by = is_embeddable(block)
+        gram = np.zeros((n + 1, n + 1))
+        gram[1:, 1:] = block
+        assert flag == _embeddable(np.linalg.eigvalsh(gram)) == (ratio > -1.0)
+        assert by == ("cholesky" if ratio > 0 else "eigvalsh")
+
+    def test_star_takes_the_fallback_on_the_full_gram(self, monkeypatch):
+        # the star is not embeddable: its block has no Cholesky factor, and
+        # eigvalsh sees the whole anchored Gram matrix, byte for byte
+        star = np.full((4, 4), 1.0) - np.eye(4)
+        star[0, 1:] = star[1:, 0] = 0.5
+        dm = _named_matrix(star)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.copy())
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        assert is_embeddable(anchored_block(dm)) == (False, "eigvalsh")
+        (gram,) = seen
+        expected = anchored_gram_reference(dm.values)
+        assert gram.shape == expected.shape
+        assert gram.tobytes() == expected.tobytes()
 
 
 class TestWard:
