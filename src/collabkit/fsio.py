@@ -1,6 +1,5 @@
 """File writes shared by the cache and the exporters: one streaming writer,
-the atomic rename over it, the staged output tree, and the one indented
-JSON layout they write."""
+the staged output tree, and the one indented JSON layout they write."""
 
 from __future__ import annotations
 
@@ -8,9 +7,12 @@ import hashlib
 import math
 import os
 import shutil
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable
+
+from .errors import ConfigError
 
 STAGING_PREFIX = ".collabkit-staging-"
 
@@ -36,36 +38,19 @@ def write_new(path: Path, blocks: Blocks) -> str:
                 digest.update(block)
                 fh.write(block)
     except BaseException:
-        _remove(path)
+        with suppress(OSError):
+            os.unlink(path)
         raise
     return digest.hexdigest()
-
-
-def _remove(path: Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
-
-
-def write_bytes_atomic(path: Path, payload: Blocks) -> str:
-    """``write_new`` into a sibling temp file, then rename it over ``path``,
-    so readers never see a half-written file; returns the sha256."""
-    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
-    digest = write_new(tmp, payload)
-    try:
-        os.replace(tmp, path)
-    except BaseException:
-        _remove(tmp)
-        raise
-    return digest
 
 
 class StagedTree:
     """Files bound for ``root``, written into a staging directory inside it
     and moved into place only by ``commit``.
 
-    Nothing is made on disk before the first ``put``. ``commit`` renames
+    The first existing path at or above ``root`` must be a directory, or
+    the tree raises ConfigError when it is built. Nothing is made on disk
+    before the first ``put``. ``commit`` renames
     each staged file over its place under ``root``, one at a time, in
     sorted order, with ``manifest.json`` last, then removes the staging
     directory. ``discard`` removes the staging directory, and ``root``
@@ -81,14 +66,22 @@ class StagedTree:
         self._made: Path | None = None  # the topmost directory put made, if any
         self._dirs: set[str] = set()  # staged directories, relative to staging
         self.digests: dict[str, str] = {}  # relative path -> sha256 of the staged file
+        top = self._topmost_missing()
+        found = top.parent if top else self.root  # the first existing path
+        if not found.is_dir():
+            raise ConfigError(f"out_dir {self.root}: {found} exists and is not a directory")
 
-    def _open(self) -> Path:
+    def _topmost_missing(self) -> Path | None:
+        """The topmost missing path at or above ``root``, None if it exists."""
         top = None
         for path in (self.root, *self.root.parents):
-            if path.exists():
-                break
+            if os.path.lexists(path):  # a dangling symlink too
+                return top
             top = path
-        self._made = top
+        return top
+
+    def _open(self) -> Path:
+        self._made = self._topmost_missing()
         self.root.mkdir(parents=True, exist_ok=True)
         self.staging = self.root / f"{STAGING_PREFIX}{os.urandom(6).hex()}"
         self.staging.mkdir()

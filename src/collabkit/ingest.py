@@ -3,8 +3,8 @@ fingerprinted page cache, and a polite rate-limited client.
 
 Every page request is identified by a fingerprint of its canonical query,
 and responses are cached verbatim on disk, so a harvest replayed against a
-warm cache touches the network zero times and yields identical records. A
-cached page is served only if it still matches the sha256 in its sidecar.
+warm cache touches the network zero times and yields identical records. Only
+``PageCache`` reads or writes a cached page, and it serves only verified ones.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import COUNTRY_KEY, VALID_KEYS, WorkRecord, work_from_metadata
 from .errors import ConfigError, MissingFixtures, ParseError, TransportError
-from .fsio import json_text, write_bytes_atomic, write_new
+from .fsio import json_text, write_new
 
 OPENALEX_BASE = "https://api.openalex.org"
 MAILTO_ENV = "OPENALEX_MAILTO"
@@ -132,9 +132,9 @@ def fingerprint(endpoint: str, params: Mapping[str, str]) -> str:
 
 
 class PageCache:
-    """Verbatim response store: <fingerprint>.json plus a .meta.json
-    sidecar describing the request that produced it and the sha256 of
-    the stored bytes."""
+    """Verbatim response store, and the only code that reads or writes it:
+    <fingerprint>.json plus a .meta.json sidecar describing the request
+    that produced it and the sha256 of the stored bytes."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -146,12 +146,23 @@ class PageCache:
     def sidecar_for(self, fp: str) -> Path:
         return self.root / f"{fp}.meta.json"
 
-    def get(self, fp: str) -> bytes | None:
-        path = self.path_for(fp)
+    def get(self, fp: str) -> tuple[bytes, dict] | None:
+        """The stored page and its sidecar, or None if no page is stored. A
+        page with no readable sidecar, or another sha256, raises ParseError."""
+        page = self.path_for(fp)
         try:
-            return path.read_bytes()
+            body = page.read_bytes()
         except FileNotFoundError:
             return None
+        sidecar = self.meta(fp)
+        if sidecar is None:
+            raise ParseError(
+                f"cached page {fp} has no readable sidecar"
+                f" {self.sidecar_for(fp)}; delete {page} and fetch it again online"
+            )
+        if sidecar.get("sha256") != hashlib.sha256(body).hexdigest():
+            raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
+        return body, sidecar
 
     def meta(self, fp: str) -> dict | None:
         """The page's sidecar, or None if it is missing or unreadable."""
@@ -165,25 +176,27 @@ class PageCache:
         """Store a page and its sidecar; returns the sha256 recorded there.
         The cache directory is made on the first put.
 
-        The sidecar is renamed into place before the page, so a write cut
-        short leaves at most a sidecar without its page, which is a miss.
+        Both are written under temp names, ``.<name>.<12 hex>``, and the
+        sidecar is renamed into place first, so a write cut short leaves at
+        most a sidecar without its page, which is a miss. A failed put
+        removes its temp files.
         """
         if not self._root_made:
             self.root.mkdir(parents=True, exist_ok=True)
             self._root_made = True
-        page = self.path_for(fp)
-        tmp = page.parent / f".{page.name}.{os.urandom(6).hex()}"
-        digest = write_new(tmp, payload)
+        page, sidecar = self.path_for(fp), self.sidecar_for(fp)
+        page_tmp, sidecar_tmp = (
+            path.parent / f".{path.name}.{os.urandom(6).hex()}" for path in (page, sidecar)
+        )
         try:
-            meta = {
-                "endpoint": endpoint,
-                "params": dict(params),
-                "sha256": digest,
-            }
-            write_bytes_atomic(self.sidecar_for(fp), json_text(meta) + "\n")
-            os.replace(tmp, page)
+            digest = write_new(page_tmp, payload)
+            meta = {"endpoint": endpoint, "params": dict(params), "sha256": digest}
+            write_new(sidecar_tmp, json_text(meta) + "\n")
+            os.replace(sidecar_tmp, sidecar)
+            os.replace(page_tmp, page)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            page_tmp.unlink(missing_ok=True)
+            sidecar_tmp.unlink(missing_ok=True)
             raise
         return digest
 
@@ -337,7 +350,9 @@ class OpenAlexClient:
     raises MissingFixtures instead of touching the network. The contact
     address in ``OPENALEX_MAILTO`` is added only to the request sent, never
     to the fingerprint or the sidecar, so cached pages are shared across
-    contact addresses. ``ingest`` counts what it read, keyed and shaped as
+    contact addresses. ``PageCache.get`` verifies each cached page, so the
+    client holds no check of the cache's files. ``consumed`` maps each page
+    read to its sha256; ``ingest`` counts what it read, keyed and shaped as
     the manifest's ``ingest`` stanza.
     """
 
@@ -368,26 +383,17 @@ class OpenAlexClient:
     def _fetch(self, endpoint: str, params: Mapping[str, str], decode: Callable[[bytes], T]) -> T:
         """The page for one request, as ``decode`` returns it.
 
-        A cached page must match the sha256 in its sidecar. A downloaded
+        A cached page is served as ``cache.get`` verified it. A downloaded
         page is cached only once ``decode`` has accepted it.
         """
         fp = fingerprint(endpoint, params)
         cached = self.cache.get(fp)
         if cached is not None:
-            digest = hashlib.sha256(cached).hexdigest()
-            meta = self.cache.meta(fp)
-            if meta is None:
-                raise ParseError(
-                    f"cached page {fp} has no readable sidecar"
-                    f" {self.cache.sidecar_for(fp)}; delete {self.cache.path_for(fp)}"
-                    " and fetch it again online"
-                )
-            if meta.get("sha256") != digest:
-                raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
-            self.consumed[fp] = digest
+            body, sidecar = cached
+            self.consumed[fp] = sidecar["sha256"]
             self.ingest["pages_from_cache"] += 1
             try:
-                return decode(cached)
+                return decode(body)
             except ParseError as exc:
                 raise ParseError(f"cached page {fp}: {exc}") from exc
         if self.transport is None:

@@ -1282,6 +1282,32 @@ class TestMain:
             "error": error.__name__, "exit_code": code, "message": "injected"
         }
 
+    @pytest.mark.parametrize("stage", cli.STAGES)
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_dir_that_cannot_be_a_directory(
+        self, tmp_path, fixture_cache_dir, capsys, monkeypatch, stage, under
+    ):
+        # an out_dir at or under a file is a config error, found before any
+        # page is read, in every stage, harvest too
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept")
+        out = blocker / "sub" if under else blocker
+        path = _write_config(tmp_path, fixture_cache_dir, out_dir=str(out))
+        read = []
+        get = PageCache.get
+        monkeypatch.setattr(PageCache, "get", lambda cache, fp: read.append(fp) or get(cache, fp))
+        before = tree_snapshot(tmp_path)
+        assert main([stage, "--config", path, "--offline"]) == EXIT_CONFIG
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.count("\n") == 1
+        assert json.loads(printed.err) == {
+            "error": "ConfigError",
+            "exit_code": 1,
+            "message": f"out_dir {out}: {blocker} exists and is not a directory",
+        }
+        assert read == []
+        assert tree_snapshot(tmp_path) == before
+
     def test_root_of_wrong_level_is_a_config_error(self, tmp_path, fixture_cache_dir, capsys):
         # C110 is cached, but a level-2 concept cannot root a discipline
         path = _write_config(tmp_path, fixture_cache_dir, disciplines=["C110"])
@@ -1557,44 +1583,61 @@ class TestMain:
         }
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("failing", [0, 1], ids=["sidecar-rename", "page-rename"])
+    @pytest.mark.parametrize(
+        "failing", ["page-write", "sidecar-write", "sidecar-rename", "page-rename"]
+    )
     def test_interrupted_put_leaves_a_miss(
         self, tmp_path, fixture_cache_dir, capsys, monkeypatch, failing
     ):
-        # the put of a works page fails at its sidecar's rename, then at
-        # its page's: no page is left without a sidecar that matches it,
+        # the put of a works page fails part way through writing its page or
+        # its sidecar, at its sidecar's rename, or at its page's: no temp
+        # file and no page without a sidecar that matches it is left,
         # offline the page is missing, and online it is fetched again
         shutil.copytree(fixture_cache_dir, tmp_path / "cache")
         cache = PageCache(tmp_path / "cache")
         fp = next(fp for fp in cache.fingerprints() if cache.meta(fp)["endpoint"] == "works")
-        body, meta = cache.get(fp), cache.meta(fp)
+        body, meta = cache.get(fp)
         cache.path_for(fp).unlink()
         cache.sidecar_for(fp).unlink()
-        renamed = []
+        steps = ["page-write", "sidecar-write", "sidecar-rename", "page-rename"]
+        begun = []  # the name each step wrote or renamed to, the failing one too
+
+        def cut_short(blocks):
+            yield blocks[:7]
+            raise OSError("interrupted")
+
+        def write_new(path, blocks):
+            begun.append(Path(path).name)
+            if steps[len(begun) - 1] == failing:
+                blocks = cut_short(blocks)
+            return real_write_new(path, blocks)
 
         def replace(src, dst):
-            if len(renamed) == failing:
+            begun.append(Path(dst).name)
+            if steps[len(begun) - 1] == failing:
                 raise OSError("interrupted")
-            renamed.append(Path(dst).name)
             os_replace(src, dst)
 
-        os_replace = os.replace
+        os_replace, real_write_new = os.replace, ingest.write_new
         with monkeypatch.context() as patch:
             patch.setattr(os, "replace", replace)
+            patch.setattr(ingest, "write_new", write_new)
             with pytest.raises(OSError, match="interrupted"):
                 cache.put(fp, body, meta["endpoint"], meta["params"])
+        names = [rf"\.{fp}\.json\.[0-9a-f]{{12}}", rf"\.{fp}\.meta\.json\.[0-9a-f]{{12}}"]
+        names += [rf"{fp}\.meta\.json", rf"{fp}\.json"]
+        assert len(begun) == steps.index(failing) + 1
+        assert all(re.fullmatch(name, got) for name, got in zip(names, begun)), begun
         for page in cache.fingerprints():
-            digest = hashlib.sha256(cache.get(page)).hexdigest()
-            assert (cache.meta(page) or {}).get("sha256") == digest, page
+            assert cache.get(page) is not None, page  # it raises for a page its sidecar refuses
         assert not [p for p in cache.root.iterdir() if p.name.startswith(".")]
-        assert renamed == [f"{fp}.meta.json"][:failing]
 
         path = _write_config(tmp_path, cache.root, disciplines=["C100", "C200"], rate_limit=1e9)
         assert main(["all", "--config", path, "--offline"]) == EXIT_TRANSPORT
         assert json.loads(capsys.readouterr().err)["error"] == "MissingFixtures"
         monkeypatch.setattr(ingest, "RequestsTransport", SyntheticOpenAlexTransport)
         assert main(["all", "--config", path]) == EXIT_OK
-        assert cache.get(fp) == body and cache.meta(fp) == meta
+        assert cache.get(fp) == (body, meta)
 
     @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
     def test_harvest_says_what_it_did(

@@ -1,0 +1,467 @@
+"""End-to-end oracle: small OpenAlex-shaped corpora, drawn by Hypothesis,
+run through ``all`` online into an empty cache and then offline from it.
+
+Both runs must give the same outputs, and every file is rebuilt here from
+the raw work items alone, in plain Python: no collabkit function computes
+an expected value. Floats are compared as the files write them, at %.6g.
+Ward's merges are checked by a Lance-Williams replay of ``merges.json``,
+which accepts any minimal pair, so a changed tie break is
+``tests/test_geometry.py``'s to catch.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import re
+import tempfile
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from collabkit import ingest
+from collabkit.cli import EXIT_OK, EXIT_TRANSPORT, main
+from collabkit.ingest import TransportResponse
+
+ROOT = "C100"
+FIRST_YEAR = 2001
+MISSING = object()  # a key left out of its object
+
+FMT = "%.6g"
+# the auto ceiling of the ICD rescaling: just above the tallest merge
+H0_REL, H0_ABS = 1e-6, 1e-9
+# the slack within which two Ward criteria are one minimum
+TIE_REL = 1e-12
+JOURNAL_TYPES = ("journal-article", "article")
+OTHER = "__other__"
+CELL_FILES = (
+    "distances.csv", "dendrogram.newick", "merges.json", "chord.csv", "icd.csv",
+    "series.csv", "volumes.csv", "bilateral.csv", "dendrogram.svg",
+)
+
+# (country_code, ror) of the entities the corpora draw from; the bare ROR
+# id and a lower-case country code name the same entity as the full forms
+ENTITIES = (
+    ("US", "https://ror.org/0us1"), ("DE", "https://ror.org/0de1"),
+    ("FR", "https://ror.org/0fr1"), ("GB", "0gb1"), ("JP", "https://ror.org/0jp1"),
+    ("CN", "https://ror.org/0cn1"), ("BR", "0br1"),
+)
+COUNTRY_CODES = [c for c, _ in ENTITIES] * 3 + ["us", "de", "jp", "", " ", None, MISSING]
+ROR_CODES = [r for _, r in ENTITIES] * 3 + ["0de1", "https://ror.org/", "", None, MISSING]
+BAD_CODES = [5, 0, False, [], {}]
+BAD_LISTS = [0, False, "", {}]
+WORK_IDS = [f"https://openalex.org/W{n}" for n in range(1, 81)] + ["W7", "https://openalex.org/W07"]
+
+
+def _weighted(common, rare, one_in=25):
+    """One of ``common``, or one in ``one_in`` times one of ``rare``."""
+    return st.integers(0, one_in - 1).flatmap(
+        lambda k: st.sampled_from(rare if k == 0 else common)
+    )
+
+
+def _object(**fields):
+    return {name: value for name, value in fields.items() if value is not MISSING}
+
+
+institutions = st.builds(
+    _object,
+    country_code=_weighted(COUNTRY_CODES, BAD_CODES, 40),
+    ror=_weighted(ROR_CODES, BAD_CODES, 40),
+)
+authorships = _weighted(
+    [st.builds(_object, institutions=st.lists(institutions, max_size=3))] * 8,
+    [st.just(7)] + [st.just(_object(institutions=v)) for v in (MISSING, None, *BAD_LISTS)],
+    15,
+).flatmap(lambda strategy: strategy)
+
+
+@st.composite
+def work_items(draw, years):
+    if draw(st.integers(0, 40)) == 0:
+        return draw(st.sampled_from([5, "W1", None, []]))
+    kind = draw(_weighted([True] * 8, [MISSING, None, []] + BAD_LISTS, 15))
+    return _object(
+        id=draw(_weighted(WORK_IDS, [None, "", 5, MISSING], 40)),
+        publication_year=draw(_weighted(years, ["2001", True, None, MISSING, 2001.0], 40)),
+        type=draw(
+            _weighted(
+                ["journal-article"] * 4
+                + ["article", "Journal-Article", "preprint", "dataset", None, MISSING],
+                [0, False, [], {}],
+                25,
+            )
+        ),
+        authorships=draw(st.lists(authorships, max_size=4)) if kind is True else kind,
+    )
+
+
+@st.composite
+def corpora(draw):
+    """(pages of raw work items, config fields) for one discipline over
+    two or three adjacent periods, with items one year outside them."""
+    periods, start = [], FIRST_YEAR
+    for length in draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)):
+        end = start + length - 1
+        periods.append({"label": f"{start}-{end}", "year_from": start, "year_to": end})
+        start = end + 1
+    years = list(range(FIRST_YEAR - 1, start + 1))
+    pages = []
+    for _ in range(draw(st.integers(2, 6))):
+        size = draw(st.integers(0, 40))
+        pages.append(draw(st.lists(work_items(years), min_size=size, max_size=size)))
+    # each period holds a journal article by two entities, so every cell
+    # has two entities to compare under either key
+    for i, period in enumerate(periods):
+        pair = draw(st.lists(st.sampled_from(ENTITIES), min_size=2, max_size=2, unique=True))
+        item = {
+            "id": f"https://openalex.org/W9{i}",
+            "publication_year": draw(
+                st.integers(period["year_from"], period["year_to"])
+            ),
+            "type": "journal-article",
+            "authorships": [
+                {"institutions": [{"country_code": c, "ror": r}]} for c, r in pair
+            ],
+        }
+        page = pages[draw(st.integers(0, len(pages) - 1))]
+        page.insert(draw(st.integers(0, len(page))), item)
+    config = {
+        "disciplines": [ROOT],
+        "periods": periods,
+        "key": draw(st.sampled_from(["country", "institution"])),
+        "journal_only": draw(st.booleans()),
+        "top_n": draw(st.integers(2, 8)),
+        "min_volume": draw(st.integers(0, 3)),
+        "h_star": draw(st.sampled_from([0.55, 0.95, 1.005, 1.3])),
+        "rate_limit": 1e9,
+    }
+    return pages, config
+
+
+class CorpusTransport:
+    """One discipline root with no related concepts, and ``pages`` as one
+    works chain at the cursors "*", "c1", "c2", ...; the page at
+    ``lost_cursor`` has no next_cursor in its meta."""
+
+    def __init__(self, pages, lost_cursor=None):
+        self.pages = pages
+        self.lost_cursor = lost_cursor
+
+    def get(self, url, params):
+        path = url.split("api.openalex.org/", 1)[-1]
+        if path == f"concepts/{ROOT}":
+            doc = {"id": f"https://openalex.org/{ROOT}", "level": 1, "related_concepts": []}
+        elif path == "works":
+            cursor = params["cursor"]
+            k = 0 if cursor == "*" else int(cursor[1:])
+            meta = {"next_cursor": f"c{k + 1}" if k + 1 < len(self.pages) else None}
+            if k == self.lost_cursor:
+                del meta["next_cursor"]
+            doc = {"meta": meta, "results": self.pages[k]}
+        else:
+            return TransportResponse(404, b"{}")
+        return TransportResponse(200, json.dumps(doc).encode())
+
+
+def _main(argv, transport=None) -> tuple[int, str]:
+    """main's exit status and stderr; online runs get ``transport``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with mock.patch.object(ingest, "RequestsTransport", lambda: transport):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+# ---- the oracle: plain Python over the raw items ---------------------------
+
+
+def read_item(item, field):
+    """(id, year, entity set, journal article?) of a well-formed work item,
+    reading the codes in ``field``; None for a malformed one."""
+    if not isinstance(item, dict):
+        return None
+    work_id, year, wtype = item.get("id"), item.get("publication_year"), item.get("type")
+    if not (isinstance(work_id, str) and work_id) or type(year) is not int:
+        return None
+    if wtype is not None and not isinstance(wtype, str):
+        return None
+    entities = set()
+    for authorship in _entries(item.get("authorships")):
+        if not isinstance(authorship, dict):
+            return None
+        for inst in _entries(authorship.get("institutions")):
+            if not isinstance(inst, dict):
+                return None
+            code = inst.get(field)
+            if code is None:
+                continue
+            if not isinstance(code, str):
+                return None
+            code = code.upper() if field == "country_code" else code.split("/")[-1]
+            if code.strip():
+                entities.add(code)
+    return work_id, year, frozenset(entities), (wtype or "").lower() in JOURNAL_TYPES
+
+
+def _entries(value):
+    """A list field's entries: none for null, [None] (malformed) for a non-list."""
+    if value is None:
+        return []
+    return value if isinstance(value, list) else [None]
+
+
+def harvested(pages, key, journal_only):
+    """The works a harvest keeps, and its malformed and duplicate counts."""
+    field = "country_code" if key == "country" else "ror"
+    seen, works, malformed, duplicates = set(), [], 0, 0
+    for page in pages:
+        for item in page:
+            work = read_item(item, field)
+            if work is None:
+                malformed += 1
+            elif work[0] in seen:
+                duplicates += 1
+            else:
+                seen.add(work[0])
+                if work[3] or not journal_only:
+                    works.append(work)
+    return works, malformed, duplicates
+
+
+class Tally:
+    """Counts of the works published in ``years``."""
+
+    def __init__(self, works, years):
+        self.unary, self.multi, self.pairs = Counter(), Counter(), Counter()
+        self.total = self.unknown = 0
+        for _, year, entities, _ in works:
+            if year not in years:
+                continue
+            self.total += 1
+            self.unknown += not entities
+            for entity in entities:
+                self.unary[entity] += 1
+                self.multi[entity] += len(entities) > 1
+            self.pairs.update(combinations(sorted(entities), 2))
+
+    def joint(self, a, b):
+        return self.pairs[min(a, b), max(a, b)]
+
+    def distance(self, a, b):
+        if a == b:
+            return 0.0
+        joint = self.joint(a, b)
+        return 1.0 - joint / (self.unary[a] + self.unary[b] - joint)
+
+
+def same(text: str, value) -> bool:
+    """Whether a file's field holds ``value``: an int or a string exactly,
+    a float at %.6g, where a value within 1e-9 of a rounding edge may
+    round either way."""
+    if not isinstance(value, float):
+        return text == str(value)
+    return text in {FMT % (value * scale) for scale in (1.0, 1 + 1e-9, 1 - 1e-9)}
+
+
+def check_csv(path: Path, header: str, rows: list[list]) -> None:
+    lines = path.read_text().split("\n")
+    assert lines.pop() == "", path
+    assert lines[0] == header, path
+    assert len(lines) - 1 == len(rows), (path, lines, rows)
+    for line, row in zip(lines[1:], rows):
+        fields = line.split(",")
+        assert len(fields) == len(row) and all(map(same, fields, row)), (path, line, row)
+
+
+def replay_ward(tally, top, merges):
+    """The merge heights of ``merges``, checked step by step against the
+    Lance-Williams recurrence for Ward's criterion on squared distances:
+    each merge must join two live clusters at a minimal criterion, with
+    the size of their union."""
+    n = len(top)
+    d2 = [[tally.distance(a, b) ** 2 for b in top] + [0.0] * (n - 1) for a in top]
+    d2 += [[0.0] * (2 * n - 1) for _ in range(n - 1)]
+    sizes = [1] * n
+    live = set(range(n))
+    heights = []
+    assert len(merges) == n - 1
+    for k, merge in enumerate(merges):
+        a, b, new = merge["left"], merge["right"], n + k
+        assert a != b and {a, b} <= live, (k, merge)
+        best = min(d2[i][j] for i, j in combinations(sorted(live), 2))
+        assert d2[a][b] <= best + TIE_REL * max(best, 1.0), (k, merge, best)
+        assert merge["size"] == sizes[a] + sizes[b], (k, merge)
+        height = math.sqrt(max(d2[a][b], 0.0))
+        assert same(FMT % merge["height"], height), (k, merge, height)
+        heights.append(height)
+        live -= {a, b}
+        for c in live:
+            d2[new][c] = d2[c][new] = (
+                (sizes[a] + sizes[c]) * d2[a][c]
+                + (sizes[b] + sizes[c]) * d2[b][c]
+                - sizes[c] * d2[a][b]
+            ) / (sizes[a] + sizes[b] + sizes[c])
+        live.add(new)
+        sizes.append(sizes[a] + sizes[b])
+    return heights
+
+
+def check_cell(out: Path, config, period, works, manifest) -> list:
+    """Check one period's files and manifest stanza; returns its ICD
+    trend row's fields."""
+    label = period["label"]
+    cell = out / ROOT / label
+    years = range(period["year_from"], period["year_to"] + 1)
+    tally = Tally(works, years)
+    yearly = {year: Tally(works, [year]) for year in years}
+    top = sorted(tally.unary, key=lambda e: (-tally.unary[e], e))[: config["top_n"]]
+    n = len(top)
+
+    check_csv(
+        cell / "distances.csv",
+        "entity_a,entity_b,distance",
+        [[top[i], top[k], tally.distance(top[i], top[k])] for i in range(n) for k in range(i)],
+    )
+    shown = set(top)
+    chord = [[a, b, c] for (a, b), c in tally.pairs.items() if a in shown and b in shown]
+    for entity in top:
+        chord.append([entity, entity, tally.unary[entity] - tally.multi[entity]])
+        other = sum(
+            c for pair, c in tally.pairs.items()
+            if entity in pair and not shown.issuperset(pair)
+        )
+        if other:
+            chord.append([entity, OTHER, other])
+    check_csv(cell / "chord.csv", "source,target,value", sorted(chord))
+
+    masked = Counter()
+    rates, volumes = [], []
+    for entity in top:
+        for year, t in yearly.items():
+            volume = t.unary[entity]
+            reason = "missing_entity" if volume == 0 else (
+                "below_min_volume" if volume < config["min_volume"] else None
+            )
+            masked[reason] += 1
+            rate = "" if reason else t.multi[entity] / volume
+            rates.append([ROOT, entity, year, rate, volume, str(bool(reason)).lower()])
+            volumes.append([ROOT, entity, year, float(volume), volume, "false"])
+    check_csv(cell / "series.csv", "discipline,entity,year,value,volume,masked", rates)
+    check_csv(cell / "volumes.csv", "discipline,entity,year,value,volume,masked", volumes)
+    a, b = top[0], top[1]
+    bilateral = []
+    for year, t in yearly.items():
+        joint = t.joint(a, b)
+        if min(t.unary[a], t.unary[b]) == 0:
+            reason = "missing_entity"
+        elif joint == 0:
+            reason = "degenerate_distance"
+        else:
+            reason = "below_min_volume" if joint < config["min_volume"] else None
+        masked[reason] += 1
+        value = "" if reason else -math.log1p(-t.distance(a, b))
+        bilateral.append([ROOT, a, b, year, value, joint, str(bool(reason)).lower()])
+    check_csv(
+        cell / "bilateral.csv", "discipline,entity,entity_b,year,value,volume,masked", bilateral
+    )
+
+    doc = json.loads((cell / "merges.json").read_text())
+    assert doc["schema"] == 1 and doc["leaves"] == top
+    heights = replay_ward(tally, top, doc["merges"])
+    newick = (cell / "dendrogram.newick").read_text()
+    assert sorted(re.findall(r"[(,]([^(),:;]+):", newick)) == sorted(top)
+    h0 = max(heights) * (1.0 + H0_REL) + H0_ABS
+    rescaled = [-math.log(h0 - h) for h in heights]
+    mean = math.fsum(rescaled) / len(rescaled)
+    ranked, mid = sorted(rescaled), len(rescaled) // 2
+    median = ranked[mid] if len(ranked) % 2 else (ranked[mid - 1] + ranked[mid]) / 2
+    check_csv(
+        cell / "icd.csv",
+        "discipline,period,h0,merge_index,rescaled",
+        [[ROOT, label, h0, k, value] for k, value in enumerate(rescaled)],
+    )
+
+    info = manifest["cells"][f"{ROOT}/{label}"]
+    del masked[None]
+    assert (info["entities"], info["works"]) == (n, tally.total)
+    assert info["n_clusters"] == 1 + sum(h >= config["h_star"] for h in heights)
+    assert same(FMT % info["icd_mean"], mean)
+    assert info["masked_points"] == dict(masked)
+    kde = ("kde.csv",) if n >= 3 else ()
+    assert sorted(p.name for p in cell.iterdir()) == sorted(CELL_FILES + kde)
+    return [ROOT, label, h0, mean, median]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_all_online_then_offline_matches_the_oracle(corpus):
+    pages, config = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps({**config, "cache_dir": str(tmp / "cache")}))
+        argv = ["all", "--config", str(path), "--out-dir"]
+        online = _main([*argv, str(tmp / "online")], CorpusTransport(pages))
+        offline = _main([*argv, str(tmp / "offline"), "--offline"])
+        assert online == offline == (EXIT_OK, "")
+        manifests = [json.loads((tmp / run / "manifest.json").read_text()) for run in ("online", "offline")]
+        assert manifests[0]["outputs"] == manifests[1]["outputs"]
+        assert manifests[0]["inputs"] == manifests[1]["inputs"]
+        assert len(manifests[0]["inputs"]) == len(pages) + 1  # and the concept page
+        manifest = manifests[1]
+
+        pages = json.loads(json.dumps(pages))  # as the pipeline reads them
+        works, malformed, duplicates = harvested(pages, config["key"], config["journal_only"])
+        ingest_counts = manifest["ingest"]
+        assert ingest_counts["malformed_items_skipped"] == malformed
+        assert ingest_counts["duplicate_ids_dropped"] == duplicates
+        out = tmp / "offline"
+        trend = [check_cell(out, config, p, works, manifest) for p in config["periods"]]
+        check_csv(out / ROOT / "icd_series.csv", "discipline,period,h0,mean,median", trend)
+        first, last = config["periods"][0]["year_from"], config["periods"][-1]["year_to"]
+        unknown = []
+        for year in range(first, last + 1):
+            t = Tally(works, [year])
+            if t.total:
+                unknown.append([ROOT, year, t.unknown, t.total, t.unknown / t.total])
+        check_csv(
+            out / ROOT / "unknown_rate.csv",
+            "discipline,year,unknown_count,total_count,rate",
+            unknown,
+        )
+        files = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert files == set(manifest["outputs"]) | {"manifest.json"}
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(corpora(), st.data())
+def test_chain_cut_short_by_a_lost_cursor_exits_2(corpus, data):
+    # a works page whose meta lost its next_cursor mid-chain would end the
+    # harvest early: the run stops instead, caches nothing from that page
+    # on, and leaves no out_dir
+    pages, config = corpus
+    lost = data.draw(st.integers(0, len(pages) - 2))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "config.json"
+        path.write_text(json.dumps({**config, "cache_dir": str(tmp / "cache")}))
+        code, err = _main(
+            ["all", "--config", str(path), "--out-dir", str(tmp / "out")],
+            CorpusTransport(pages, lost_cursor=lost),
+        )
+        assert code == EXIT_TRANSPORT
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "exit_code": EXIT_TRANSPORT,
+            "message": "works page meta is not an object holding next_cursor: {}",
+        }
+        assert not (tmp / "out").exists()
+        cached = list((tmp / "cache").glob("*.meta.json"))
+        assert len(cached) == lost + 1  # the concept page and the pages before

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from collabkit import fsio
 from collabkit.corpus import count_years
+from collabkit.errors import ConfigError
 from collabkit.fsio import STAGING_PREFIX, StagedTree, json_text, write_new
 from collabkit.geometry import Dendrogram, Merge, distance_matrix
 from collabkit.ingest import PageCache
@@ -128,6 +129,15 @@ class TestStagedTree:
         staged.commit()
         staged.discard()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rel", ["f", "f/out", "f/a/b", "link", "link/out"])
+    def test_root_at_or_under_a_file_is_refused(self, tmp_path, rel):
+        (tmp_path / "f").write_text("kept")
+        (tmp_path / "link").symlink_to(tmp_path / "gone")
+        found = tmp_path / rel.partition("/")[0]
+        with pytest.raises(ConfigError, match=f"out_dir {tmp_path / rel}: {found} exists"):
+            StagedTree(tmp_path / rel)
+        assert tree_snapshot(tmp_path) == {"f": b"kept", "link": None}
 
     def test_commit_moves_files_in_order_manifest_last(self, tmp_path, monkeypatch):
         staged = StagedTree(tmp_path / "out")

@@ -3,6 +3,7 @@ limiting, retries, pagination, and record streaming."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -195,10 +196,83 @@ class TestPageCache(object):
         cache = PageCache(tmp_path / "cache")
         assert cache.is_empty()
         assert cache.get("ab" * 32) is None
-        cache.put("ab" * 32, b'{"x":1}', "works", {"cursor": "*"})
-        assert cache.get("ab" * 32) == b'{"x":1}'
+        digest = cache.put("ab" * 32, b'{"x":1}', "works", {"cursor": "*"})
+        assert digest == hashlib.sha256(b'{"x":1}').hexdigest()
+        assert cache.get("ab" * 32) == (
+            b'{"x":1}',
+            {"endpoint": "works", "params": {"cursor": "*"}, "sha256": digest},
+        )
         assert not cache.is_empty()
         assert cache.fingerprints() == ["ab" * 32]
+
+    def test_get_misses_without_a_page(self, tmp_path):
+        cache = PageCache(tmp_path)
+        assert cache.get("ab" * 32) is None
+        # a put cut short between its renames leaves this sidecar behind
+        cache.sidecar_for("ab" * 32).write_text(
+            json.dumps({"sha256": hashlib.sha256(b"{}").hexdigest()})
+        )
+        assert cache.get("ab" * 32) is None
+
+    @pytest.mark.parametrize(
+        "sidecar", [None, b"[]", b'"sha256"', b"{", b"\xff"],
+        ids=["missing", "list", "string", "cut-short", "not-utf8"],
+    )
+    def test_get_refuses_a_page_without_a_readable_sidecar(self, tmp_path, sidecar):
+        cache = PageCache(tmp_path)
+        fp = "ab" * 32
+        cache.put(fp, b"{}", "works", {"cursor": "*"})
+        if sidecar is None:
+            cache.sidecar_for(fp).unlink()
+        else:
+            cache.sidecar_for(fp).write_bytes(sidecar)
+        with pytest.raises(ParseError) as info:
+            cache.get(fp)
+        assert str(info.value) == (
+            f"cached page {fp} has no readable sidecar {cache.sidecar_for(fp)};"
+            f" delete {cache.path_for(fp)} and fetch it again online"
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.pop("sha256"),
+            lambda meta: meta.update(sha256=hashlib.sha256(b"[]").hexdigest()),
+            lambda meta: meta.update(sha256=None),
+        ],
+        ids=["no-sha256", "other-digest", "null-sha256"],
+    )
+    def test_get_refuses_a_page_its_sidecar_does_not_match(self, tmp_path, edit):
+        cache = PageCache(tmp_path)
+        fp = "cd" * 32
+        cache.put(fp, b"{}", "works", {"cursor": "*"})
+        meta = json.loads(cache.sidecar_for(fp).read_bytes())
+        edit(meta)
+        cache.sidecar_for(fp).write_text(json.dumps(meta))
+        with pytest.raises(ParseError) as info:
+            cache.get(fp)
+        assert str(info.value) == f"cached page {fp} does not match the sha256 in its sidecar"
+
+    @pytest.mark.parametrize("damage", ["page", "sidecar"])
+    def test_fetch_decodes_no_refused_page(self, tmp_path, monkeypatch, damage):
+        query = WorksQuery(("C1",), 1990, 1991)
+        _client(ScriptedTransport([_ok(EMPTY_PAGE)]), tmp_path).fetch_page(query)
+        cache = PageCache(tmp_path / "cache")
+        [fp] = cache.fingerprints()
+        if damage == "page":
+            cache.path_for(fp).write_bytes(cache.path_for(fp).read_bytes() + b" ")
+        else:
+            cache.sidecar_for(fp).unlink()
+        decoded = []
+        real = ingest.parse_works_page
+        monkeypatch.setattr(
+            ingest, "parse_works_page", lambda body: decoded.append(body) or real(body)
+        )
+        client = _client(None, tmp_path)
+        with pytest.raises(ParseError, match=f"cached page {fp} "):
+            client.fetch_page(query)
+        assert decoded == []
+        assert client.consumed == {} and client.ingest["pages_from_cache"] == 0
 
     def test_sidecar_alone_is_empty(self, tmp_path):
         cache = PageCache(tmp_path)
@@ -215,7 +289,7 @@ class TestPageCache(object):
         meta = json.loads((tmp_path / ("cd" * 32 + ".meta.json")).read_text())
         assert meta["endpoint"] == "works"
         assert meta["params"] == {"cursor": "*"}
-        assert meta["sha256"] == __import__("hashlib").sha256(b"{}").hexdigest()
+        assert meta["sha256"] == hashlib.sha256(b"{}").hexdigest()
 
     def test_sidecar_renamed_before_page(self, tmp_path, monkeypatch):
         # a put cut short between the renames leaves a sidecar without its
@@ -233,7 +307,7 @@ class TestPageCache(object):
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_file_modes_follow_umask(self, tmp_path, umask, mode):
-        # pages and sidecars go through write_bytes_atomic, as outputs do
+        # pages and sidecars get the modes that outputs get from write_new
         old = os.umask(umask)
         try:
             PageCache(tmp_path).put("ef" * 32, b"{}", "works", {"cursor": "*"})
