@@ -285,18 +285,17 @@ def count_years(
     entity's unary count at most once; pairwise counts cover each
     unordered entity pair present on the work.
 
-    The pass only appends each counted work's year, its team size (the
-    number of entities on it) and its interned entity ids to flat
-    buffers. Once the stream ends, the ids are renumbered in name order,
-    so every table shares one ``names``, and numpy reduces the buffers one
-    team size at a time: the works of one size, in year order, form one
-    block of works x size entity indices, which adds its (year, entity)
-    cells to the unary counts and, for teams of two or more, to the multi
-    counts, and whose row-sorted columns give every pair's code. Each
-    year's codes from all sizes are then sorted and counted on their own,
-    so no sort key holds a year. A table's unary and multi counts are
-    rows of two (year, entity) blocks that all the years share; every
-    array of every table is read-only.
+    The pass files each counted work under its year: the year's two flat
+    buffers take the work's team size (the number of entities on it) and
+    its interned entity ids. Once the stream ends, the ids are renumbered
+    in name order, so every table shares one ``names``, and numpy reduces
+    the years one at a time, each year's buffers dropped before the next
+    year's are read. A year's entities are counted into its rows of two
+    (year, entity) blocks that all the years share: the unary counts, and
+    the multi counts from its teams of two or more. The works of each team
+    size form a block of works x size entity indices whose row-sorted
+    columns give every pair's code, and the year's codes are sorted and
+    each run of one code counted. Every array of every table is read-only.
     """
     from array import array  # a C extension; importing it here keeps it off start-up
 
@@ -304,78 +303,50 @@ def count_years(
         raise ValueError(f"unknown aggregation key {key!r}")
     ids = _Interner()
     intern = ids.__getitem__
-    work_years = array("q")  # one entry per counted work
-    team_sizes = array("i")
-    entity_ids = array("i")  # one entry per work and entity, work after work
+    # year -> (team size per work, entity ids work after work)
+    buffers = {year: (array("i"), array("i")) for year in years}
     by_country = key == COUNTRY_KEY
     for rec in records:
-        year = rec.year
-        if rec.discipline_id != discipline_id or year not in years:
+        if rec.discipline_id != discipline_id or (found := buffers.get(rec.year)) is None:
             continue
         entities = rec.nationalities if by_country else rec.institutions
         if entities is None:
             raise ValueError(f"work {rec.work_id}: record holds no {key} set")
-        work_years.append(year)
-        team_sizes.append(len(entities))
-        entity_ids.extend(map(intern, entities))
+        found[0].append(len(entities))
+        found[1].extend(map(intern, entities))
 
     names = tuple(sorted(ids))
-    k, n_years = len(names), len(years)
-    rank = np.empty(k, dtype=np.int32)
+    k = len(names)
+    rank = np.empty(k, dtype=np.int64)
     rank[np.fromiter(map(intern, names), dtype=np.int64, count=k)] = np.arange(k)
-    # each buffer is released as soon as it is reduced
-    slot = np.frombuffer(work_years, dtype=np.int64) - years.start
-    slot //= years.step  # each work's index in ``years``
-    del work_years
-    size = np.frombuffer(team_sizes, dtype=np.int32)
-    entity = rank[np.frombuffer(entity_ids, dtype=np.int32)]  # name index per work and entity
-    del entity_ids, rank
-    first_entity = np.cumsum(size, dtype=np.int64)
-    first_entity -= size
-    totals = np.bincount(slot, minlength=n_years).tolist()
-    unknown = np.bincount(slot[size == 0], minlength=n_years).tolist()
-
-    # ``by_size`` keeps each team size's pair codes, its works in year
-    # order, and where each year's codes begin
-    unary = np.zeros(n_years * k, dtype=np.int64)
-    multi = np.zeros(n_years * k, dtype=np.int64)
-    by_size = []
-    year_edges = np.arange(n_years + 1)
-    team_works = np.bincount(size).tolist()  # works per team size
-    for s in range(1, len(team_works)):
-        if not team_works[s]:
-            continue
-        works = np.flatnonzero(size == s)
-        works = works[np.argsort(slot[works], kind="stable")]
-        work_slot = slot[works]
-        block = entity[first_entity[works, None] + np.arange(s)].astype(np.int64)
-        cells = work_slot[:, None] * k + block
-        np.add.at(unary, cells, 1)
-        if s == 1:
-            continue
-        np.add.at(multi, cells, 1)
-        block.sort(axis=1)  # distinct entities, so each pair is lo < hi
-        lo, hi = np.triu_indices(s, 1)
-        codes = (block[:, lo] << PAIR_SHIFT) | block[:, hi]
-        starts = np.searchsorted(work_slot, year_edges) * len(lo)
-        by_size.append((codes.ravel(), starts.tolist()))
-    del entity, size, first_entity, slot, team_sizes
-    unary, multi = unary.reshape(n_years, k), multi.reshape(n_years, k)
-    unary.flags.writeable = multi.flags.writeable = False
-
+    unary = np.zeros((len(years), k), dtype=np.int64)
+    multi = np.zeros((len(years), k), dtype=np.int64)
+    triu = {}  # team size -> the (lo, hi) columns of its pairs
     tables = {}
     for y, year in enumerate(years):
-        # the year's pairs from every team size, each run of one code a count
-        codes = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [pairs[starts[y]:starts[y + 1]] for pairs, starts in by_size]
-        )
+        size, entity = buffers.pop(year)
+        size = np.frombuffer(size, dtype=np.int32)
+        entity = rank[np.frombuffer(entity, dtype=np.int32)]  # name index per entry
+        unary[y] = np.bincount(entity, minlength=k)
+        multi[y] = np.bincount(entity[np.repeat(size > 1, size)], minlength=k)
+        start = np.cumsum(size, dtype=np.int64)
+        start -= size  # each work's first entry
+        team_works = np.bincount(size, minlength=1).tolist()  # works per team size
+        codes = [np.empty(0, dtype=np.int64)]
+        for s in range(2, len(team_works)):
+            if team_works[s]:
+                block = entity[start[size == s, None] + np.arange(s)]
+                block.sort(axis=1)  # distinct entities, so each pair is lo < hi
+                if s not in triu:
+                    triu[s] = np.triu_indices(s, 1)
+                lo, hi = triu[s]
+                codes.append(((block[:, lo] << PAIR_SHIFT) | block[:, hi]).ravel())
+        codes = np.concatenate(codes)
         codes.sort()
-        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        first = np.flatnonzero(np.diff(codes, prepend=-1))  # start of each code's run
         pair_counts = np.diff(first, append=len(codes))
         codes = codes[first]
-        codes.flags.writeable = pair_counts.flags.writeable = False
-        tables[year] = CountTable(
+        table = CountTable(
             discipline_id=discipline_id,
             period=Period(str(year), year, year),
             names=names,
@@ -383,9 +354,13 @@ def count_years(
             multi_counts=multi[y],
             pair_codes=codes,
             pair_counts=pair_counts,
-            unknown_count=unknown[y],
-            total_count=totals[y],
+            unknown_count=team_works[0],
+            total_count=len(size),
         )
+        for counts in (table.unary_counts, table.multi_counts, codes, pair_counts):
+            counts.flags.writeable = False
+        tables[year] = table
+    unary.flags.writeable = multi.flags.writeable = False
     return tables
 
 

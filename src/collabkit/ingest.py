@@ -148,7 +148,9 @@ class PageCache:
 
     def get(self, fp: str) -> tuple[bytes, dict] | None:
         """The stored page and its sidecar, or None if no page is stored. A
-        page with no readable sidecar, or another sha256, raises ParseError."""
+        page with no readable sidecar, with a sidecar whose ``endpoint``
+        and ``params`` are not the request ``fp`` fingerprints, or with
+        another sha256, raises ParseError."""
         page = self.path_for(fp)
         try:
             body = page.read_bytes()
@@ -159,6 +161,18 @@ class PageCache:
             raise ParseError(
                 f"cached page {fp} has no readable sidecar"
                 f" {self.sidecar_for(fp)}; delete {page} and fetch it again online"
+            )
+        endpoint, params = sidecar.get("endpoint"), sidecar.get("params")
+        if not (
+            isinstance(endpoint, str)
+            and isinstance(params, dict)
+            and all(isinstance(value, str) for value in params.values())
+        ):
+            raise ParseError(f"cached page {fp}: its sidecar names no request")
+        if (filed := fingerprint(endpoint, params)) != fp:
+            raise ParseError(
+                f"cached page {fp} answers another request: its sidecar's request"
+                f" has fingerprint {filed}"
             )
         if sidecar.get("sha256") != hashlib.sha256(body).hexdigest():
             raise ParseError(f"cached page {fp} does not match the sha256 in its sidecar")
@@ -432,8 +446,17 @@ class OpenAlexClient:
         raise failure
 
     def fetch_concept(self, concept_id: str) -> Concept:
+        """The concept page for ``concept_id``; a page that decodes to
+        another concept raises ParseError, and is never cached."""
         cid = normalize_concept_id(concept_id)
-        return self._fetch(f"concepts/{cid}", {}, parse_concept_page)
+
+        def decode(body: bytes) -> Concept:
+            concept = parse_concept_page(body)
+            if concept.concept_id != cid:
+                raise ParseError(f"concept page for {cid} holds concept {concept.concept_id}")
+            return concept
+
+        return self._fetch(f"concepts/{cid}", {}, decode)
 
     def fetch_page(self, query: WorksQuery, cursor: str = CURSOR_START) -> ParsedPage:
         """``query``'s page at ``cursor`` (by default the first page)."""

@@ -16,7 +16,6 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +61,7 @@ from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON
 from collabkit.ingest import PageCache, TransportResponse
 import synthetic
 from synthetic import SyntheticOpenAlexTransport
-from util import POOL12, table_from_sets, tree_snapshot
+from util import POOL12, brute_year_table, table_from_sets, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
@@ -436,7 +435,7 @@ class TestValidate:
             " disciplines[2]: C999 not in offline cache"
         )
 
-    @pytest.mark.parametrize("damage", ["level-2-root", "flipped-byte"])
+    @pytest.mark.parametrize("damage", ["level-2-root", "flipped-byte", "swapped-root"])
     def test_discipline_page_checked_against_cache(
         self, tmp_path, fixture_cache_dir, capsys, damage
     ):
@@ -448,16 +447,24 @@ class TestValidate:
             finding = "C110 has level 2, discipline roots have level 1"
         else:
             cache = PageCache(cache_dir)
-            fp = next(
-                fp
-                for fp in cache.fingerprints()
-                if cache.meta(fp)["endpoint"] == "concepts/C100"
+            fp, other = (
+                next(f for f in cache.fingerprints() if cache.meta(f)["endpoint"] == endpoint)
+                for endpoint in ("concepts/C100", "concepts/C200")
             )
             page = cache.path_for(fp)
             body = page.read_bytes()
-            page.write_bytes(body.replace(b"Synthetic Field A", b"Synthetic Field a", 1))
+            if damage == "flipped-byte":
+                page.write_bytes(body.replace(b"Synthetic Field A", b"Synthetic Field a", 1))
+                finding = f"cached page {fp} does not match the sha256 in its sidecar"
+            else:
+                # C200's page and sidecar, both intact, filed under C100's request
+                shutil.copyfile(cache.path_for(other), page)
+                shutil.copyfile(cache.sidecar_for(other), cache.sidecar_for(fp))
+                finding = (
+                    f"cached page {fp} answers another request: its sidecar's request"
+                    f" has fingerprint {other}"
+                )
             assert page.read_bytes() != body
-            finding = f"cached page {fp} does not match the sha256 in its sidecar"
         message = f"config does not match the cache: disciplines[0]: {finding}"
         with pytest.raises(ConfigError) as info:
             validate(_config(disciplines=tuple(disciplines)), PageCache(cache_dir))
@@ -873,25 +880,6 @@ _RECORDS = st.lists(
 )
 
 
-def _brute_year_table(records, year, key):
-    """unary, pairwise, multi, unknown and total for D1 in one year, each
-    entry counted over the year's works from the counting rules."""
-    sets = [
-        rec.nationalities if key == "country" else rec.institutions
-        for rec in records
-        if rec.discipline_id == "D1" and rec.year == year
-    ]
-    entities = sorted(set().union(*sets))
-    unary = {e: sum(e in s for s in sets) for e in entities}
-    pairwise = {
-        (a, b): n
-        for a, b in combinations(entities, 2)
-        if (n := sum(a in s and b in s for s in sets))
-    }
-    multi = {e: n for e in entities if (n := sum(e in s and len(s) > 1 for s in sets))}
-    return unary, pairwise, multi, sum(not s for s in sets), len(sets)
-
-
 def _assert_full_scan(records, key):
     """count_years over 1990-1999 for D1 against the brute-force tables,
     year by year and summed into two periods; returns the yearly tables."""
@@ -906,7 +894,7 @@ def _assert_full_scan(records, key):
             table.multi,
             table.unknown_count,
             table.total_count,
-        ) == _brute_year_table(records, year, key)
+        ) == brute_year_table(records, year, key)
     for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
         assert merge_tables(
             [yearly[y] for y in period.years()], period
@@ -1247,6 +1235,21 @@ def _write_config(tmp_path, fixture_cache_dir, **overrides) -> str:
     return str(path)
 
 
+def _works_chain(cache: Path, root: str) -> list[str]:
+    """The fingerprints of ``root``'s cached works pages, in cursor order."""
+    chain = {}  # cursor -> fingerprint
+    for meta_path in cache.glob("*.meta.json"):
+        meta = json.loads(meta_path.read_text())
+        if meta["endpoint"] == "works" and f"{root}|" in meta["params"]["filter"]:
+            chain[meta["params"]["cursor"]] = meta_path.name[: -len(".meta.json")]
+    pages, cursor = [], "*"
+    while cursor is not None:
+        pages.append(chain[cursor])
+        cursor = json.loads((cache / f"{pages[-1]}.json").read_bytes())["meta"]["next_cursor"]
+    assert len(pages) == len(chain) >= 3
+    return pages
+
+
 class TestMain:
     def test_validate_ok(self, tmp_path, fixture_cache_dir, capsys):
         path = _write_config(tmp_path, fixture_cache_dir)
@@ -1553,20 +1556,10 @@ class TestMain:
         # is rewritten so the page verifies: the chain must not end there
         cache = tmp_path / "cache"
         shutil.copytree(fixture_cache_dir, cache)
-        chain = {}  # cursor -> fingerprint of each page of C100's chain
-        for meta_path in cache.glob("*.meta.json"):
-            meta = json.loads(meta_path.read_text())
-            if meta["endpoint"] == "works" and "C100|" in meta["params"]["filter"]:
-                chain[meta["params"]["cursor"]] = meta_path.name[: -len(".meta.json")]
-        bodies = {
-            cursor: json.loads((cache / f"{fp}.json").read_bytes())
-            for cursor, fp in chain.items()
-        }
-        [last] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] is None]
-        [cursor] = [c for c, body in bodies.items() if body["meta"]["next_cursor"] == last]
-        fp = chain[cursor]
-        edit(bodies[cursor])
-        body = json.dumps(bodies[cursor]).encode()
+        fp = _works_chain(cache, "C100")[-2]
+        page = json.loads((cache / f"{fp}.json").read_bytes())
+        edit(page)
+        body = json.dumps(page).encode()
         (cache / f"{fp}.json").write_bytes(body)
         meta_path = cache / f"{fp}.meta.json"
         meta = json.loads(meta_path.read_text())
@@ -1581,6 +1574,64 @@ class TestMain:
             "exit_code": EXIT_TRANSPORT,
             "message": f"cached page {fp}: {message}",
         }
+        assert not (tmp_path / "out").exists()
+
+    def test_page_filed_under_another_request_is_refused(
+        self, tmp_path, fixture_cache_dir, capsys
+    ):
+        # page 2 of C100's works chain and its sidecar are overwritten by
+        # page 3's: each file matches the other, but the pair answers page
+        # 3's request, and reading it would skip page 2's works
+        cache = tmp_path / "cache"
+        shutil.copytree(fixture_cache_dir, cache)
+        second, third = _works_chain(cache, "C100")[1:3]
+        for suffix in (".json", ".meta.json"):
+            shutil.copyfile(cache / f"{third}{suffix}", cache / f"{second}{suffix}")
+        path = _write_config(tmp_path, cache)
+        assert main(["all", "--config", path, "--offline"]) == EXIT_TRANSPORT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ParseError",
+            "exit_code": EXIT_TRANSPORT,
+            "message": f"cached page {second} answers another request: its sidecar's"
+            f" request has fingerprint {third}",
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("offline", [True, False], ids=["offline", "online"])
+    def test_concept_page_of_another_concept_is_refused(
+        self, tmp_path, fixture_cache_dir, capsys, monkeypatch, offline
+    ):
+        # C100's request is answered with C200's page: online by the server,
+        # offline by a cached page whose sidecar was rewritten to match it
+        message = "concept page for C100 holds concept C200"
+        if offline:
+            shutil.copytree(fixture_cache_dir, tmp_path / "cache")
+            cache = PageCache(tmp_path / "cache")
+            meta = {fp: cache.meta(fp) for fp in cache.fingerprints()}
+            fp, other = (
+                next(f for f, m in meta.items() if m["endpoint"] == endpoint)
+                for endpoint in ("concepts/C100", "concepts/C200")
+            )
+            cache.put(fp, cache.get(other)[0], "concepts/C100", meta[fp]["params"])
+            message = f"cached page {fp}: {message}"
+        else:
+            payload = synthetic.concept_payload
+            monkeypatch.setattr(
+                synthetic,
+                "concept_payload",
+                lambda concept_id: payload("C200" if concept_id == "C100" else concept_id),
+            )
+            monkeypatch.setattr(ingest, "RequestsTransport", SyntheticOpenAlexTransport)
+        path = _write_config(tmp_path, tmp_path / "cache", rate_limit=1e9)
+        argv = ["all", "--config", path] + (["--offline"] if offline else [])
+        assert main(argv) == EXIT_TRANSPORT
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "exit_code": EXIT_TRANSPORT, "message": message,
+        }
+        if not offline:
+            assert PageCache(tmp_path / "cache").is_empty()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

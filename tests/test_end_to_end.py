@@ -22,7 +22,7 @@ from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from collabkit import ingest
@@ -399,7 +399,12 @@ def check_cell(out: Path, config, period, works, manifest) -> list:
     return [ROOT, label, h0, mean, median]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# A failing example is reported as drawn, unshrunk: shrinking one from a
+# planted mutation ran for minutes and grew past 600 MB.
+UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None, phases=UNSHRUNK)
 @given(corpora())
 def test_all_online_then_offline_matches_the_oracle(corpus):
     pages, config = corpus
@@ -440,7 +445,7 @@ def test_all_online_then_offline_matches_the_oracle(corpus):
         assert files == set(manifest["outputs"]) | {"manifest.json"}
 
 
-@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None, phases=UNSHRUNK)
 @given(corpora(), st.data())
 def test_chain_cut_short_by_a_lost_cursor_exits_2(corpus, data):
     # a works page whose meta lost its next_cursor mid-chain would end the

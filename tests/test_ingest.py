@@ -194,16 +194,17 @@ class TestFingerprint:
 class TestPageCache(object):
     def test_round_trip(self, tmp_path):
         cache = PageCache(tmp_path / "cache")
+        fp = fingerprint("works", {"cursor": "*"})
         assert cache.is_empty()
-        assert cache.get("ab" * 32) is None
-        digest = cache.put("ab" * 32, b'{"x":1}', "works", {"cursor": "*"})
+        assert cache.get(fp) is None
+        digest = cache.put(fp, b'{"x":1}', "works", {"cursor": "*"})
         assert digest == hashlib.sha256(b'{"x":1}').hexdigest()
-        assert cache.get("ab" * 32) == (
+        assert cache.get(fp) == (
             b'{"x":1}',
             {"endpoint": "works", "params": {"cursor": "*"}, "sha256": digest},
         )
         assert not cache.is_empty()
-        assert cache.fingerprints() == ["ab" * 32]
+        assert cache.fingerprints() == [fp]
 
     def test_get_misses_without_a_page(self, tmp_path):
         cache = PageCache(tmp_path)
@@ -244,7 +245,7 @@ class TestPageCache(object):
     )
     def test_get_refuses_a_page_its_sidecar_does_not_match(self, tmp_path, edit):
         cache = PageCache(tmp_path)
-        fp = "cd" * 32
+        fp = fingerprint("works", {"cursor": "*"})
         cache.put(fp, b"{}", "works", {"cursor": "*"})
         meta = json.loads(cache.sidecar_for(fp).read_bytes())
         edit(meta)
@@ -252,6 +253,63 @@ class TestPageCache(object):
         with pytest.raises(ParseError) as info:
             cache.get(fp)
         assert str(info.value) == f"cached page {fp} does not match the sha256 in its sidecar"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.update(endpoint="concepts/C1"),
+            lambda meta: meta["params"].update(cursor="c2"),
+            lambda meta: meta["params"].pop("cursor"),
+        ],
+        ids=["other-endpoint", "other-cursor", "no-cursor"],
+    )
+    @pytest.mark.parametrize("digest", ["kept", "other"])
+    def test_get_refuses_a_page_filed_under_another_request(self, tmp_path, edit, digest):
+        # the sidecar describes a request, and that request is checked
+        # before the bytes, so a page and sidecar copied under another
+        # request's fingerprint are refused even though they match
+        cache = PageCache(tmp_path)
+        fp = fingerprint("works", {"cursor": "*", "filter": "x"})
+        cache.put(fp, b"{}", "works", {"cursor": "*", "filter": "x"})
+        meta = json.loads(cache.sidecar_for(fp).read_bytes())
+        edit(meta)
+        if digest == "other":
+            meta["sha256"] = hashlib.sha256(b"[]").hexdigest()
+        cache.sidecar_for(fp).write_text(json.dumps(meta))
+        with pytest.raises(ParseError) as info:
+            cache.get(fp)
+        assert str(info.value) == (
+            f"cached page {fp} answers another request: its sidecar's request has"
+            f" fingerprint {fingerprint(meta['endpoint'], meta['params'])}"
+        )
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"params": {"cursor": "*"}},
+            {"endpoint": None, "params": {"cursor": "*"}},
+            {"endpoint": 5, "params": {"cursor": "*"}},
+            {"endpoint": "works"},
+            {"endpoint": "works", "params": None},
+            {"endpoint": "works", "params": [["cursor", "*"]]},
+            {"endpoint": "works", "params": "cursor=*"},
+            {"endpoint": "works", "params": {"cursor": 5}},
+            {"endpoint": "works", "params": {"cursor": None}},
+            {"endpoint": "works", "params": {"cursor": ["*"]}},
+        ],
+        ids=[
+            "no-endpoint", "null-endpoint", "int-endpoint", "no-params", "null-params",
+            "list-params", "string-params", "int-value", "null-value", "list-value",
+        ],
+    )
+    def test_get_refuses_a_sidecar_that_names_no_request(self, tmp_path, request_):
+        cache = PageCache(tmp_path)
+        fp = fingerprint("works", {"cursor": "*"})
+        digest = cache.put(fp, b"{}", "works", {"cursor": "*"})
+        cache.sidecar_for(fp).write_text(json.dumps({**request_, "sha256": digest}))
+        with pytest.raises(ParseError) as info:
+            cache.get(fp)
+        assert str(info.value) == f"cached page {fp}: its sidecar names no request"
 
     @pytest.mark.parametrize("damage", ["page", "sidecar"])
     def test_fetch_decodes_no_refused_page(self, tmp_path, monkeypatch, damage):

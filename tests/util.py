@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import xml.etree.ElementTree as ET
+from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -95,6 +96,25 @@ def table_from_sets(sets, discipline="D1", year=2000, key="country"):
     return build_count_table(
         records_from_sets(sets, discipline, year), discipline, period, key
     )
+
+
+def brute_year_table(records, year, key, discipline="D1"):
+    """unary, pairwise, multi, unknown and total for ``discipline`` in one
+    year, each entry counted over the year's works from the counting rules."""
+    sets = [
+        rec.nationalities if key == "country" else rec.institutions
+        for rec in records
+        if rec.discipline_id == discipline and rec.year == year
+    ]
+    entities = sorted(set().union(*sets))
+    unary = {e: sum(e in s for s in sets) for e in entities}
+    pairwise = {
+        (a, b): n
+        for a, b in combinations(entities, 2)
+        if (n := sum(a in s and b in s for s in sets))
+    }
+    multi = {e: n for e in entities if (n := sum(e in s and len(s) > 1 for s in sets))}
+    return unary, pairwise, multi, sum(not s for s in sets), len(sets)
 
 
 def brute_jaccard_distance(sets, x, y):
