@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     COUNTRY_KEY,
-    INSTITUTION_KEY,
+    KEY_FIELDS,
     CountTable,
     Period,
     VALID_KEYS,
@@ -264,6 +264,9 @@ class AnalysisConfig:
         else:
             pairs = []
             at: dict[frozenset[str], int] = {}  # pair, in either order -> its index
+            # a code in the form records of the run's key hold; under an
+            # unknown key only the key is named
+            normal = KEY_FIELDS.get(self.key, (None, str))[1]
             for i, pair in enumerate(self.bilateral_pairs):
                 field = f"bilateral_pairs[{i}]"
                 if not (_is_list_of(pair, str) and len(pair) == 2):
@@ -274,16 +277,8 @@ class AnalysisConfig:
                     add(field, f"codes {pair!r} must hold no , \" CR or LF")
                 elif pair[0] == pair[1]:
                     add(field, f"codes {pair!r} must name two different entities")
-                elif self.key == COUNTRY_KEY and any(c != c.upper() for c in pair):
-                    add(
-                        field, f"codes {pair!r} must be upper case, as records hold country codes"
-                    )
-                elif self.key == INSTITUTION_KEY and any("/" in c for c in pair):
-                    add(
-                        field,
-                        f"codes {pair!r} must hold no /: records hold the bare ROR id, "
-                        "the part of its URL after the last /",
-                    )
+                elif odd := [c for c in pair if c != normal(c)]:
+                    add(field, f"code {odd[0]!r} must be {normal(odd[0])!r} under key {self.key!r}")
                 elif frozenset(pair) in at:
                     add(field, f"duplicate of bilateral_pairs[{at[frozenset(pair)]}]")
                 else:

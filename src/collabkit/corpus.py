@@ -18,6 +18,12 @@ import numpy as np
 COUNTRY_KEY = "country"
 INSTITUTION_KEY = "institution"
 VALID_KEYS = (COUNTRY_KEY, INSTITUTION_KEY)
+# each key's institution field, and the normal form records hold of a code
+# read there: a country code upper-cased, a ROR id after its last /
+KEY_FIELDS = {
+    COUNTRY_KEY: ("country_code", str.upper),
+    INSTITUTION_KEY: ("ror", lambda code: code.rsplit("/", 1)[-1]),
+}
 
 _JOURNAL_TYPES = ("journal-article", "article")
 
@@ -86,8 +92,9 @@ def work_from_metadata(
     """Build a WorkRecord from one raw works-endpoint item.
 
     One walk over every contributor's institutions reads only the field
-    ``key`` names: a ``country_code`` is upper-cased, a ``ror`` id keeps
-    the part after its last ``/``. Each code counts once; one that is
+    ``key`` names, and takes each code's normal form from ``KEY_FIELDS``:
+    a ``country_code`` is upper-cased, a ``ror`` id keeps the part after
+    its last ``/``. Each code counts once; one that is
     blank once normalised (``"https://ror.org/"``, ``" "``) adds nothing.
     An empty country set means the nationality is unknown. The other
     key's set is None. Raises ValueError for a key outside VALID_KEYS,
@@ -101,8 +108,9 @@ def work_from_metadata(
     ``[]`` or ``{}`` in ``type`` raise under both keys, as in
     ``work W1: authorships 0 is not a list``.
     """
-    if key not in VALID_KEYS:
+    if key not in KEY_FIELDS:
         raise ValueError(f"unknown aggregation key {key!r}")
+    field, normal = KEY_FIELDS[key]
     if not isinstance(raw, dict):
         raise ValueError(f"work item is not an object: {raw!r}")
     work_id = raw.get("id")
@@ -117,8 +125,6 @@ def work_from_metadata(
         if wtype is not None:  # 0, False, [] and {} included
             raise ValueError(f"work {work_id}: type {wtype!r} is not a string")
         wtype = ""
-    by_country = key == COUNTRY_KEY
-    field = "country_code" if by_country else "ror"
     codes: set[str] = set()
     code = None
     try:
@@ -129,7 +135,7 @@ def work_from_metadata(
                 found, "institutions", work_id
             ):
                 if (code := inst.get(field)) is not None:
-                    code = code.upper() if by_country else code.rsplit("/", 1)[-1]
+                    code = normal(code)
                     if code.strip():
                         codes.add(code)
     except (AttributeError, TypeError) as exc:
@@ -138,6 +144,7 @@ def work_from_metadata(
         if code is not None and not isinstance(code, str):
             raise ValueError(f"work {work_id}: {field} {code!r} is not a string") from exc
         raise ValueError(f"work {work_id}: malformed authorships: {exc}") from exc
+    by_country = key == COUNTRY_KEY
     return WorkRecord(
         work_id=work_id,
         year=year,

@@ -40,7 +40,7 @@ from collabkit.metrics import (
     collab_rate_series,
     intl_collab_rate,
 )
-from tests.util import (
+from util import (
     POOL6,
     brute_jaccard_distance,
     random_corpus,

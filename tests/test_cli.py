@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from collabkit import cli, ingest, metrics
 from collabkit.cli import (
@@ -43,10 +41,6 @@ from collabkit.corpus import (
     VALID_KEYS,
     CountTable,
     Period,
-    WorkRecord,
-    build_count_table,
-    count_years,
-    merge_tables,
 )
 from collabkit.errors import (
     CollabKitError,
@@ -61,7 +55,7 @@ from collabkit.metrics import REASON_BELOW_MIN_VOLUME, REASON_DEGENERATE, REASON
 from collabkit.ingest import PageCache, TransportResponse
 import synthetic
 from synthetic import SyntheticOpenAlexTransport
-from util import POOL12, brute_year_table, table_from_sets, tree_snapshot
+from util import table_from_sets, tree_snapshot
 
 FIXTURE_CONFIG = Path(__file__).resolve().parent / "fixtures" / "config.json"
 
@@ -378,6 +372,11 @@ class TestValidate:
                     _config(key=key, bilateral_pairs=pairs)
                 message = str(info.value)
                 assert message.startswith(f"bad config value: bilateral_pairs{finding}")
+        # the message names the code's normal form under the run's key
+        for key, code, form in [("country", "us", "US"), ("institution", "https://ror.org/x", "x")]:
+            message = f"[0]: code {code!r} must be {form!r} under key {key!r}"
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                _config(key=key, bilateral_pairs=[["JP", code]])
         # each key holds the form the other refuses
         assert _config(key="institution", bilateral_pairs=[["us", "cn"]]).bilateral_pairs
         assert _config(key="country", bilateral_pairs=[["US", "A/B"]]).bilateral_pairs
@@ -863,89 +862,6 @@ class TestRun:
             run(fixture_config, mode="fixtures", stage="plot")
         with pytest.raises(ConfigError):
             run(fixture_config, mode="dry-run", stage="all")
-
-
-_ENTITIES = st.frozensets(st.sampled_from(POOL12), max_size=10)
-_RECORDS = st.lists(
-    st.builds(
-        WorkRecord,
-        work_id=st.just("W"),
-        year=st.integers(1986, 2003),
-        discipline_id=st.sampled_from(("D1", "D2")),
-        nationalities=_ENTITIES,
-        institutions=_ENTITIES,
-        is_journal_article=st.just(True),
-    ),
-    max_size=60,
-)
-
-
-def _assert_full_scan(records, key):
-    """count_years over 1990-1999 for D1 against the brute-force tables,
-    year by year and summed into two periods; returns the yearly tables."""
-    # the pass takes a one-shot iterator
-    yearly = count_years(iter(records), "D1", range(1990, 2000), key)
-    assert list(yearly) == list(range(1990, 2000))
-    for year, table in yearly.items():
-        assert table == build_count_table(records, "D1", Period(str(year), year, year), key)
-        assert (
-            table.unary,
-            table.pairwise,
-            table.multi,
-            table.unknown_count,
-            table.total_count,
-        ) == brute_year_table(records, year, key)
-    for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
-        assert merge_tables(
-            [yearly[y] for y in period.years()], period
-        ) == build_count_table(records, "D1", period, key)
-    return yearly
-
-
-@given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
-def test_count_years_match_full_scan(records, key):
-    # records arrive in any year order, some outside the run's 1990-1999
-    # and some of another discipline
-    _assert_full_scan(records, key)
-
-
-@pytest.mark.parametrize("key", VALID_KEYS)
-def test_count_years_match_full_scan_across_team_sizes(key):
-    # a 40-entity work; works of every size from 0 to 6 in one year, given
-    # twice, with a work of size 2 from an earlier year between them; a year
-    # of unknown works only; and works the pass skips
-    def works(year, sets, discipline="D1"):
-        return [WorkRecord("W", year, discipline, s, s, True) for s in sets]
-
-    every_size = [frozenset(POOL12[:n]) for n in range(7)]
-    records = (
-        works(1992, every_size)
-        + works(1990, [frozenset(f"E{i:02d}" for i in range(40)), frozenset({"AT", "E07"})])
-        + works(1995, [frozenset()] * 3)
-        + works(1992, every_size[::-1])
-        + works(1992, every_size, discipline="D2")
-        + works(2005, every_size)
-    )
-    yearly = _assert_full_scan(records, key)
-    assert yearly[1990].pairwise[("AT", "E07")] == 1 and len(yearly[1990].pairwise) == 781
-    assert yearly[1992].total_count == 14 and yearly[1992].unknown_count == 2
-    assert yearly[1995].total_count == yearly[1995].unknown_count == 3
-    assert not yearly[1995].unary and not yearly[1995].pairwise
-    # the years' unary and multi counts are rows of shared blocks, so no
-    # table's array may be written through
-    for table in yearly.values():
-        for array in (
-            table.unary_counts, table.multi_counts, table.pair_codes, table.pair_counts
-        ):
-            assert not array.flags.writeable
-
-
-def test_count_years_of_an_empty_stream():
-    yearly = count_years(iter(()), "D1", range(1990, 1993))
-    assert list(yearly) == [1990, 1991, 1992]
-    for table in yearly.values():
-        assert table.names == () and table.total_count == 0
-        assert table.unary_counts.shape == (0,) and table.pair_codes.shape == (0,)
 
 
 def test_each_record_counted_once(fixture_config, tmp_path, monkeypatch):

@@ -19,7 +19,6 @@ from collabkit.corpus import (
     COUNTRY_KEY,
     INSTITUTION_KEY,
     VALID_KEYS,
-    CountTable,
     Period,
     WorkRecord,
     build_count_table,
@@ -30,14 +29,7 @@ from collabkit.corpus import (
     unknown_rate,
     work_from_metadata,
 )
-from util import (
-    POOL6,
-    POOL12,
-    brute_work_sets,
-    brute_year_table,
-    records_from_sets,
-    table_from_sets,
-)
+from util import POOL6, POOL12, Tally, read_item, records_from_sets, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL12), max_size=10)
 corpora = st.lists(nationality_sets, min_size=0, max_size=50)
@@ -156,6 +148,25 @@ def _sets(raw):
     return tuple(sets)
 
 
+def _read_sets(raw):
+    """(nationalities, institutions) of one item as util's reader reads
+    it, None for a key that refuses the item."""
+    works = (read_item(raw, field) for field in ("country_code", "ror"))
+    return tuple(None if work is None else work[2] for work in works)
+
+
+def _assert_tallied(table, records, year, key):
+    """``table`` holds util's Tally of D1's records of ``year``: every
+    entry counted over the year's works from the counting rules."""
+    field = "nationalities" if key == COUNTRY_KEY else "institutions"
+    works = [(r.work_id, r.year, getattr(r, field), r.is_journal_article)
+             for r in records if r.discipline_id == "D1"]
+    t = Tally(works, [year])
+    assert (
+        table.unary, table.pairwise, table.multi, table.unknown_count, table.total_count
+    ) == (t.unary, t.pairs, t.multi, t.unknown, t.total)
+
+
 def _non_string_code_fields(raw):
     """The institution fields that hold a code that is neither a string nor
     null in some institution object reached from ``raw`` through lists of
@@ -225,7 +236,8 @@ class TestInstitutions:
 
     @given(raw_authorships)
     def test_matches_brute_force(self, raw):
-        assert _sets(raw) == brute_work_sets(raw)
+        raw = {"id": "W1", "publication_year": 2000, **raw}
+        assert _sets(raw) == _read_sets(raw)
 
     @pytest.mark.parametrize(
         "inst,expected",
@@ -345,22 +357,20 @@ class TestWorkFromMetadata:
 class TestKeyAwareRecords:
     @given(raw=raw_items)
     def test_the_key_picks_the_set_not_the_shape(self, raw):
-        # a key refuses an item whose field it reads holds a code that is
-        # neither a string nor null; otherwise the two keys disagree about
-        # nothing: both refuse a malformed shape with one message, or each
-        # key's record holds that key's set, the other field None, and the
-        # rest of the two records agree
+        # a key refuses exactly the items util's reader refuses in the field
+        # that key reads, so one whose code there is neither a string nor
+        # null; otherwise the two keys disagree about nothing: both refuse
+        # a malformed shape with one message, or each key's record holds
+        # that key's set, the other field None, and the rest of the two
+        # records agree
         outcomes = {}
-        for key in VALID_KEYS:
+        for key, field in ((COUNTRY_KEY, "country_code"), (INSTITUTION_KEY, "ror")):
             try:
                 outcomes[key] = work_from_metadata(raw, "C1", key)
             except ValueError as exc:
                 outcomes[key] = str(exc)
-        bad_fields = _non_string_code_fields(raw)
-        for key, field in ((COUNTRY_KEY, "country_code"), (INSTITUTION_KEY, "ror")):
-            if field in bad_fields:
-                assert isinstance(outcomes[key], str)
-        if bad_fields:
+            assert isinstance(outcomes[key], str) == (read_item(raw, field) is None)
+        if _non_string_code_fields(raw):
             return
         by_country, by_institution = outcomes[COUNTRY_KEY], outcomes[INSTITUTION_KEY]
         assert type(by_country) is type(by_institution)
@@ -368,7 +378,7 @@ class TestKeyAwareRecords:
             assert by_country == by_institution
             return
         assert by_country.institutions is None and by_institution.nationalities is None
-        assert (by_country.nationalities, by_institution.institutions) == brute_work_sets(raw)
+        assert (by_country.nationalities, by_institution.institutions) == _read_sets(raw)
         assert replace(by_country, nationalities=None) == replace(
             by_institution, institutions=None
         )
@@ -577,6 +587,37 @@ def shaped_records():
     return _perfbench_shaped_records(100_000)
 
 
+_RECORDS = st.lists(
+    st.builds(
+        WorkRecord,
+        work_id=st.just("W"),
+        year=st.integers(1986, 2003),
+        discipline_id=st.sampled_from(("D1", "D2")),
+        nationalities=nationality_sets,
+        institutions=nationality_sets,
+        is_journal_article=st.just(True),
+    ),
+    max_size=60,
+)
+
+
+def _assert_full_scan(records, key):
+    """count_years over 1990-1999 for D1 against util's Tally and one
+    build_count_table pass, year by year and summed into two periods;
+    returns the yearly tables."""
+    # the pass takes a one-shot iterator
+    yearly = count_years(iter(records), "D1", range(1990, 2000), key)
+    assert list(yearly) == list(range(1990, 2000))
+    for year, table in yearly.items():
+        assert table == build_count_table(records, "D1", Period(str(year), year, year), key)
+        _assert_tallied(table, records, year, key)
+    for period in (Period("a", 1990, 1994), Period("b", 1995, 1999)):
+        assert merge_tables(
+            [yearly[y] for y in period.years()], period
+        ) == build_count_table(records, "D1", period, key)
+    return yearly
+
+
 class TestCountYears:
     @pytest.mark.parametrize("key", VALID_KEYS)
     @pytest.mark.parametrize(
@@ -605,9 +646,7 @@ class TestCountYears:
         names = yearly[years[0]].names
         for year, table in yearly.items():
             assert table.names == names and table.period == Period(str(year), year, year)
-            assert (
-                table.unary, table.pairwise, table.multi, table.unknown_count, table.total_count
-            ) == brute_year_table(records, year, key)
+            _assert_tallied(table, records, year, key)
             if year not in populated:
                 assert table.total_count == 0 and not table.unary_counts.any()
         assert sum(t.total_count for t in yearly.values()) == sum(
@@ -623,9 +662,7 @@ class TestCountYears:
             assert table.names == ()
             for counts in (table.unary_counts, table.multi_counts, table.pair_codes):
                 assert counts.shape == (0,)
-            assert (
-                table.unary, table.pairwise, table.multi, table.unknown_count, table.total_count
-            ) == brute_year_table(records, year, key)
+            _assert_tallied(table, records, year, key)
         assert [t.unknown_count for t in yearly.values()] == [3, 0, 2, 0]
         assert [t.total_count for t in yearly.values()] == [3, 0, 2, 0]
 
@@ -642,6 +679,49 @@ class TestCountYears:
             tracemalloc.stop()
         assert sum(t.total_count for t in yearly.values()) == len(shaped_records)
         assert peak - held <= 1_000_000
+
+    @given(records=_RECORDS, key=st.sampled_from(VALID_KEYS))
+    def test_match_full_scan(self, records, key):
+        # records arrive in any year order, some outside the run's 1990-1999
+        # and some of another discipline
+        _assert_full_scan(records, key)
+
+    @pytest.mark.parametrize("key", VALID_KEYS)
+    def test_match_full_scan_across_team_sizes(self, key):
+        # a 40-entity work; works of every size from 0 to 6 in one year, given
+        # twice, with a work of size 2 from an earlier year between them; a year
+        # of unknown works only; and works the pass skips
+        def works(year, sets, discipline="D1"):
+            return [WorkRecord("W", year, discipline, s, s, True) for s in sets]
+
+        every_size = [frozenset(POOL12[:n]) for n in range(7)]
+        records = (
+            works(1992, every_size)
+            + works(1990, [frozenset(f"E{i:02d}" for i in range(40)), frozenset({"AT", "E07"})])
+            + works(1995, [frozenset()] * 3)
+            + works(1992, every_size[::-1])
+            + works(1992, every_size, discipline="D2")
+            + works(2005, every_size)
+        )
+        yearly = _assert_full_scan(records, key)
+        assert yearly[1990].pairwise[("AT", "E07")] == 1 and len(yearly[1990].pairwise) == 781
+        assert yearly[1992].total_count == 14 and yearly[1992].unknown_count == 2
+        assert yearly[1995].total_count == yearly[1995].unknown_count == 3
+        assert not yearly[1995].unary and not yearly[1995].pairwise
+        # the years' unary and multi counts are rows of shared blocks, so no
+        # table's array may be written through
+        for table in yearly.values():
+            for array in (
+                table.unary_counts, table.multi_counts, table.pair_codes, table.pair_counts
+            ):
+                assert not array.flags.writeable
+
+    def test_of_an_empty_stream(self):
+        yearly = count_years(iter(()), "D1", range(1990, 1993))
+        assert list(yearly) == [1990, 1991, 1992]
+        for table in yearly.values():
+            assert table.names == () and table.total_count == 0
+            assert table.unary_counts.shape == (0,) and table.pair_codes.shape == (0,)
 
 
 class TestRankings:

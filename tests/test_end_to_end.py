@@ -1,12 +1,13 @@
-"""End-to-end oracle: small OpenAlex-shaped corpora, drawn by Hypothesis,
-run through ``all`` online into an empty cache and then offline from it.
+"""End-to-end oracle: small OpenAlex-shaped corpora, each built from one
+seed that Hypothesis draws, run through ``all`` online into an empty cache
+and then offline from it.
 
 Both runs must give the same outputs, and every file is rebuilt here from
-the raw work items alone, in plain Python: no collabkit function computes
-an expected value. Floats are compared as the files write them, at %.6g.
-Ward's merges are checked by a Lance-Williams replay of ``merges.json``,
-which accepts any minimal pair, so a changed tie break is
-``tests/test_geometry.py``'s to catch.
+the raw work items alone, in plain Python, by the oracle in ``util``: no
+collabkit function computes an expected value. Floats are compared as the
+files write them, at %.6g. Ward's merges are checked by a Lance-Williams
+replay of ``merges.json``, which accepts any minimal pair, so a changed tie
+break is ``tests/test_geometry.py``'s to catch.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import contextlib
 import io
 import json
 import math
+import random
 import re
 import tempfile
+import xml.etree.ElementTree as ET
 from collections import Counter
-from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
@@ -27,23 +29,22 @@ from hypothesis import strategies as st
 
 from collabkit import ingest
 from collabkit.cli import EXIT_OK, EXIT_TRANSPORT, main
+from collabkit.geometry import Dendrogram, Merge
 from collabkit.ingest import TransportResponse
+from util import FMT, Tally, bilateral_point, brute_cut, harvested, replay_ward, same
 
 ROOT = "C100"
 FIRST_YEAR = 2001
 MISSING = object()  # a key left out of its object
 
-FMT = "%.6g"
 # the auto ceiling of the ICD rescaling: just above the tallest merge
 H0_REL, H0_ABS = 1e-6, 1e-9
-# the slack within which two Ward criteria are one minimum
-TIE_REL = 1e-12
-JOURNAL_TYPES = ("journal-article", "article")
 OTHER = "__other__"
 CELL_FILES = (
     "distances.csv", "dendrogram.newick", "merges.json", "chord.csv", "icd.csv",
     "series.csv", "volumes.csv", "bilateral.csv", "dendrogram.svg",
 )
+SVG = "{http://www.w3.org/2000/svg}"
 
 # (country_code, ror) of the entities the corpora draw from; the bare ROR
 # id and a lower-case country code name the same entity as the full forms
@@ -57,92 +58,83 @@ ROR_CODES = [r for _, r in ENTITIES] * 3 + ["0de1", "https://ror.org/", "", None
 BAD_CODES = [5, 0, False, [], {}]
 BAD_LISTS = [0, False, "", {}]
 WORK_IDS = [f"https://openalex.org/W{n}" for n in range(1, 81)] + ["W7", "https://openalex.org/W07"]
-
-
-def _weighted(common, rare, one_in=25):
-    """One of ``common``, or one in ``one_in`` times one of ``rare``."""
-    return st.integers(0, one_in - 1).flatmap(
-        lambda k: st.sampled_from(rare if k == 0 else common)
-    )
+TYPES = ["journal-article"] * 4 + ["article", "Journal-Article", "preprint", "dataset", None, MISSING]
+MAX_ITEMS = 40  # per page
 
 
 def _object(**fields):
     return {name: value for name, value in fields.items() if value is not MISSING}
 
 
-institutions = st.builds(
-    _object,
-    country_code=_weighted(COUNTRY_CODES, BAD_CODES, 40),
-    ror=_weighted(ROR_CODES, BAD_CODES, 40),
-)
-authorships = _weighted(
-    [st.builds(_object, institutions=st.lists(institutions, max_size=3))] * 8,
-    [st.just(7)] + [st.just(_object(institutions=v)) for v in (MISSING, None, *BAD_LISTS)],
-    15,
-).flatmap(lambda strategy: strategy)
-
-
-@st.composite
-def work_items(draw, years):
-    if draw(st.integers(0, 40)) == 0:
-        return draw(st.sampled_from([5, "W1", None, []]))
-    kind = draw(_weighted([True] * 8, [MISSING, None, []] + BAD_LISTS, 15))
-    return _object(
-        id=draw(_weighted(WORK_IDS, [None, "", 5, MISSING], 40)),
-        publication_year=draw(_weighted(years, ["2001", True, None, MISSING, 2001.0], 40)),
-        type=draw(
-            _weighted(
-                ["journal-article"] * 4
-                + ["article", "Journal-Article", "preprint", "dataset", None, MISSING],
-                [0, False, [], {}],
-                25,
-            )
-        ),
-        authorships=draw(st.lists(authorships, max_size=4)) if kind is True else kind,
-    )
-
-
-@st.composite
-def corpora(draw):
+def seeded_corpus(seed):
     """(pages of raw work items, config fields) for one discipline over
-    two or three adjacent periods, with items one year outside them."""
+    two or three adjacent periods, with items one year outside them, all
+    drawn by ``random.Random(seed)``."""
+    rng = random.Random(seed)
+
+    def pick(common, rare, one_in):
+        # one of ``common``, or one in ``one_in`` times one of ``rare``
+        return rng.choice(rare if rng.randrange(one_in) == 0 else common)
+
+    def authorship():
+        if rng.randrange(15):
+            return {"institutions": [
+                _object(country_code=pick(COUNTRY_CODES, BAD_CODES, 40),
+                        ror=pick(ROR_CODES, BAD_CODES, 40))
+                for _ in range(rng.randint(0, 3))
+            ]}
+        return rng.choice([7, *(_object(institutions=v) for v in (MISSING, None, *BAD_LISTS))])
+
+    def item():
+        if rng.randrange(41) == 0:
+            return rng.choice([5, "W1", None, []])
+        if rng.randrange(15):
+            authorships = [authorship() for _ in range(rng.randint(0, 4))]
+        else:
+            authorships = rng.choice([MISSING, None, [], *BAD_LISTS])
+        return _object(
+            id=pick(WORK_IDS, [None, "", 5, MISSING], 40),
+            publication_year=pick(years, ["2001", True, None, MISSING, 2001.0], 40),
+            type=pick(TYPES, [0, False, [], {}], 25),
+            authorships=authorships,
+        )
+
     periods, start = [], FIRST_YEAR
-    for length in draw(st.lists(st.integers(1, 3), min_size=2, max_size=3)):
-        end = start + length - 1
+    for _ in range(rng.randint(2, 3)):
+        end = start + rng.randint(1, 3) - 1
         periods.append({"label": f"{start}-{end}", "year_from": start, "year_to": end})
         start = end + 1
     years = list(range(FIRST_YEAR - 1, start + 1))
-    pages = []
-    for _ in range(draw(st.integers(2, 6))):
-        size = draw(st.integers(0, 40))
-        pages.append(draw(st.lists(work_items(years), min_size=size, max_size=size)))
+    pages = [[item() for _ in range(rng.randint(0, MAX_ITEMS))] for _ in range(rng.randint(2, 6))]
     # each period holds a journal article by two entities, so every cell
     # has two entities to compare under either key
     for i, period in enumerate(periods):
-        pair = draw(st.lists(st.sampled_from(ENTITIES), min_size=2, max_size=2, unique=True))
-        item = {
+        page = rng.choice(pages)
+        page.insert(rng.randint(0, len(page)), {
             "id": f"https://openalex.org/W9{i}",
-            "publication_year": draw(
-                st.integers(period["year_from"], period["year_to"])
-            ),
+            "publication_year": rng.randint(period["year_from"], period["year_to"]),
             "type": "journal-article",
             "authorships": [
-                {"institutions": [{"country_code": c, "ror": r}]} for c, r in pair
+                {"institutions": [{"country_code": c, "ror": r}]}
+                for c, r in rng.sample(ENTITIES, 2)
             ],
-        }
-        page = pages[draw(st.integers(0, len(pages) - 1))]
-        page.insert(draw(st.integers(0, len(page))), item)
+        })
     config = {
         "disciplines": [ROOT],
         "periods": periods,
-        "key": draw(st.sampled_from(["country", "institution"])),
-        "journal_only": draw(st.booleans()),
-        "top_n": draw(st.integers(2, 8)),
-        "min_volume": draw(st.integers(0, 3)),
-        "h_star": draw(st.sampled_from([0.55, 0.95, 1.005, 1.3])),
+        "key": rng.choice(["country", "institution"]),
+        "journal_only": rng.random() < 0.5,
+        "top_n": rng.randint(2, 8),
+        "min_volume": rng.randint(0, 3),
+        "h_star": rng.choice([0.55, 0.95, 1.005, 1.3]),
         "rate_limit": 1e9,
     }
     return pages, config
+
+
+# one seed per example, so no two examples run one corpus, and a failing
+# example is reported as its seed
+seeds = st.integers(0, 2**32 - 1)
 
 
 class CorpusTransport:
@@ -179,97 +171,6 @@ def _main(argv, transport=None) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-# ---- the oracle: plain Python over the raw items ---------------------------
-
-
-def read_item(item, field):
-    """(id, year, entity set, journal article?) of a well-formed work item,
-    reading the codes in ``field``; None for a malformed one."""
-    if not isinstance(item, dict):
-        return None
-    work_id, year, wtype = item.get("id"), item.get("publication_year"), item.get("type")
-    if not (isinstance(work_id, str) and work_id) or type(year) is not int:
-        return None
-    if wtype is not None and not isinstance(wtype, str):
-        return None
-    entities = set()
-    for authorship in _entries(item.get("authorships")):
-        if not isinstance(authorship, dict):
-            return None
-        for inst in _entries(authorship.get("institutions")):
-            if not isinstance(inst, dict):
-                return None
-            code = inst.get(field)
-            if code is None:
-                continue
-            if not isinstance(code, str):
-                return None
-            code = code.upper() if field == "country_code" else code.split("/")[-1]
-            if code.strip():
-                entities.add(code)
-    return work_id, year, frozenset(entities), (wtype or "").lower() in JOURNAL_TYPES
-
-
-def _entries(value):
-    """A list field's entries: none for null, [None] (malformed) for a non-list."""
-    if value is None:
-        return []
-    return value if isinstance(value, list) else [None]
-
-
-def harvested(pages, key, journal_only):
-    """The works a harvest keeps, and its malformed and duplicate counts."""
-    field = "country_code" if key == "country" else "ror"
-    seen, works, malformed, duplicates = set(), [], 0, 0
-    for page in pages:
-        for item in page:
-            work = read_item(item, field)
-            if work is None:
-                malformed += 1
-            elif work[0] in seen:
-                duplicates += 1
-            else:
-                seen.add(work[0])
-                if work[3] or not journal_only:
-                    works.append(work)
-    return works, malformed, duplicates
-
-
-class Tally:
-    """Counts of the works published in ``years``."""
-
-    def __init__(self, works, years):
-        self.unary, self.multi, self.pairs = Counter(), Counter(), Counter()
-        self.total = self.unknown = 0
-        for _, year, entities, _ in works:
-            if year not in years:
-                continue
-            self.total += 1
-            self.unknown += not entities
-            for entity in entities:
-                self.unary[entity] += 1
-                self.multi[entity] += len(entities) > 1
-            self.pairs.update(combinations(sorted(entities), 2))
-
-    def joint(self, a, b):
-        return self.pairs[min(a, b), max(a, b)]
-
-    def distance(self, a, b):
-        if a == b:
-            return 0.0
-        joint = self.joint(a, b)
-        return 1.0 - joint / (self.unary[a] + self.unary[b] - joint)
-
-
-def same(text: str, value) -> bool:
-    """Whether a file's field holds ``value``: an int or a string exactly,
-    a float at %.6g, where a value within 1e-9 of a rounding edge may
-    round either way."""
-    if not isinstance(value, float):
-        return text == str(value)
-    return text in {FMT % (value * scale) for scale in (1.0, 1 + 1e-9, 1 - 1e-9)}
-
-
 def check_csv(path: Path, header: str, rows: list[list]) -> None:
     lines = path.read_text().split("\n")
     assert lines.pop() == "", path
@@ -278,39 +179,6 @@ def check_csv(path: Path, header: str, rows: list[list]) -> None:
     for line, row in zip(lines[1:], rows):
         fields = line.split(",")
         assert len(fields) == len(row) and all(map(same, fields, row)), (path, line, row)
-
-
-def replay_ward(tally, top, merges):
-    """The merge heights of ``merges``, checked step by step against the
-    Lance-Williams recurrence for Ward's criterion on squared distances:
-    each merge must join two live clusters at a minimal criterion, with
-    the size of their union."""
-    n = len(top)
-    d2 = [[tally.distance(a, b) ** 2 for b in top] + [0.0] * (n - 1) for a in top]
-    d2 += [[0.0] * (2 * n - 1) for _ in range(n - 1)]
-    sizes = [1] * n
-    live = set(range(n))
-    heights = []
-    assert len(merges) == n - 1
-    for k, merge in enumerate(merges):
-        a, b, new = merge["left"], merge["right"], n + k
-        assert a != b and {a, b} <= live, (k, merge)
-        best = min(d2[i][j] for i, j in combinations(sorted(live), 2))
-        assert d2[a][b] <= best + TIE_REL * max(best, 1.0), (k, merge, best)
-        assert merge["size"] == sizes[a] + sizes[b], (k, merge)
-        height = math.sqrt(max(d2[a][b], 0.0))
-        assert same(FMT % merge["height"], height), (k, merge, height)
-        heights.append(height)
-        live -= {a, b}
-        for c in live:
-            d2[new][c] = d2[c][new] = (
-                (sizes[a] + sizes[c]) * d2[a][c]
-                + (sizes[b] + sizes[c]) * d2[b][c]
-                - sizes[c] * d2[a][b]
-            ) / (sizes[a] + sizes[b] + sizes[c])
-        live.add(new)
-        sizes.append(sizes[a] + sizes[b])
-    return heights
 
 
 def check_cell(out: Path, config, period, works, manifest) -> list:
@@ -358,16 +226,9 @@ def check_cell(out: Path, config, period, works, manifest) -> list:
     a, b = top[0], top[1]
     bilateral = []
     for year, t in yearly.items():
-        joint = t.joint(a, b)
-        if min(t.unary[a], t.unary[b]) == 0:
-            reason = "missing_entity"
-        elif joint == 0:
-            reason = "degenerate_distance"
-        else:
-            reason = "below_min_volume" if joint < config["min_volume"] else None
+        value, volume, mask, reason = bilateral_point(t, a, b, config["min_volume"])
         masked[reason] += 1
-        value = "" if reason else -math.log1p(-t.distance(a, b))
-        bilateral.append([ROOT, a, b, year, value, joint, str(bool(reason)).lower()])
+        bilateral.append([ROOT, a, b, year, "" if mask else value, volume, str(mask).lower()])
     check_csv(
         cell / "bilateral.csv", "discipline,entity,entity_b,year,value,volume,masked", bilateral
     )
@@ -388,6 +249,27 @@ def check_cell(out: Path, config, period, works, manifest) -> list:
         [[ROOT, label, h0, k, value] for k, value in enumerate(rescaled)],
     )
 
+    if n >= 3:
+        check_csv(
+            cell / "kde.csv",
+            "discipline,period,x,density",
+            [[ROOT, label, x, density] for x, density in kde_rows(rescaled)],
+        )
+    # the SVG's leaves carry the h_star cut of the replayed tree (collabkit's
+    # Dendrogram only holds it for util's brute_cut), and its bars the
+    # period's volumes
+    merges = [Merge(m["left"], m["right"], h, m["size"]) for m, h in zip(doc["merges"], heights)]
+    cut = brute_cut(Dendrogram(tuple(top), tuple(merges)), config["h_star"])
+    svg = ET.parse(cell / "dendrogram.svg").getroot()
+    leaves = [e.attrib for e in svg.iter(f"{SVG}circle") if e.get("class") == "leaf"]
+    assert [(e["data-entity"], e["data-cluster"]) for e in leaves] == [
+        (entity, str(cut[entity])) for entity in top
+    ]
+    bars = [e.attrib for e in svg.iter(f"{SVG}path") if e.get("class") == "bar"]
+    assert [(e["data-entity"], e["data-volume"]) for e in bars] == [
+        (entity, str(tally.unary[entity])) for entity in top
+    ]
+
     info = manifest["cells"][f"{ROOT}/{label}"]
     del masked[None]
     assert (info["entities"], info["works"]) == (n, tally.total)
@@ -399,15 +281,51 @@ def check_cell(out: Path, config, period, works, manifest) -> list:
     return [ROOT, label, h0, mean, median]
 
 
+def kde_rows(values):
+    """kde.csv's (x, density) rows: Silverman's bandwidth from numpy's
+    linear quartiles, 512 grid points from min - 5 bw to max + 5 bw as
+    np.linspace places them, and the average Gaussian kernel. Sums run
+    left to right, which is numpy's order over fewer than eight values."""
+    n = len(values)
+    assert 2 <= n < 8
+
+    def total(terms):
+        acc = 0.0
+        for term in terms:
+            acc += term
+        return acc
+
+    mean = total(values) / n
+    sd = math.sqrt(total((v - mean) * (v - mean) for v in values) / (n - 1))
+    ranked, quartiles = sorted(values), []
+    for q in (0.75, 0.25):
+        at = (n - 1) * q
+        below = math.floor(at)
+        lo, hi, t = ranked[below], ranked[below + 1], at - below
+        quartiles.append(lo + (hi - lo) * t if t < 0.5 else hi - (hi - lo) * (1 - t))
+    spreads = [c for c in (sd, (quartiles[0] - quartiles[1]) / 1.34) if c > 0.0]
+    bw = 0.9 * (min(spreads) if spreads else 0.0) * n ** (-0.2)
+    if bw < 2.2250738585072014e-308:  # the smallest normal float
+        bw = max(1.0, max(map(abs, values))) * 1e-9
+    lo, hi = min(values) - 5.0 * bw, max(values) + 5.0 * bw
+    step = (hi - lo) / 511
+    grid = [i * step + lo for i in range(511)] + [hi]
+    scale = n * bw * math.sqrt(2.0 * math.pi)
+    return [
+        (x, total(math.exp((z := (x - v) / bw) * z * -0.5) for v in values) / scale)
+        for x in grid
+    ]
+
+
 # A failing example is reported as drawn, unshrunk: shrinking one from a
 # planted mutation ran for minutes and grew past 600 MB.
 UNSHRUNK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None, phases=UNSHRUNK)
-@given(corpora())
-def test_all_online_then_offline_matches_the_oracle(corpus):
-    pages, config = corpus
+@given(seeds)
+def test_all_online_then_offline_matches_the_oracle(seed):
+    pages, config = seeded_corpus(seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         path = tmp / "config.json"
@@ -446,12 +364,12 @@ def test_all_online_then_offline_matches_the_oracle(corpus):
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None, phases=UNSHRUNK)
-@given(corpora(), st.data())
-def test_chain_cut_short_by_a_lost_cursor_exits_2(corpus, data):
+@given(seeds, st.data())
+def test_chain_cut_short_by_a_lost_cursor_exits_2(seed, data):
     # a works page whose meta lost its next_cursor mid-chain would end the
     # harvest early: the run stops instead, caches nothing from that page
     # on, and leaves no out_dir
-    pages, config = corpus
+    pages, config = seeded_corpus(seed)
     lost = data.draw(st.integers(0, len(pages) - 2))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -11,7 +11,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from collabkit.corpus import PAIR_SHIFT, CountTable, Period, count_years

@@ -19,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from collabkit import ingest
-from collabkit.corpus import work_from_metadata
 from collabkit.errors import ConfigError, MissingFixtures, ParseError, TransportError
 from collabkit.ingest import (
     CURSOR_START,
@@ -38,7 +37,7 @@ from collabkit.ingest import (
     query_params,
 )
 from synthetic import SyntheticOpenAlexTransport
-from util import fetch_of
+from util import fetch_of, harvested
 
 
 def _concept(cid, level, related=()):
@@ -859,26 +858,6 @@ def _item(work_id, year=1990, journal=True):
 work_items = st.builds(_item, work_ids, st.sampled_from([1990, 1990, 1990, None]), st.booleans())
 
 
-def reference_harvest(pages, journal_only):
-    """Records, duplicates dropped and items skipped, deduplicating through a
-    set of the id strings."""
-    seen, records, dropped, skipped = set(), [], 0, 0
-    for works in pages:
-        for raw in works:
-            try:
-                record = work_from_metadata(raw, "C1")
-            except ValueError:
-                skipped += 1
-                continue
-            if record.work_id in seen:
-                dropped += 1
-                continue
-            seen.add(record.work_id)
-            if record.is_journal_article or not journal_only:
-                records.append(record)
-    return records, dropped, skipped
-
-
 def _page_chain(pages):
     return ScriptedTransport(
         [
@@ -886,6 +865,18 @@ def _page_chain(pages):
             for i, works in enumerate(pages, 1)
         ]
     )
+
+
+def _assert_harvested(client, records, pages, journal_only):
+    """harvest's records and counters are what util's harvest oracle keeps
+    and counts, reading the items itself and deduplicating through a set
+    of the id strings."""
+    works, malformed, duplicates = harvested(pages, "country", journal_only)
+    assert [
+        (r.work_id, r.year, r.nationalities, r.is_journal_article) for r in records
+    ] == works
+    assert client.ingest["duplicate_ids_dropped"] == duplicates
+    assert client.ingest["malformed_items_skipped"] == malformed
 
 
 class TestHarvestDeduplication:
@@ -904,10 +895,7 @@ class TestHarvestDeduplication:
         with tempfile.TemporaryDirectory() as tmp:
             client = _client(_page_chain(pages), Path(tmp))
             records = list(harvest(client, "C1", ["C1"], 1990, 1990, journal_only=journal_only))
-        expected, dropped, skipped = reference_harvest(pages, journal_only)
-        assert records == expected
-        assert client.ingest["duplicate_ids_dropped"] == dropped
-        assert client.ingest["malformed_items_skipped"] == skipped
+        _assert_harvested(client, records, pages, journal_only)
 
     def test_repeats_met_across_merged_runs(self, tmp_path):
         # About 23,600 distinct ids: a repeat meets its first occurrence
@@ -921,9 +909,7 @@ class TestHarvestDeduplication:
         pages = [items[i:i + 200] for i in range(0, len(items), 200)]
         client = _client(_page_chain(pages), tmp_path)
         records = list(harvest(client, "C1", ["C1"], 1990, 1990))
-        expected, dropped, _ = reference_harvest(pages, False)
-        assert records == expected
-        assert client.ingest["duplicate_ids_dropped"] == dropped
+        _assert_harvested(client, records, pages, False)
 
     def test_seen_ids_cost_at_most_24_bytes_each(self, tmp_path):
         # A canonical id costs 8 bytes once seen; a set of the id strings

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from collabkit.corpus import Period
 from collabkit.metrics import (
     REASON_BELOW_MIN_VOLUME,
     REASON_DEGENERATE,
@@ -26,7 +25,7 @@ from collabkit.metrics import (
     silverman_bandwidth,
     yearly_series,
 )
-from util import POOL6, kde_reference, table_from_sets
+from util import POOL6, Tally, bilateral_point, kde_reference, table_from_sets
 
 nationality_sets = st.frozensets(st.sampled_from(POOL6), max_size=4)
 corpora = st.lists(nationality_sets, min_size=1, max_size=50)
@@ -148,33 +147,25 @@ class TestYearlySeries:
             assert rate.points == expected.points  # every point field, reasons included
             assert (volume.discipline_id, volume.entity) == ("D1", entity)
             assert [(p.year, p.value, p.volume, p.masked) for p in volume.points] == [
-                (year, float(n), n, False)
-                for year, n in (
-                    (y, sum(entity in s for s in sets_by_year[y]))
-                    for y in sorted(sets_by_year)
-                )
+                (year, float(t.unary[entity]), t.unary[entity], False)
+                for year, t in _tallies(sets_by_year).items()
             ]
 
 
-def _bilateral_oracle(sets_by_year, a, b, min_volume):
-    """Each year's point from the work sets; the value's arithmetic is
-    spelled out as ``affinity`` then ``rescaled_distance`` do it, so the
-    comparison is exact."""
-    points = []
-    for year in sorted(sets_by_year):
-        sets = sets_by_year[year]
-        n_a = sum(a in s for s in sets)
-        n_b = sum(b in s for s in sets)
-        n_ab = sum(a in s and b in s for s in sets)
-        if n_a == 0 or n_b == 0:
-            points.append((year, None, 0, True, REASON_MISSING))
-        elif n_ab == 0:
-            points.append((year, None, 0, True, REASON_DEGENERATE))
-        else:
-            value = -math.log1p(-(1.0 - n_ab / (n_a + n_b - n_ab)))
-            low = n_ab < min_volume
-            points.append((year, value, n_ab, low, REASON_BELOW_MIN_VOLUME if low else None))
-    return points
+def _tallies(sets_by_year):
+    """util's Tally of each year's work sets, in year order."""
+    return {
+        year: Tally([("W", year, frozenset(s), True) for s in sets], [year])
+        for year, sets in sorted(sets_by_year.items())
+    }
+
+
+def _oracle_points(sets_by_year, a, b, min_volume):
+    """Each year's point of the pair, from util's bilateral point."""
+    return [
+        (year, *bilateral_point(t, a, b, min_volume))
+        for year, t in _tallies(sets_by_year).items()
+    ]
 
 
 class TestBilateralOracle:
@@ -192,7 +183,7 @@ class TestBilateralOracle:
         tables = _tables_by_year(self.SETS_BY_YEAR)
         series = bilateral_distance_series(tables, "D1", *pair, min_volume=min_volume)
         assert (series.entity, series.entity_b) == pair
-        assert _point_tuples(series) == _bilateral_oracle(self.SETS_BY_YEAR, *pair, min_volume)
+        assert _point_tuples(series) == _oracle_points(self.SETS_BY_YEAR, *pair, min_volume)
 
     def test_cases_covered(self):
         tables = _tables_by_year(self.SETS_BY_YEAR)
@@ -216,7 +207,7 @@ class TestBilateralOracle:
     )
     def test_random_corpora(self, sets_by_year, a, b, min_volume):
         tables = _tables_by_year(sets_by_year)
-        oracle = _bilateral_oracle(sets_by_year, a, b, min_volume)
+        oracle = _oracle_points(sets_by_year, a, b, min_volume)
         for pair in ((a, b), (b, a)):
             series = bilateral_distance_series(tables, "D1", *pair, min_volume=min_volume)
             assert _point_tuples(series) == oracle

@@ -149,3 +149,18 @@ def test_failing_given_test_is_reported_and_the_run_goes_on(tmp_path):
     assert "INTERNALERROR" not in out
     assert "FAILED test_probe.py::test_fails" in out
     assert "1 failed, 1 passed" in out
+
+
+def test_suite_collects_without_the_repo_on_sys_path(tmp_path):
+    # the `pytest` entry point puts no repo directory on sys.path, so a test
+    # module importing ``tests.util`` fails to collect there, and the run
+    # stops with no test run; under `python -m pytest` from the repo root
+    # util would load twice, as ``util`` and ``tests.util``
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+        + [str(ROOT / "tests")],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

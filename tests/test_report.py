@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from collabkit.corpus import Period, build_count_table, top_entities
+from collabkit.corpus import Period, top_entities
 from collabkit.geometry import (
     Dendrogram,
     IcdResult,
     cut_clusters,
     distance_matrix,
-    euclidean_embedding,
     ward_cluster,
 )
 from collabkit.metrics import (
@@ -39,12 +38,11 @@ from collabkit.report import (
     series_to_csv,
     writable_name,
 )
-from tests.util import (
+from util import (
     all_ties_chain,
     brute_leaf_sets,
     chord_csv_reference,
     random_dendrogram,
-    records_from_sets,
     series_to_csv_reference,
     svg_reference,
     table_from_sets,

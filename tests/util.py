@@ -1,10 +1,16 @@
-"""Shared corpus builders and brute-force oracles for the test suite."""
+"""Shared corpus builders and brute-force oracles for the test suite.
+
+The first section is the one oracle over raw OpenAlex work items: a
+reader, a harvest, a slice tally, a bilateral point and a replay of
+``merges.json``, all in plain Python. The unit tests and the end-to-end
+test check collabkit against it."""
 
 from __future__ import annotations
 
 import json
 import math
 import xml.etree.ElementTree as ET
+from collections import Counter
 from itertools import combinations
 from typing import Mapping
 
@@ -28,6 +34,153 @@ POOL12 = POOL6 + ("GR", "HU", "IE", "JP", "KR", "LU")
 
 WARD_TIE_EPS = 1e-12
 
+# ---- the raw-item oracle: plain Python over OpenAlex work items ------------
+# No collabkit function computes a value in this section.
+
+FMT = "%.6g"
+# the slack within which two Ward criteria are one minimum
+TIE_REL = 1e-12
+JOURNAL_TYPES = ("journal-article", "article")
+
+
+def read_item(item, field):
+    """(id, year, entity set, journal article?) of a well-formed work item,
+    reading the codes in ``field``; None for a malformed one."""
+    if not isinstance(item, dict):
+        return None
+    work_id, year, wtype = item.get("id"), item.get("publication_year"), item.get("type")
+    if not (isinstance(work_id, str) and work_id) or type(year) is not int:
+        return None
+    if wtype is not None and not isinstance(wtype, str):
+        return None
+    entities = set()
+    for authorship in _entries(item.get("authorships")):
+        if not isinstance(authorship, dict):
+            return None
+        for inst in _entries(authorship.get("institutions")):
+            if not isinstance(inst, dict):
+                return None
+            code = inst.get(field)
+            if code is None:
+                continue
+            if not isinstance(code, str):
+                return None
+            code = code.upper() if field == "country_code" else code.split("/")[-1]
+            if code.strip():
+                entities.add(code)
+    return work_id, year, frozenset(entities), (wtype or "").lower() in JOURNAL_TYPES
+
+
+def _entries(value):
+    """A list field's entries: none for null, [None] (malformed) for a non-list."""
+    if value is None:
+        return []
+    return value if isinstance(value, list) else [None]
+
+
+def harvested(pages, key, journal_only):
+    """The works a harvest keeps, and its malformed and duplicate counts."""
+    field = "country_code" if key == "country" else "ror"
+    seen, works, malformed, duplicates = set(), [], 0, 0
+    for page in pages:
+        for item in page:
+            work = read_item(item, field)
+            if work is None:
+                malformed += 1
+            elif work[0] in seen:
+                duplicates += 1
+            else:
+                seen.add(work[0])
+                if work[3] or not journal_only:
+                    works.append(work)
+    return works, malformed, duplicates
+
+
+class Tally:
+    """Counts of the works published in ``years``; ``multi`` holds the
+    entities of works with more than one, so no count is zero."""
+
+    def __init__(self, works, years):
+        self.unary, self.multi, self.pairs = Counter(), Counter(), Counter()
+        self.total = self.unknown = 0
+        for _, year, entities, _ in works:
+            if year not in years:
+                continue
+            self.total += 1
+            self.unknown += not entities
+            self.unary.update(entities)
+            if len(entities) > 1:
+                self.multi.update(entities)
+            self.pairs.update(combinations(sorted(entities), 2))
+
+    def joint(self, a, b):
+        return self.unary[a] if a == b else self.pairs[min(a, b), max(a, b)]
+
+    def distance(self, a, b):
+        if a == b:
+            return 0.0
+        joint = self.joint(a, b)
+        return 1.0 - joint / (self.unary[a] + self.unary[b] - joint)
+
+
+def bilateral_point(tally, a, b, min_volume):
+    """(value, volume, masked, reason) of the pair's point over the works
+    ``tally`` counts. The value is None where no distance is defined, and
+    is -ln(1 - D) computed in ``affinity``'s and then
+    ``rescaled_distance``'s order, so it compares exactly."""
+    joint = tally.joint(a, b)
+    if min(tally.unary[a], tally.unary[b]) == 0:
+        return None, joint, True, "missing_entity"
+    if joint == 0:
+        return None, joint, True, "degenerate_distance"
+    low = joint < min_volume
+    return -math.log1p(-tally.distance(a, b)), joint, low, "below_min_volume" if low else None
+
+
+def same(text: str, value) -> bool:
+    """Whether a file's field holds ``value``: an int or a string exactly,
+    a float at %.6g, where a value within 1e-9 of a rounding edge may
+    round either way."""
+    if not isinstance(value, float):
+        return text == str(value)
+    return text in {FMT % (value * scale) for scale in (1.0, 1 + 1e-9, 1 - 1e-9)}
+
+
+def replay_ward(tally, top, merges):
+    """The merge heights of ``merges``, checked step by step against the
+    Lance-Williams recurrence for Ward's criterion on squared distances:
+    each merge must join two live clusters at a minimal criterion, with
+    the size of their union."""
+    n = len(top)
+    d2 = [[tally.distance(a, b) ** 2 for b in top] + [0.0] * (n - 1) for a in top]
+    d2 += [[0.0] * (2 * n - 1) for _ in range(n - 1)]
+    sizes = [1] * n
+    live = set(range(n))
+    heights = []
+    assert len(merges) == n - 1
+    for k, merge in enumerate(merges):
+        a, b, new = merge["left"], merge["right"], n + k
+        assert a != b and {a, b} <= live, (k, merge)
+        best = min(d2[i][j] for i, j in combinations(sorted(live), 2))
+        assert d2[a][b] <= best + TIE_REL * max(best, 1.0), (k, merge, best)
+        assert merge["size"] == sizes[a] + sizes[b], (k, merge)
+        height = math.sqrt(max(d2[a][b], 0.0))
+        assert same(FMT % merge["height"], height), (k, merge, height)
+        heights.append(height)
+        live -= {a, b}
+        for c in live:
+            d2[new][c] = d2[c][new] = (
+                (sizes[a] + sizes[c]) * d2[a][c]
+                + (sizes[b] + sizes[c]) * d2[b][c]
+                - sizes[c] * d2[a][b]
+            ) / (sizes[a] + sizes[b] + sizes[c])
+        live.add(new)
+        sizes.append(sizes[a] + sizes[b])
+    return heights
+
+
+# ---- corpus builders and the other brute-force oracles ---------------------
+
 
 def records_from_sets(sets, discipline="D1", year=2000):
     """One WorkRecord per nationality set; institutions mirror countries
@@ -46,31 +199,6 @@ def records_from_sets(sets, discipline="D1", year=2000):
             )
         )
     return records
-
-
-def brute_work_sets(raw):
-    """(countries, bare ROR ids) of one raw work item, by brute force: every
-    institution of every contributor, then one comprehension per set, less
-    the blank codes. A set is None where its field holds a code that is
-    neither a string nor null: the key that reads that field refuses the
-    item. Both are None where ``authorships`` or an ``institutions`` is
-    neither a list nor null: both keys refuse the item."""
-    authorships = raw.get("authorships")
-    lists = [authorships]
-    if isinstance(authorships, list):
-        lists += [authorship.get("institutions") for authorship in authorships]
-    if any(value is not None and not isinstance(value, list) for value in lists):
-        return None, None
-    insts = [inst for value in lists[1:] for inst in value or []]
-
-    def codes(field, normalise):
-        found = [i[field] for i in insts if i.get(field) is not None]
-        if not all(isinstance(code, str) for code in found):
-            return None
-        # a code that is blank once normalised names no entity
-        return frozenset(c for c in map(normalise, found) if c.strip())
-
-    return codes("country_code", str.upper), codes("ror", lambda r: r.split("/")[-1])
 
 
 def fetch_of(payloads):
@@ -96,25 +224,6 @@ def table_from_sets(sets, discipline="D1", year=2000, key="country"):
     return build_count_table(
         records_from_sets(sets, discipline, year), discipline, period, key
     )
-
-
-def brute_year_table(records, year, key, discipline="D1"):
-    """unary, pairwise, multi, unknown and total for ``discipline`` in one
-    year, each entry counted over the year's works from the counting rules."""
-    sets = [
-        rec.nationalities if key == "country" else rec.institutions
-        for rec in records
-        if rec.discipline_id == discipline and rec.year == year
-    ]
-    entities = sorted(set().union(*sets))
-    unary = {e: sum(e in s for s in sets) for e in entities}
-    pairwise = {
-        (a, b): n
-        for a, b in combinations(entities, 2)
-        if (n := sum(a in s and b in s for s in sets))
-    }
-    multi = {e: n for e in entities if (n := sum(e in s and len(s) > 1 for s in sets))}
-    return unary, pairwise, multi, sum(not s for s in sets), len(sets)
 
 
 def brute_jaccard_distance(sets, x, y):
